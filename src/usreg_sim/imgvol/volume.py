@@ -189,19 +189,22 @@ def resample_crop(vol: Volume3, target_spacing, target_shape, center) -> Volume3
 def sample_at_physical(vol: Volume3, points: np.ndarray, nearest: bool) -> np.ndarray:
     """Sample a volume at physical points (..., 3); outside the extent reads 0."""
     pts = np.asarray(points, dtype=np.float64)
-    idx = ((pts - vol.origin) @ vol.axes.T) / vol.spacing
+    idx = ((pts.reshape(-1, 3) - vol.origin) @ vol.axes.T) / vol.spacing
     if nearest:
         # round-half-up gather, zero outside; same convention as the
         # interpolated branch but much cheaper for the mask sampling that
         # dominates frame capture
-        near = np.floor(idx.reshape(-1, 3) + 0.5).astype(np.int64)
-        inside = ((near >= 0) & (near < vol.data.shape)).all(axis=1)
-        vals = np.zeros(len(near), dtype=vol.data.dtype)
-        sel = near[inside]
-        vals[inside] = vol.data[sel[:, 0], sel[:, 1], sel[:, 2]]
+        if vol.data.size == 0:  # every point is outside; take() cannot read an empty array
+            return np.zeros(pts.shape[:-1], dtype=vol.data.dtype)
+        near = np.floor(idx + 0.5).astype(np.int64)
+        # a negative index wraps to a huge unsigned one, so a single
+        # unsigned compare tests both bounds
+        outside = ~(near.view(np.uint64) < np.asarray(vol.shape, dtype=np.uint64)).all(axis=1)
+        _, n1, n2 = vol.shape
+        vals = vol.data.take((near[:, 0] * n1 + near[:, 1]) * n2 + near[:, 2], mode="clip")
+        vals[outside] = 0
         return vals.reshape(pts.shape[:-1])
     vals = ndimage.map_coordinates(
-        vol.data, idx.reshape(-1, 3).T, order=1, mode="grid-constant", cval=0.0,
-        output=np.float64,
+        vol.data, idx.T, order=1, mode="grid-constant", cval=0.0, output=np.float64,
     )
     return vals.reshape(pts.shape[:-1])

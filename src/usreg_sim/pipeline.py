@@ -399,7 +399,8 @@ def target_imaging(
 
     Waypoint i sits at x = target.x - eps + 2*eps*i/n_frames; the probe
     rides the skin, so frame depth starts at the surface, not at the
-    target depth.
+    target depth. Frames sample their pixels only when read, and
+    ``judge_success`` reads none.
     """
     if eps_mm < 0:
         raise ValueError("eps_mm must be nonnegative")

@@ -3,9 +3,10 @@
 The probe is a point transducer that rides on the phantom's skin surface
 with a fixed orientation: the image plane is always perpendicular to the
 inferior-superior (x) axis, so every captured frame is an axial view.
-Capture is pure resampling of the scene volumes; the learned segmentation
-networks of the real system are replaced by ground-truth oracles plus a
-parametric corruption model.
+Capture is pure resampling of the scene volumes, done lazily: a frame
+samples each of its fields on first read, so a caller pays only for the
+pixels it consumes. The learned segmentation networks of the real system
+are replaced by ground-truth oracles plus a parametric corruption model.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -80,15 +82,17 @@ class ProbeState:
 class UltrasoundFrame:
     """One axial capture: intensity image plus the two hidden truth masks.
 
+    The frame holds only the scene, the capture position and the probe
+    geometry. Each of ``image``, ``mask_truth`` and ``branch_truth`` is
+    sampled on ``capture_grid(capture_position, params)`` the first time it
+    is read and cached on the frame, so all three share one pixel grid.
     ``mask_truth`` samples the full vein annotation and ``branch_truth``
-    the junction-local annotation; both share the image grid. Pixel (0, 0)
-    sits at ``capture_position - (fov_width/2) * y_hat`` at surface depth,
-    the lateral axis runs along +y and the depth axis straight down.
+    the junction-local annotation. Pixel (0, 0) sits at
+    ``capture_position - (fov_width/2) * y_hat`` at surface depth, the
+    lateral axis runs along +y and the depth axis straight down.
     """
 
-    image: Image2
-    mask_truth: Image2
-    branch_truth: Image2
+    scene: PhantomScene = field(repr=False)
     capture_position: np.ndarray
     params: ProbeParams
 
@@ -99,10 +103,24 @@ class UltrasoundFrame:
         pos = pos.copy()
         pos.setflags(write=False)
         object.__setattr__(self, "capture_position", pos)
-        for name in ("mask_truth", "branch_truth"):
-            img = getattr(self, name)
-            if img.shape != self.image.shape or not np.array_equal(img.spacing, self.image.spacing):
-                raise ValueError(f"{name} must share the image grid")
+
+    @cached_property
+    def image(self) -> Image2:
+        return self._sample(self.scene.ct, nearest=False)
+
+    @cached_property
+    def mask_truth(self) -> Image2:
+        return self._sample(self.scene.hv_annotation, nearest=True)
+
+    @cached_property
+    def branch_truth(self) -> Image2:
+        return self._sample(self.scene.hv_branch_annotation, nearest=True)
+
+    def _sample(self, vol, nearest: bool) -> Image2:
+        vals = sample_at_physical(vol, capture_grid(self.capture_position, self.params), nearest)
+        if nearest:
+            vals = vals.astype(np.uint8, copy=False)
+        return Image2(vals, self.params.pixel_spacing)
 
     def pixel_to_physical(self, j: float, k: float) -> np.ndarray:
         """Physical mm point of pixel (j=lateral, k=depth)."""
@@ -212,57 +230,15 @@ def capture_grid(position: np.ndarray, params: ProbeParams) -> np.ndarray:
     return pts
 
 
-def _same_grid(a, b) -> bool:
-    return (
-        a.data.shape == b.data.shape
-        and np.array_equal(a.spacing, b.spacing)
-        and np.array_equal(a.origin, b.origin)
-        and np.array_equal(a.axes, b.axes)
-    )
-
-
 def capture_us(scene: PhantomScene, probe: ProbeState, params: ProbeParams) -> UltrasoundFrame:
     """Image the axial plane through the probe position.
 
+    Nothing is sampled here: the frame samples each field on first read.
     The intensity image is a trilinear sample of the CT-like volume; the
     truth masks are nearest-neighbor samples of the annotations. Points
     outside the volume read 0.
     """
-    pts = capture_grid(probe.position, params)
-    spacing = np.asarray(params.pixel_spacing, dtype=np.float64)
-    ct = scene.ct
-    if _same_grid(ct, scene.hv_annotation) and _same_grid(ct, scene.hv_branch_annotation):
-        # the placed volumes share one grid, so one index computation
-        # serves the image and both masks (captures dominate sweep time)
-        shape = pts.shape[:-1]
-        idx = ((pts.reshape(-1, 3) - ct.origin) @ ct.axes.T) / ct.spacing
-        image = ndimage.map_coordinates(
-            ct.data, idx.T, order=1, mode="grid-constant", cval=0.0, output=np.float64,
-        ).reshape(shape)
-        near = np.floor(idx + 0.5).astype(np.int64)
-        n0, n1, n2 = near[:, 0], near[:, 1], near[:, 2]
-        s0, s1, s2 = ct.data.shape
-        inside = (
-            (n0 >= 0) & (n0 < s0) & (n1 >= 0) & (n1 < s1) & (n2 >= 0) & (n2 < s2)
-        )
-        sel = near[inside]
-        mask = np.zeros(len(near), dtype=np.uint8)
-        branch = np.zeros(len(near), dtype=np.uint8)
-        mask[inside] = scene.hv_annotation.data[sel[:, 0], sel[:, 1], sel[:, 2]]
-        branch[inside] = scene.hv_branch_annotation.data[sel[:, 0], sel[:, 1], sel[:, 2]]
-        mask = mask.reshape(shape)
-        branch = branch.reshape(shape)
-    else:
-        image = sample_at_physical(ct, pts, nearest=False)
-        mask = sample_at_physical(scene.hv_annotation, pts, nearest=True).astype(np.uint8)
-        branch = sample_at_physical(scene.hv_branch_annotation, pts, nearest=True).astype(np.uint8)
-    return UltrasoundFrame(
-        image=Image2(image, spacing),
-        mask_truth=Image2(mask, spacing),
-        branch_truth=Image2(branch, spacing),
-        capture_position=probe.position,
-        params=params,
-    )
+    return UltrasoundFrame(scene, probe.position, params)
 
 
 def _frame_rng(noise: NoiseModel, frame: UltrasoundFrame, tag: str) -> np.random.Generator:
@@ -270,14 +246,15 @@ def _frame_rng(noise: NoiseModel, frame: UltrasoundFrame, tag: str) -> np.random
 
     Re-segmenting the same frame with the same model reproduces the output
     bit for bit, independent of call order, which keeps concurrent trials
-    deterministic.
+    deterministic. The shape comes from the probe geometry, so keying
+    samples no field of the frame.
     """
     h = hashlib.blake2b(digest_size=16)
     h.update(struct.pack("<q", int(noise.seed)))
     h.update(tag.encode("ascii"))
     quantized = np.round(frame.capture_position * 1000.0).astype(np.int64)
     h.update(quantized.tobytes())
-    h.update(struct.pack("<qq", *frame.mask_truth.shape))
+    h.update(struct.pack("<qq", *frame.params.image_shape))
     return np.random.default_rng(int.from_bytes(h.digest(), "little"))
 
 

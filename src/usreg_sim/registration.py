@@ -45,7 +45,6 @@ class RegistrationConfig:
     """
 
     objective: str = "mutual_information"
-    histogram_bins: int = 2
     pyramid_levels: int = 2
     max_iterations: int = 40
     parameter_tolerance: tuple[float, float] = (0.25, 0.25)
@@ -56,8 +55,6 @@ class RegistrationConfig:
     def __post_init__(self) -> None:
         if self.objective not in _OBJECTIVES:
             raise ValueError(f"objective must be one of {_OBJECTIVES}, got {self.objective!r}")
-        if self.histogram_bins < 2:
-            raise ValueError("histogram_bins must be at least 2")
         if self.pyramid_levels < 1:
             raise ValueError("pyramid_levels must be at least 1")
         if self.max_iterations < 1:

@@ -144,3 +144,74 @@ def dense_joint_counts(fixed_vals, moving, points):
     counts[:, 1] = np.bincount(f, weights=frac, minlength=2)
     counts[:, 0] = np.bincount(f, minlength=2) - counts[:, 1]
     return counts
+
+
+def reference_sample_at_physical(vol, points, nearest):
+    """The volume sampler as first written: stacked index product, masked gather."""
+    pts = np.asarray(points, dtype=np.float64)
+    idx = ((pts - vol.origin) @ vol.axes.T) / vol.spacing
+    if nearest:
+        # round-half-up gather, zero outside; same convention as the
+        # interpolated branch but much cheaper for the mask sampling that
+        # dominates frame capture
+        near = np.floor(idx.reshape(-1, 3) + 0.5).astype(np.int64)
+        inside = ((near >= 0) & (near < vol.data.shape)).all(axis=1)
+        vals = np.zeros(len(near), dtype=vol.data.dtype)
+        sel = near[inside]
+        vals[inside] = vol.data[sel[:, 0], sel[:, 1], sel[:, 2]]
+        return vals.reshape(pts.shape[:-1])
+    vals = ndimage.map_coordinates(
+        vol.data, idx.reshape(-1, 3).T, order=1, mode="grid-constant", cval=0.0,
+        output=np.float64,
+    )
+    return vals.reshape(pts.shape[:-1])
+
+
+def _same_grid(a, b):
+    return (
+        a.data.shape == b.data.shape
+        and np.array_equal(a.spacing, b.spacing)
+        and np.array_equal(a.origin, b.origin)
+        and np.array_equal(a.axes, b.axes)
+    )
+
+
+def eager_capture(scene, position, params, shared_grid):
+    """(image, mask, branch) of an axial frame, all sampled up front.
+
+    Both routes of the first capture model: ``shared_grid`` computes one
+    index array for the three volumes (it requires that they share a
+    grid), otherwise each volume goes through the reference sampler.
+    """
+    lx, ly = params.image_shape
+    vx, vy = params.pixel_spacing
+    ys = position[1] - params.fov_width / 2.0 + np.arange(lx) * vx
+    zs = position[2] - np.arange(ly) * vy
+    pts = np.empty((lx, ly, 3), dtype=np.float64)
+    pts[..., 0] = position[0]
+    pts[..., 1] = ys[:, None]
+    pts[..., 2] = zs[None, :]
+    ct = scene.ct
+    if not shared_grid:
+        image = reference_sample_at_physical(ct, pts, nearest=False)
+        mask = reference_sample_at_physical(scene.hv_annotation, pts, nearest=True).astype(np.uint8)
+        branch = reference_sample_at_physical(
+            scene.hv_branch_annotation, pts, nearest=True
+        ).astype(np.uint8)
+        return image, mask, branch
+    assert _same_grid(ct, scene.hv_annotation) and _same_grid(ct, scene.hv_branch_annotation)
+    shape = pts.shape[:-1]
+    idx = ((pts.reshape(-1, 3) - ct.origin) @ ct.axes.T) / ct.spacing
+    image = ndimage.map_coordinates(
+        ct.data, idx.T, order=1, mode="grid-constant", cval=0.0, output=np.float64,
+    ).reshape(shape)
+    near = np.floor(idx + 0.5).astype(np.int64)
+    n0, n1, n2 = near[:, 0], near[:, 1], near[:, 2]
+    s0, s1, s2 = ct.data.shape
+    inside = (n0 >= 0) & (n0 < s0) & (n1 >= 0) & (n1 < s1) & (n2 >= 0) & (n2 < s2)
+    sel = near[inside]
+    mask = np.zeros(len(near), dtype=np.uint8)
+    branch = np.zeros(len(near), dtype=np.uint8)
+    mask[inside] = scene.hv_annotation.data[sel[:, 0], sel[:, 1], sel[:, 2]]
+    branch[inside] = scene.hv_branch_annotation.data[sel[:, 0], sel[:, 1], sel[:, 2]]
+    return image, mask.reshape(shape), branch.reshape(shape)

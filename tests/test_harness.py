@@ -149,6 +149,14 @@ def test_rerun_reports_byte_identical(small_reports, tmp_path):
         assert again[name].read_bytes() == path.read_bytes(), name
 
 
+def test_worker_count_does_not_change_reports(tmp_path):
+    cfg = SweepConfig(**{**SMALL, "noise": "default"})
+    serial = emit_reports(run_sweep(cfg, workers=1), tmp_path / "serial")
+    pooled = emit_reports(run_sweep(cfg, workers=2), tmp_path / "pooled")
+    for name in ("trials", "registration", "summary"):
+        assert pooled[name].read_bytes() == serial[name].read_bytes(), name
+
+
 def test_trials_csv_row_count(small_sweep, small_reports):
     cfg = small_sweep.config
     rows = list(csv.DictReader(small_reports["trials"].open()))

@@ -5,12 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from usreg_sim.imgvol import Volume3, dice, sample_at_physical
+from usreg_sim.imgvol import Volume3, dice, physical_to_voxel, sample_at_physical
 from usreg_sim.phantom import generate_phantom, place_phantom
+from usreg_sim.pipeline import judge_success, target_imaging
 from usreg_sim.probe import (
     NoiseModel,
     ProbeParams,
     ProbeState,
+    capture_grid,
     capture_us,
     initial_contact,
     move_to,
@@ -18,7 +20,9 @@ from usreg_sim.probe import (
     segment_full,
 )
 
-from _oracles import count_components
+from _oracles import count_components, eager_capture
+
+FIELDS = ("image", "mask_truth", "branch_truth")
 
 
 @pytest.fixture(scope="module")
@@ -194,3 +198,86 @@ def test_noise_model_validation():
         NoiseModel(blob_size=(10, 5))
     with pytest.raises(ValueError, match="jitter"):
         NoiseModel(morph_jitter=-1)
+
+
+# ---------------------------------------------------------------- lazy frames
+
+
+def sampled(frame):
+    """Names of the frame fields sampled so far (cached on the instance)."""
+    return {name for name in FIELDS if name in vars(frame)}
+
+
+@pytest.mark.parametrize("offset, yaw", [((10.0, -5.0, 0.0), 0.0), ((12.5, -7.0, 3.0), 6.0)])
+def test_lazy_fields_match_eager_capture(params, offset, yaw):
+    scene = place_phantom(generate_phantom(seed=3), offset, yaw)
+    bp = scene.tree.branch_point
+    rng = np.random.default_rng(17)
+    positions = [move_to(scene, bp[0] + dx, bp[1] + dy).position
+                 for dx in np.linspace(-30.0, 30.0, 10) for dy in (-6.0, 0.0, 6.0)]
+    # free-floating probes whose frames hang off the volume on some side
+    corners = np.array(np.meshgrid(*[(0.0, n) for n in scene.ct.shape], indexing="ij")).reshape(3, -1).T
+    box = scene.ct.origin + (corners * scene.ct.spacing) @ scene.ct.axes
+    for i in range(14):
+        x = rng.uniform(box[:, 0].min(), box[:, 0].max())
+        y = (box[:, 1].min(), box[:, 1].max())[i % 2] + rng.uniform(-30.0, 30.0)
+        z = rng.uniform(box[:, 2].min() + 40.0, box[:, 2].max() + 40.0)
+        positions.append(np.array([x, y, z]))
+
+    partial = with_vessel = 0
+    for pos in positions:
+        frame = capture_us(scene, ProbeState(pos), params)
+        assert sampled(frame) == set()
+        got = (frame.image.data, frame.mask_truth.data, frame.branch_truth.data)
+        for shared_grid in (True, False):
+            want = eager_capture(scene, frame.capture_position, params, shared_grid)
+            for name, g, w in zip(FIELDS, got, want):
+                assert g.dtype == w.dtype, name
+                assert np.array_equal(g, w), f"{name} at {pos} (shared_grid={shared_grid})"
+        for img in (frame.image, frame.mask_truth, frame.branch_truth):
+            assert np.array_equal(img.spacing, params.pixel_spacing)
+        idx = physical_to_voxel(scene.ct, capture_grid(frame.capture_position, params))
+        inside = ((idx > -0.5) & (idx < np.asarray(scene.ct.shape) - 0.5)).all(axis=-1)
+        partial += bool(inside.any() and not inside.all())
+        with_vessel += bool(got[1].any())
+    assert len(positions) >= 30
+    assert partial >= 10 and with_vessel >= 10, (partial, with_vessel)
+
+
+def test_frame_is_immutable(scene, params):
+    frame = capture_us(scene, move_to(scene, 64.0, 95.0), params)
+    with pytest.raises(ValueError):
+        frame.capture_position[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        frame.params = params
+    assert frame.mask_truth is frame.mask_truth  # sampled once, then cached
+    with pytest.raises(ValueError):
+        frame.mask_truth.data[0, 0] = 1
+
+
+@pytest.mark.parametrize("noise", [NoiseModel.zero(), NoiseModel.default(seed=4)], ids=["zero", "default"])
+@pytest.mark.parametrize("segment, field", [(segment_full, "mask_truth"),
+                                            (segment_branch, "branch_truth")])
+def test_segmentation_samples_only_its_truth(scene, params, noise, segment, field):
+    frame = capture_us(scene, move_to(scene, 62.0, 96.0), params)
+    segment(frame, noise)
+    assert sampled(frame) == {field}
+
+
+def test_judging_target_frames_samples_nothing(scene, params):
+    target = move_to(scene, 64.0, 95.0).position - np.array([0.0, 0.0, 30.0])
+    frames = target_imaging(scene, params, target, eps_mm=5.0, n_frames=10)
+    assert judge_success(frames, target, tol_x=1.0)
+    assert all(sampled(frame) == set() for frame in frames)
+
+
+@pytest.mark.parametrize("segment", [segment_full, segment_branch])
+def test_segmentation_independent_of_prior_reads(scene, params, segment):
+    noise = NoiseModel.default(seed=9)
+    probe = move_to(scene, 63.0, 94.0)
+    fresh = segment(capture_us(scene, probe, params), noise)
+    primed = capture_us(scene, probe, params)
+    for name in FIELDS:
+        getattr(primed, name)
+    assert np.array_equal(segment(primed, noise).data, fresh.data)
+    assert fresh.data.any()

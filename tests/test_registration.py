@@ -261,8 +261,6 @@ def test_validation_errors(annotation):
         register_rigid(annotation, graded)
     with pytest.raises(ValueError, match="objective"):
         RegistrationConfig(objective="ssd")
-    with pytest.raises(ValueError, match="bins"):
-        RegistrationConfig(histogram_bins=1)
 
 
 def test_apply_transform_identity_roundtrip(annotation):

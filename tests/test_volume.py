@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,12 @@ from usreg_sim.imgvol import (
     physical_to_voxel,
     require_binary,
     resample_crop,
+    sample_at_physical,
     translate_volume,
     voxel_to_physical,
 )
+
+from _oracles import reference_sample_at_physical
 
 IDENT = np.eye(3)
 
@@ -235,3 +240,54 @@ def test_resample_output_center_lands_on_request():
     out = resample_crop(vol, (0.7, 0.7, 0.7), (5, 6, 7), center)
     mid = voxel_to_physical(out, (np.array(out.shape) - 1) / 2.0)
     np.testing.assert_allclose(mid, center, atol=1e-12)
+
+
+# ---------------------------------------------------------------- sampling
+
+def _plane_frame(rng, vol):
+    """A 216x100 pixel plane in random pose, centered so it hangs partly off ``vol``."""
+    extent = np.asarray(vol.shape) * vol.spacing
+    center = vol.origin + (rng.uniform(-0.3, 1.3, 3) * extent) @ vol.axes
+    u, v = random_orthonormal(rng)[:2]
+    j = np.arange(216)[:, None, None] * rng.uniform(0.2, 1.5)
+    k = np.arange(100)[None, :, None] * rng.uniform(0.2, 1.5)
+    return center + (j - 108 * j[1, 0, 0]) * u + (k - 50 * k[0, 1, 0]) * v
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+def test_sample_at_physical_matches_reference_sampler(dtype):
+    rng = np.random.default_rng(21)
+    partial = 0
+    for case in range(24):
+        axes = random_orthonormal(rng)
+        if case % 2:
+            axes[2] *= -1.0  # mirror: a left-handed frame
+        data = (rng.random((17, 23, 11)) * (2 if dtype == np.uint8 else 100)).astype(dtype)
+        vol = make_vol(data, rng.uniform(0.5, 3.0, 3), rng.normal(scale=30.0, size=3), axes)
+        pts = _plane_frame(rng, vol)
+        # the frame, one point, and a short batch
+        for p, nearest in itertools.product((pts, pts[7, 3], pts[:5, 9]), (True, False)):
+            got = sample_at_physical(vol, p, nearest=nearest)
+            want = reference_sample_at_physical(vol, p, nearest=nearest)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), f"case {case} shape={p.shape} nearest={nearest}"
+        idx = physical_to_voxel(vol, pts)
+        inside = ((idx > -0.5) & (idx < np.asarray(vol.shape) - 0.5)).all(axis=-1)
+        partial += bool(inside.any() and not inside.all())
+    assert partial >= 12, f"only {partial} frames straddle the volume edge"
+
+
+def test_sample_at_physical_nearest_rounds_half_up_at_the_edges():
+    data = np.arange(1, 3 * 4 * 5 + 1, dtype=np.uint8).reshape(3, 4, 5)
+    vol = make_vol(data)
+    # ties, one-past-the-end and just-negative indices on every axis
+    grid = np.stack(np.meshgrid(*[np.arange(-1.5, n + 1.0, 0.5) for n in data.shape],
+                                indexing="ij"), axis=-1)
+    got = sample_at_physical(vol, grid, nearest=True)
+    assert np.array_equal(got, reference_sample_at_physical(vol, grid, nearest=True))
+    assert got[4, 4, 4] == data[1, 1, 1]  # index 0.5 rounds up to 1
+    assert got[:2].max() == 0 and got[2].max() > 0  # -1.5 and -1.0 are off, -0.5 rounds to 0
+    assert got[-3:].max() == 0  # n - 0.5 rounds up to n, one past the end
+    empty = make_vol(np.zeros((0, 4, 5), dtype=np.uint8))
+    got = sample_at_physical(empty, grid, nearest=True)
+    assert np.array_equal(got, reference_sample_at_physical(empty, grid, nearest=True))
