@@ -27,9 +27,9 @@ from .harness import (
     run_trial,
     success_rates,
 )
-from .imgvol import centroid, inverse, load_volume, resample_crop, translation
+from .imgvol import load_volume
 from .phantom import generate_phantom, place_phantom, save_scene
-from .pipeline import DEFAULT_HARMONIZE, coordinate_map
+from .pipeline import coordinate_map, harmonize
 from .registration import mutual_information
 
 EXIT_OK = 0
@@ -102,18 +102,15 @@ def _cmd_register(args: argparse.Namespace) -> int:
     moving = load_volume(args.moving)
     cmap = coordinate_map(fixed, moving)
     t = cmap.ct_to_physical
-
-    # score the init and the result on the same harmonized grids the
-    # mapping stage used, so before/after are directly comparable
-    spacing, shape = DEFAULT_HARMONIZE["spacing"], DEFAULT_HARMONIZE["shape"]
-    hf = resample_crop(fixed, spacing, shape, centroid(fixed))
-    hm = resample_crop(moving, spacing, shape, centroid(moving))
-    init = translation(centroid(hf) - centroid(hm))
+    # the registration objective at the init and at the result, on the
+    # harmonized grids the mapping stage registered
+    hf, hm, init = harmonize(fixed, moving)
+    score_before, score_after = mutual_information(hf, hm, [init, t])
     report = {
         "rotation": t.rotation.tolist(),
         "translation": t.translation.tolist(),
-        "score_before": mutual_information(hf, hm, inverse(init)),
-        "score_after": mutual_information(hf, hm, inverse(t)),
+        "score_before": score_before,
+        "score_after": score_after,
         "dice_before": cmap.diagnostics["before"]["dice"],
         "dice_after": cmap.diagnostics["after"]["dice"],
     }

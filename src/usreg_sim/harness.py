@@ -270,11 +270,17 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
 
     Trials are independent (each is seeded from [cfg.seed, index]) and
     CPU-bound, so they fan out to a process pool when more than one
-    worker is available. Results are identical for any worker count.
+    worker is available. ``workers`` defaults to one per CPU; any count is
+    capped at the trial count, and one below 1 is a ValueError. Results
+    are identical for any worker count.
     """
-    workers = workers or min(os.cpu_count() or 1, cfg.trials)
+    if workers is None:
+        workers = os.cpu_count() or 1
+    elif workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, cfg.trials)
     start = time.perf_counter()
-    if workers <= 1 or cfg.trials == 1:
+    if workers == 1:
         trials = tuple(run_trial(cfg, i) for i in range(cfg.trials))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

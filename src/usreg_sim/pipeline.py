@@ -8,7 +8,7 @@ Four stages, each a pure function over the scene and probe model:
 2. ``hv_acquire``: sweep the probe along the inferior-superior axis and
    stack per-slice segmentations into a binary 3D volume in robot-base
    (physical) coordinates.
-3. ``coordinate_map``: harmonize that volume with the CT-frame annotation,
+3. ``coordinate_map``: ``harmonize`` that volume with the CT-frame annotation,
    align centroids, refine with rigid registration, and return the
    CT-to-physical transform.
 4. ``slice_match`` / ``target_imaging`` / ``judge_success``: map a CT
@@ -49,7 +49,7 @@ from .probe import (
     segment_branch,
     segment_full,
 )
-from .registration import RegistrationConfig, apply_transform, register_rigid
+from .registration import apply_transform, register_rigid
 
 
 @dataclass(frozen=True)
@@ -254,36 +254,39 @@ def hv_acquire(
 DEFAULT_HARMONIZE = {"spacing": (2.0, 2.0, 2.0), "shape": (48, 40, 24)}
 
 
-def coordinate_map(
-    us_veins: Volume3,
-    ct_veins: Volume3,
-    cfg: RegistrationConfig | None = None,
-    harmonize: dict | None = None,
-) -> CoordinateMap:
-    """Estimate the rigid CT-frame -> physical-frame transform.
+def harmonize(us_veins: Volume3, ct_veins: Volume3):
+    """Put both masks on the common registration grid; returns (hu, hc, init).
 
-    Both inputs are resampled onto a common grid centered on their own
-    content centroids, aligned by centroid translation, then refined with
-    rigid registration. Diagnostics carry precision/recall/dice between
-    the acquired volume and the (centroid-shifted, then registered) CT
-    annotation, the quality numbers of the mapping stage.
+    Each binary, nonempty mask is cropped onto ``DEFAULT_HARMONIZE``'s grid
+    centered on its own content centroid; ``init`` is the CT -> US centroid
+    translation that registration starts from.
     """
-    cfg = cfg or RegistrationConfig()
-    harmonize = harmonize or DEFAULT_HARMONIZE
     require_binary(us_veins.data, "acquired volume")
     require_binary(ct_veins.data, "CT annotation")
     if us_veins.data.sum() == 0 or ct_veins.data.sum() == 0:
         raise ValueError("cannot map coordinates from an empty mask")
 
-    spacing = harmonize["spacing"]
-    shape = harmonize["shape"]
+    spacing = DEFAULT_HARMONIZE["spacing"]
+    shape = DEFAULT_HARMONIZE["shape"]
     hu = resample_crop(us_veins, spacing, shape, centroid(us_veins))
     hc = resample_crop(ct_veins, spacing, shape, centroid(ct_veins))
     if hu.data.sum() == 0 or hc.data.sum() == 0:
         raise ValueError("harmonization produced an empty mask; widen the crop")
+    return hu, hc, translation(centroid(hu) - centroid(hc))
 
-    init = translation(centroid(hu) - centroid(hc))
-    transform, score = register_rigid(hu, hc, init=init, cfg=cfg)
+
+def coordinate_map(us_veins: Volume3, ct_veins: Volume3) -> CoordinateMap:
+    """Estimate the rigid CT-frame -> physical-frame transform.
+
+    ``harmonize`` puts both inputs on a common grid and aligns their
+    centroids; rigid registration with the default ``RegistrationConfig``
+    refines that init. Diagnostics carry precision/recall/dice between the
+    acquired volume and the (centroid-shifted, then registered) CT
+    annotation, the quality numbers of the mapping stage, and the solver's
+    final score.
+    """
+    hu, hc, init = harmonize(us_veins, ct_veins)
+    transform, score = register_rigid(hu, hc, init=init)
 
     before = apply_transform(hc, init, hu).data
     after = apply_transform(hc, transform, hu).data

@@ -12,6 +12,8 @@ against the trilinear-sampled moving mask (Maes et al., IEEE TMI 1997). It
 is evaluated sparsely but exactly: samples are taken only where the moving
 mask has foreground within reach and the inside counts come from row runs,
 yet the counts are bit-identical to sampling the whole lattice.
+``mutual_information`` reports this same score for given transforms; it is
+the package's only MI estimator.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .imgvol import (
     euler_zyx,
     inverse,
     require_binary,
-    translation,
 )
 
 _OBJECTIVES = ("mutual_information", "negative_dice")
@@ -300,58 +301,6 @@ def _dice_from_counts(counts: np.ndarray) -> float:
     return float(2 * n11 / denom)
 
 
-def mutual_information(
-    fixed: Volume3,
-    moving: Volume3,
-    transform: RigidTransform3,
-    bins: int = 2,
-    return_overlap: bool = False,
-):
-    """MI between fixed voxel values and moving values at transform-mapped points.
-
-    ``transform`` maps fixed-space physical points into moving space. Values
-    are histogrammed into ``bins`` levels (binary masks use their values
-    directly). Empty overlap yields 0.0; pass ``return_overlap`` to also get
-    the overlap sample count as the flag.
-    """
-    if bins < 2:
-        raise ValueError("bins must be at least 2")
-    shape = fixed.data.shape
-    ii, jj, kk = np.meshgrid(*(np.arange(n) for n in shape), indexing="ij")
-    idx = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3).astype(np.float64)
-    pts = fixed.origin + (idx * fixed.spacing) @ fixed.axes
-    fvals = _quantize(fixed.data.reshape(-1), bins)
-    mapped = transform.apply(pts)
-
-    midx = np.rint(((mapped - moving.origin) @ moving.axes.T) / moving.spacing).astype(np.int64)
-    mshape = moving.data.shape
-    inside = (
-        (midx[:, 0] >= 0) & (midx[:, 0] < mshape[0])
-        & (midx[:, 1] >= 0) & (midx[:, 1] < mshape[1])
-        & (midx[:, 2] >= 0) & (midx[:, 2] < mshape[2])
-    )
-    n_overlap = int(inside.sum())
-    if n_overlap == 0:
-        return (0.0, 0) if return_overlap else 0.0
-    sel = midx[inside]
-    mvals = _quantize(moving.data[sel[:, 0], sel[:, 1], sel[:, 2]], bins)
-    pair = bins * fvals[inside].astype(np.int64) + mvals.astype(np.int64)
-    counts = np.bincount(pair, minlength=bins * bins).reshape(bins, bins)
-    mi = _mi_from_counts(counts)
-    return (mi, n_overlap) if return_overlap else mi
-
-
-def _quantize(values: np.ndarray, bins: int) -> np.ndarray:
-    if np.issubdtype(values.dtype, np.integer) and values.size and values.max() < bins:
-        return values.astype(np.int64)
-    vmin = float(values.min()) if values.size else 0.0
-    vmax = float(values.max()) if values.size else 1.0
-    if vmax <= vmin:
-        return np.zeros(values.shape, dtype=np.int64)
-    scaled = (values.astype(np.float64) - vmin) / (vmax - vmin)
-    return np.minimum((scaled * bins).astype(np.int64), bins - 1)
-
-
 def _content_bbox_in_fixed(vol: Volume3, to_fixed: RigidTransform3, fixed: Volume3):
     """Index-space bbox (lo, hi inclusive) of vol's content mapped into fixed."""
     nz = np.argwhere(vol.data > 0)
@@ -383,6 +332,46 @@ def _eval_points(fixed: Volume3, moving: Volume3, inits, pad_vox: np.ndarray, st
     pts = fixed.origin + (idx.astype(np.float64) * fixed.spacing) @ fixed.axes
     fvals = fixed.data[idx[:, 0], idx[:, 1], idx[:, 2]]
     return pts, fvals, ii.shape
+
+
+# Lattice margin (fixed voxels) of the refinement level, which stays near
+# the coarse winner; ``mutual_information`` scores on the same margin.
+_REFINE_PAD = 4
+
+
+def _score_inputs(fixed: Volume3, moving: Volume3):
+    """Validate a mask pair for scoring; the moving mask as float64 and its support."""
+    fdata = require_binary(fixed.data, "fixed mask")
+    mdata = require_binary(moving.data, "moving mask")
+    if fdata.sum() == 0 or mdata.sum() == 0:
+        raise ValueError("cannot register empty masks")
+    if fdata.shape != mdata.shape or not np.allclose(fixed.spacing, moving.spacing):
+        raise ValueError("volumes must be harmonized to the same shape and spacing")
+    # float view of the moving mask so the score loop skips the cast
+    moving_f = Volume3(mdata.astype(np.float64), moving.spacing, moving.origin, moving.axes)
+    return moving_f, _StencilSupport.of(mdata)
+
+
+def _lattice_scorer(fixed, moving_f, support, inits, pad_vox, stride) -> _SparseJointCounts:
+    """The sparse 2x2 joint-count scorer on one level's fixed lattice (``_eval_points``)."""
+    pts, fvals, shape = _eval_points(fixed, moving_f, inits, pad_vox, stride)
+    step = stride * fixed.spacing[:, None] * fixed.axes
+    return _SparseJointCounts(pts, fvals, shape, step, moving_f, support)
+
+
+def mutual_information(
+    fixed: Volume3, moving: Volume3, transforms: list[RigidTransform3]
+) -> list[float]:
+    """The solver's MI of the moving mask under each moving->fixed transform.
+
+    The masks must pass ``register_rigid``'s checks. All transforms are
+    scored on one full-resolution fixed lattice that covers the fixed
+    content and the moving content mapped by each of them, plus the
+    refinement level's margin, so the scores compare with one another.
+    """
+    moving_f, support = _score_inputs(fixed, moving)
+    scorer = _lattice_scorer(fixed, moving_f, support, transforms, _REFINE_PAD, 1)
+    return [_mi_from_counts(c) for c in scorer([(t.rotation, t.translation) for t in transforms])]
 
 
 def _theta_map(theta: np.ndarray, center: np.ndarray, init: RigidTransform3):
@@ -460,17 +449,8 @@ def register_rigid(
     """
     cfg = cfg or RegistrationConfig()
     init = init or RigidTransform3.identity()
-    fdata = require_binary(fixed.data, "fixed mask")
-    mdata = require_binary(moving.data, "moving mask")
-    if fdata.sum() == 0 or mdata.sum() == 0:
-        raise ValueError("cannot register empty masks")
-    if fdata.shape != mdata.shape or not np.allclose(fixed.spacing, moving.spacing):
-        raise ValueError("volumes must be harmonized to the same shape and spacing")
-
+    moving_f, support = _score_inputs(fixed, moving)
     center = init.apply(centroid(moving))
-    # float view of the moving mask so the score loop skips the cast
-    moving_f = Volume3(mdata.astype(np.float64), moving.spacing, moving.origin, moving.axes)
-    support = _StencilSupport.of(mdata)
     score_from_counts = (
         _mi_from_counts if cfg.objective == "mutual_information" else _dice_from_counts
     )
@@ -491,11 +471,9 @@ def register_rigid(
             level_pad, inits = pad, [init]
         else:
             # refinement stays near the coarse winner, so shrink the margin
-            level_pad = np.minimum(pad, 4)
+            level_pad = np.minimum(pad, _REFINE_PAD)
             inits = [init, _make_transform(theta_best, center, init)]
-        pts, fvals, shape = _eval_points(fixed, moving, inits, level_pad, stride)
-        step = stride * fixed.spacing[:, None] * fixed.axes
-        joint_counts = _SparseJointCounts(pts, fvals, shape, step, moving_f, support)
+        joint_counts = _lattice_scorer(fixed, moving_f, support, inits, level_pad, stride)
 
         def score_fn(thetas):
             counts = joint_counts([_theta_map(theta, center, init) for theta in thetas])

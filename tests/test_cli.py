@@ -5,10 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from usreg_sim import harness
 from usreg_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, main
 from usreg_sim.harness import SweepConfig
-from usreg_sim.imgvol import save_volume
+from usreg_sim.imgvol import RigidTransform3, load_volume, save_volume
 from usreg_sim.phantom import ct_frame_volume, generate_phantom, load_scene, place_phantom
+from usreg_sim.pipeline import harmonize
+from usreg_sim.registration import mutual_information
 
 SMALL_CFG = {
     "trials": 1,
@@ -54,6 +57,20 @@ def test_sweep_overrides_apply(cfg_file, tmp_path, capsys):
     assert summary["config"]["seed"] == 11
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_rejects_worker_count_below_one(cfg_file, tmp_path, capsys, monkeypatch, workers):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a rejected worker count ran a trial")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_trials)
+    monkeypatch.setattr(harness, "run_trial", no_trials)
+    out = tmp_path / "reports"
+    code = main(["sweep", "--config", str(cfg_file), "--out", str(out), "--workers", workers])
+    assert code == EXIT_CONFIG
+    assert "workers must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_requires_out(capsys):
     assert main(["sweep"]) == EXIT_CONFIG
     assert "--out" in capsys.readouterr().err
@@ -97,13 +114,18 @@ def test_run_trial_search_failure_exits_3(tmp_path, capsys):
     assert "search failed" in captured.err
 
 
-def test_register_emits_transform(tmp_path, capsys):
+@pytest.fixture()
+def register_pair(tmp_path):
+    """The phantom-3 annotation in the CT frame (fixed) and intrinsically (moving)."""
     scene = place_phantom(generate_phantom(3), [12.0, -8.0, 0.0])
-    fixed = ct_frame_volume(scene.hv_annotation, scene.placement)
-    moving = scene.hv_annotation
     fpath, mpath = tmp_path / "fixed.vol", tmp_path / "moving.vol"
-    save_volume(fixed, fpath)
-    save_volume(moving, mpath)
+    save_volume(ct_frame_volume(scene.hv_annotation, scene.placement), fpath)
+    save_volume(scene.hv_annotation, mpath)
+    return fpath, mpath
+
+
+def test_register_emits_transform(register_pair, capsys):
+    fpath, mpath = register_pair
 
     assert main(["register", str(fpath), str(mpath)]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
@@ -117,6 +139,21 @@ def test_register_emits_transform(tmp_path, capsys):
     assert np.allclose(report["translation"], [-12.0, 8.0, 0.0], atol=2.0)
     assert report["dice_after"] >= report["dice_before"] - 1e-12
     assert report["score_after"] >= report["score_before"] - 1e-12
+
+
+def test_register_prints_the_solver_scores(register_pair, capsys):
+    fpath, mpath = register_pair
+    assert main(["register", str(fpath), str(mpath)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    t = RigidTransform3(np.array(report["rotation"]), np.array(report["translation"]))
+    hf, hm, init = harmonize(load_volume(fpath), load_volume(mpath))
+    before, after = mutual_information(hf, hm, [init, t])
+    assert (report["score_before"], report["score_after"]) == (before, after)
+
+    assert main(["register", str(fpath), str(fpath)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["dice_before"] == report["dice_after"] == 1.0
+    assert report["score_before"] == report["score_after"]
 
 
 def test_register_missing_file_exits_2(tmp_path, capsys):

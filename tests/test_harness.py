@@ -6,10 +6,12 @@ is cheap bookkeeping on the emitted files.
 
 import csv
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from usreg_sim import harness
 from usreg_sim.harness import (
     ACQ_LENGTH_MM,
     ACQ_SLICES,
@@ -155,6 +157,20 @@ def test_worker_count_does_not_change_reports(tmp_path):
     pooled = emit_reports(run_sweep(cfg, workers=2), tmp_path / "pooled")
     for name in ("trials", "registration", "summary"):
         assert pooled[name].read_bytes() == serial[name].read_bytes(), name
+
+
+def test_worker_count_capped_at_trial_count(small_reports, tmp_path, monkeypatch):
+    pool_sizes = []
+
+    def recording_pool(max_workers):
+        pool_sizes.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", recording_pool)
+    capped = emit_reports(run_sweep(SweepConfig(**SMALL), workers=3), tmp_path)
+    assert pool_sizes == [SMALL["trials"]]
+    for name in ("trials", "registration", "summary"):
+        assert capped[name].read_bytes() == small_reports[name].read_bytes(), name
 
 
 def test_trials_csv_row_count(small_sweep, small_reports):

@@ -53,21 +53,8 @@ def _mi_oracle(n00, n01, n10, n11):
     return mi
 
 
-def _volume_pair_with_counts(n00, n01, n10, n11):
-    """Two aligned 8x8x8 volumes whose identity joint histogram is given."""
-    f = np.array([0] * (n00 + n01) + [1] * (n10 + n11), dtype=np.uint8)
-    m = np.array([0] * n00 + [1] * n01 + [0] * n10 + [1] * n11, dtype=np.uint8)
-    assert f.size == 512
-    grid = (np.ones(3), np.zeros(3), np.eye(3))
-    return (
-        Volume3(f.reshape(8, 8, 8), *grid),
-        Volume3(m.reshape(8, 8, 8), *grid),
-    )
-
-
 def test_mi_matches_hand_joint_counts():
-    fixed, moving = _volume_pair_with_counts(400, 40, 40, 32)
-    got = mutual_information(fixed, moving, RigidTransform3.identity())
+    got = _mi_from_counts(np.array([[400.0, 40.0], [40.0, 32.0]]))
     assert got == pytest.approx(_mi_oracle(400, 40, 40, 32), abs=1e-12)
     # frozen via the independent identity MI = H(rows) + H(cols) - H(joint)
     assert got == pytest.approx(0.047695803244, abs=1e-9)
@@ -76,26 +63,23 @@ def test_mi_matches_hand_joint_counts():
 def test_mi_self_is_marginal_entropy():
     rng = np.random.default_rng(4)
     data = (rng.random((8, 8, 8)) < 0.3).astype(np.uint8)
+    # content spans the grid, so the scoring lattice is the whole grid
+    nz = np.argwhere(data)
+    assert (nz.min(axis=0) == 0).all() and (nz.max(axis=0) == 7).all()
     vol = Volume3(data, np.ones(3), np.zeros(3), np.eye(3))
     p1 = data.mean()
     entropy = -(p1 * math.log(p1) + (1 - p1) * math.log(1 - p1))
-    got = mutual_information(vol, vol, RigidTransform3.identity())
+    (got,) = mutual_information(vol, vol, [RigidTransform3.identity()])
     assert got == pytest.approx(entropy, abs=1e-12)
     assert got > 0
 
 
 def test_mi_constant_moving_is_zero():
-    fixed, _ = _volume_pair_with_counts(440, 0, 72, 0)
-    zeros = Volume3(np.zeros((8, 8, 8), dtype=np.uint8), np.ones(3), np.zeros(3), np.eye(3))
-    assert mutual_information(fixed, zeros, RigidTransform3.identity()) == 0.0
+    assert _mi_from_counts(np.array([[440.0, 0.0], [72.0, 0.0]])) == 0.0
 
 
 def test_mi_empty_overlap_flagged_zero():
-    fixed, moving = _volume_pair_with_counts(400, 40, 40, 32)
-    far = translation(np.array([1e6, 0.0, 0.0]))
-    mi, overlap = mutual_information(fixed, moving, far, return_overlap=True)
-    assert mi == 0.0
-    assert overlap == 0
+    assert _mi_from_counts(np.zeros((2, 2))) == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +178,30 @@ def test_sparse_joint_counts_match_dense_oracle(annotation, case, stride, pad, t
             assert _mi_from_counts(sparse) == 0.0
 
 
+def test_mutual_information_is_the_solver_score(annotation):
+    # acceptance-3 case 0: moved frame, scored at the centroid init and at truth
+    rng = np.random.default_rng(33)
+    shift = rng.uniform(-10.0, 10.0, 3)
+    truth_move = compose(
+        translation(shift),
+        rotation_about(rotation_z(float(rng.uniform(-5.0, 5.0))), centroid(annotation)),
+    )
+    moving = Volume3(
+        annotation.data, annotation.spacing,
+        truth_move.apply(annotation.origin), annotation.axes @ truth_move.rotation.T,
+    )
+    transforms = [translation(centroid(annotation) - centroid(moving)), inverse(truth_move)]
+    got = mutual_information(annotation, moving, transforms)
+    # one lattice for all transforms: the refinement level's, at full resolution
+    pts, fvals, _ = _eval_points(annotation, moving, transforms, 4, 1)
+    want = [
+        _mi_from_counts(dense_joint_counts(fvals, moving, (pts - t.translation) @ t.rotation))
+        for t in transforms
+    ]
+    assert got == want
+    assert got[1] > got[0]
+
+
 def _content_centroid(vol):
     from usreg_sim.imgvol import centroid
 
@@ -245,20 +253,25 @@ def test_zero_noise_misalignments_always_improve(annotation):
 
 
 def test_validation_errors(annotation):
+    empty = Volume3(
+        np.zeros_like(annotation.data), annotation.spacing, annotation.origin, annotation.axes,
+    )
     with pytest.raises(ValueError, match="empty"):
-        empty = Volume3(
-            np.zeros_like(annotation.data), annotation.spacing,
-            annotation.origin, annotation.axes,
-        )
         register_rigid(annotation, empty)
+    for fixed, moving in ((annotation, empty), (empty, annotation)):
+        with pytest.raises(ValueError, match="empty"):
+            mutual_information(fixed, moving, [RigidTransform3.identity()])
     with pytest.raises(ValueError, match="harmonized"):
         small = Volume3(np.ones((4, 4, 4), dtype=np.uint8), annotation.spacing,
                         annotation.origin, annotation.axes)
         register_rigid(annotation, small)
+    graded = Volume3(annotation.data.astype(np.float32) * 0.5,
+                     annotation.spacing, annotation.origin, annotation.axes)
     with pytest.raises(ValueError, match="0 and 1"):
-        graded = Volume3(annotation.data.astype(np.float32) * 0.5,
-                         annotation.spacing, annotation.origin, annotation.axes)
         register_rigid(annotation, graded)
+    for fixed, moving in ((annotation, graded), (graded, annotation)):
+        with pytest.raises(ValueError, match="0 and 1"):
+            mutual_information(fixed, moving, [RigidTransform3.identity()])
     with pytest.raises(ValueError, match="objective"):
         RegistrationConfig(objective="ssd")
 
