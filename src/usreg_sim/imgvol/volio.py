@@ -48,6 +48,7 @@ def load_volume(path: str | Path) -> Volume3:
     try:
         dtype = _DTYPES[header["dtype"]]
         shape = tuple(int(n) for n in header["shape"])
+        geometry = header["spacing"], header["origin"], header["axes"]
         raw = (path.parent / header["data_file"]).read_bytes()
     except KeyError as exc:
         raise ValueError(f"malformed volume header {path}: missing {exc}") from exc
@@ -55,7 +56,7 @@ def load_volume(path: str | Path) -> Volume3:
     if len(raw) != expected:
         raise ValueError(f"{path}: payload is {len(raw)} bytes, expected {expected}")
     data = np.frombuffer(raw, dtype=dtype).reshape(shape)
-    return Volume3(data, header["spacing"], header["origin"], header["axes"])
+    return Volume3(data, *geometry)
 
 
 def save_pgm(image: Image2, path: str | Path) -> Path:

@@ -8,7 +8,6 @@ sits at ``origin + i*s0*a0 + j*s1*a1 + k*s2*a2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -58,11 +57,6 @@ class Volume3:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape
-
-    @cached_property
-    def _index_to_world(self) -> np.ndarray:
-        # column i is spacing[i] * axes[i]; p = origin + M @ index
-        return (self.axes.T * self.spacing).copy()
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Rigid registration of binary 3D masks.
 
 The solver aligns a moving volume onto a fixed volume by maximizing mutual
-information (or overlap dice) of the voxel-value pairs, using a derivative
-free coordinate pattern search with shrinking steps, a coarse-to-fine
-point pyramid, and seeded jittered restarts. Both volumes carry their own
-origin/axes, so all geometry happens in physical millimeters and the
+information of the voxel-value pairs, using a derivative free coordinate
+pattern search with shrinking steps: seeded jittered restarts on a coarse
+lattice, then one refinement at full resolution. Both volumes carry their
+own origin/axes, so all geometry happens in physical millimeters and the
 returned transform maps moving-space points into fixed space.
 
 The score is the 2x2 partial-volume joint histogram of fixed lattice values
@@ -18,7 +18,6 @@ the package's only MI estimator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,41 +30,31 @@ from .imgvol import (
     euler_zyx,
     inverse,
     require_binary,
+    sample_at_physical,
+    voxel_to_physical,
 )
 
-_OBJECTIVES = ("mutual_information", "negative_dice")
+# The one solver schedule. Search bounds and the step size below which a
+# stage stops are (mm per translation axis, deg per Euler angle), relative
+# to the initial transform; every stage stops after at most _MAX_SWEEPS.
+_BOUNDS = (20.0, 10.0)
+_TOLERANCE = (0.25, 0.25)
+_MAX_SWEEPS = 40
+_RESTARTS = 3
 
 
 @dataclass(frozen=True)
 class RegistrationConfig:
-    """Solver knobs.
+    """The seed of the restart jitters; the schedule itself is fixed.
 
-    ``search_bounds`` is (max |translation| mm per axis, max |rotation| deg
-    per Euler angle) relative to the initial transform; ``parameter_tolerance``
-    is the (mm, deg) step size below which a level stops refining.
+    A stride-2 coarse stage runs the pattern search from the initial
+    transform and from 3 seeded restarts, a stride-1 stage refines the
+    winner; the search stays within 20 mm / 10 deg of the initial
+    transform, halves its steps down to 0.25 mm / 0.25 deg and stops a
+    stage after at most 40 sweeps.
     """
 
-    objective: str = "mutual_information"
-    pyramid_levels: int = 2
-    max_iterations: int = 40
-    parameter_tolerance: tuple[float, float] = (0.25, 0.25)
-    restarts: int = 3
-    search_bounds: tuple[float, float] = (20.0, 10.0)
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.objective not in _OBJECTIVES:
-            raise ValueError(f"objective must be one of {_OBJECTIVES}, got {self.objective!r}")
-        if self.pyramid_levels < 1:
-            raise ValueError("pyramid_levels must be at least 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if any(t <= 0 for t in self.parameter_tolerance):
-            raise ValueError("parameter_tolerance entries must be positive")
-        if self.restarts < 0:
-            raise ValueError("restarts must be nonnegative")
-        if any(b <= 0 for b in self.search_bounds):
-            raise ValueError("search_bounds entries must be positive")
 
 
 # Voxels of slack between the exact and the affine-shortcut moving index; the
@@ -293,14 +282,6 @@ def _mi_from_counts(counts: np.ndarray) -> float:
     return float(np.sum(p[nz] * np.log(p[nz] / denom[nz])))
 
 
-def _dice_from_counts(counts: np.ndarray) -> float:
-    n11 = counts[1, 1]
-    denom = 2 * n11 + counts[1, 0] + counts[0, 1]
-    if denom == 0:
-        return 0.0
-    return float(2 * n11 / denom)
-
-
 def _content_bbox_in_fixed(vol: Volume3, to_fixed: RigidTransform3, fixed: Volume3):
     """Index-space bbox (lo, hi inclusive) of vol's content mapped into fixed."""
     nz = np.argwhere(vol.data > 0)
@@ -334,7 +315,7 @@ def _eval_points(fixed: Volume3, moving: Volume3, inits, pad_vox: np.ndarray, st
     return pts, fvals, ii.shape
 
 
-# Lattice margin (fixed voxels) of the refinement level, which stays near
+# Lattice margin (fixed voxels) of the refinement stage, which stays near
 # the coarse winner; ``mutual_information`` scores on the same margin.
 _REFINE_PAD = 4
 
@@ -353,7 +334,7 @@ def _score_inputs(fixed: Volume3, moving: Volume3):
 
 
 def _lattice_scorer(fixed, moving_f, support, inits, pad_vox, stride) -> _SparseJointCounts:
-    """The sparse 2x2 joint-count scorer on one level's fixed lattice (``_eval_points``)."""
+    """The sparse 2x2 joint-count scorer on one stage's fixed lattice (``_eval_points``)."""
     pts, fvals, shape = _eval_points(fixed, moving_f, inits, pad_vox, stride)
     step = stride * fixed.spacing[:, None] * fixed.axes
     return _SparseJointCounts(pts, fvals, shape, step, moving_f, support)
@@ -367,7 +348,7 @@ def mutual_information(
     The masks must pass ``register_rigid``'s checks. All transforms are
     scored on one full-resolution fixed lattice that covers the fixed
     content and the moving content mapped by each of them, plus the
-    refinement level's margin, so the scores compare with one another.
+    refinement stage's margin, so the scores compare with one another.
     """
     moving_f, support = _score_inputs(fixed, moving)
     scorer = _lattice_scorer(fixed, moving_f, support, transforms, _REFINE_PAD, 1)
@@ -390,21 +371,22 @@ def _make_transform(theta: np.ndarray, center: np.ndarray, init: RigidTransform3
     return RigidTransform3(*_theta_map(theta, center, init))
 
 
-def _pattern_search(score_fn, theta0, bounds, steps0, tol, max_sweeps, trace=None):
+def _pattern_search(score_fn, theta0, steps0):
     """Coordinate pattern search; ``score_fn`` scores a list of thetas at once.
 
     The two candidates of one axis are independent, so they are scored in
-    one call; the next axis starts from whichever won.
+    one call; the next axis starts from whichever won. Returns the final
+    theta, its score and the best score after each sweep.
     """
     theta = theta0.copy()
     (best,) = score_fn([theta])
     t_step, r_step = steps0
-    sweeps = 0
-    while (t_step >= tol[0] or r_step >= tol[1]) and sweeps < max_sweeps:
+    trace: list[float] = []
+    while (t_step >= _TOLERANCE[0] or r_step >= _TOLERANCE[1]) and len(trace) < _MAX_SWEEPS:
         improved = False
         for axis in range(6):
             step = t_step if axis < 3 else r_step
-            bound = bounds[0] if axis < 3 else bounds[1]
+            bound = _BOUNDS[0] if axis < 3 else _BOUNDS[1]
             best_cand = None
             best_cand_score = best
             cands = []
@@ -418,13 +400,11 @@ def _pattern_search(score_fn, theta0, bounds, steps0, tol, max_sweeps, trace=Non
             if best_cand is not None:
                 theta, best = best_cand, best_cand_score
                 improved = True
-        if trace is not None:
-            trace.append(best)
+        trace.append(best)
         if not improved:
             t_step *= 0.5
             r_step *= 0.5
-        sweeps += 1
-    return theta, best
+    return theta, best, trace
 
 
 def register_rigid(
@@ -434,101 +414,71 @@ def register_rigid(
     cfg: RegistrationConfig | None = None,
     return_trace: bool = False,
 ):
-    """Find the rigid map (moving space -> fixed space) maximizing the objective.
+    """Find the rigid map (moving space -> fixed space) maximizing the MI score.
 
     Both masks must be binary, nonempty, and live on grids with identical
     spacing and shape (origins and axes may differ). The result is
-    deterministic for a given config; restart ties keep the lowest index.
-    Returns (transform, score); with ``return_trace``, also the per-level
-    list of best-score-per-sweep traces.
+    deterministic for a given seed; restart ties keep the lowest index.
+    Returns (transform, score); with ``return_trace``, also the two stages'
+    best-score-per-sweep traces, coarse first.
+
+    The schedule is fixed. The coarse stage scores a stride-2 fixed lattice
+    and runs the pattern search (steps 4 mm / 3 deg) from the initial
+    transform and from 3 restarts jittered by ``cfg.seed``; the refinement
+    stage scores a stride-1 lattice and runs it (steps 1 mm / 1 deg) from
+    the coarse winner or the initial transform, whichever scores higher.
+    Each search stays within 20 mm / 10 deg of the initial transform, halves
+    its steps down to 0.25 mm / 0.25 deg and stops after at most 40 sweeps.
 
     Each score is computed sparsely but exactly (see ``_SparseJointCounts``):
     the same counts, bit for bit, as trilinear-sampling the moving mask at
-    every point of the level's fixed lattice, at a cost that follows the
+    every point of the stage's fixed lattice, at a cost that follows the
     moving foreground rather than the lattice size.
     """
     cfg = cfg or RegistrationConfig()
     init = init or RigidTransform3.identity()
     moving_f, support = _score_inputs(fixed, moving)
     center = init.apply(centroid(moving))
-    score_from_counts = (
-        _mi_from_counts if cfg.objective == "mutual_information" else _dice_from_counts
-    )
-    bound_t, bound_r = cfg.search_bounds
-    pad = np.ceil(bound_t / fixed.spacing).astype(int) + 2
+    pad = np.ceil(_BOUNDS[0] / fixed.spacing).astype(int) + 2
+
+    def stage_scorer(inits, pad_vox, stride):
+        joint_counts = _lattice_scorer(fixed, moving_f, support, inits, pad_vox, stride)
+        return lambda thetas: [
+            _mi_from_counts(c) for c in joint_counts([_theta_map(t, center, init) for t in thetas])
+        ]
 
     rng = np.random.default_rng(cfg.seed)
-    jitters = [np.zeros(6)]
-    for _ in range(cfg.restarts):
-        j = rng.uniform(-0.5, 0.5, size=6)
-        jitters.append(j * np.array([bound_t, bound_t, bound_t, bound_r, bound_r, bound_r]))
+    scale = np.repeat(_BOUNDS, 3)
+    starts = [np.zeros(6)] + [rng.uniform(-0.5, 0.5, size=6) * scale for _ in range(_RESTARTS)]
+    coarse = stage_scorer([init], pad, 2)
+    # max keeps the first of equal scores: the lowest restart index
+    theta_best, _, coarse_trace = max(
+        (_pattern_search(coarse, start, (4.0, 3.0)) for start in starts), key=lambda run: run[1]
+    )
 
-    traces: list[list[float]] = []
-    theta_best = np.zeros(6)
-    for level in range(cfg.pyramid_levels):
-        stride = 2 ** (cfg.pyramid_levels - 1 - level)
-        if level == 0:
-            level_pad, inits = pad, [init]
-        else:
-            # refinement stays near the coarse winner, so shrink the margin
-            level_pad = np.minimum(pad, _REFINE_PAD)
-            inits = [init, _make_transform(theta_best, center, init)]
-        joint_counts = _lattice_scorer(fixed, moving_f, support, inits, level_pad, stride)
+    # refinement stays near the coarse winner, so its margin shrinks; it
+    # never ends below the plain init: start from whichever scores higher
+    fine = stage_scorer(
+        [init, _make_transform(theta_best, center, init)], np.minimum(pad, _REFINE_PAD), 1
+    )
+    init_score, best_score = fine([np.zeros(6), theta_best])
+    if init_score > best_score:
+        theta_best = np.zeros(6)
+    theta_best, _, fine_trace = _pattern_search(fine, theta_best, (1.0, 1.0))
 
-        def score_fn(thetas):
-            counts = joint_counts([_theta_map(theta, center, init) for theta in thetas])
-            return [score_from_counts(c) for c in counts]
-
-        coarse = level == 0
-        steps0 = (4.0, 3.0) if coarse else (1.0, 1.0)
-        trace: list[float] = []
-        if coarse:
-            best_theta, best_score, found = None, -math.inf, False
-            for start in jitters:
-                restart_trace: list[float] = []
-                th, sc = _pattern_search(
-                    score_fn, start, (bound_t, bound_r), steps0,
-                    cfg.parameter_tolerance, cfg.max_iterations, restart_trace,
-                )
-                if sc > best_score:
-                    best_theta, best_score, found = th, sc, True
-                    trace = restart_trace
-            assert found
-            theta_best = best_theta
-        else:
-            # never let refinement end below the plain init: seed the level
-            # with whichever of {previous winner, init} scores higher here
-            init_score, best_score = score_fn([np.zeros(6), theta_best])
-            if init_score > best_score:
-                theta_best = np.zeros(6)
-            theta_best, _ = _pattern_search(
-                score_fn, theta_best, (bound_t, bound_r), steps0,
-                cfg.parameter_tolerance, cfg.max_iterations, trace,
-            )
-        traces.append(trace)
-
-    (final_score,) = score_fn([theta_best])
+    (final_score,) = fine([theta_best])
     result = _make_transform(theta_best, center, init)
     if return_trace:
-        return result, final_score, traces
+        return result, final_score, [coarse_trace, fine_trace]
     return result, final_score
 
 
 def apply_transform(moving: Volume3, transform: RigidTransform3, like: Volume3) -> Volume3:
-    """Resample ``moving`` through the moving->fixed ``transform`` onto ``like``'s grid."""
-    shape = like.data.shape
-    ii, jj, kk = np.meshgrid(*(np.arange(n) for n in shape), indexing="ij")
-    idx = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3).astype(np.float64)
-    pts = like.origin + (idx * like.spacing) @ like.axes
-    src = inverse(transform).apply(pts)
-    sidx = np.rint(((src - moving.origin) @ moving.axes.T) / moving.spacing).astype(np.int64)
-    mshape = moving.data.shape
-    inside = (
-        (sidx[:, 0] >= 0) & (sidx[:, 0] < mshape[0])
-        & (sidx[:, 1] >= 0) & (sidx[:, 1] < mshape[1])
-        & (sidx[:, 2] >= 0) & (sidx[:, 2] < mshape[2])
-    )
-    out = np.zeros(len(idx), dtype=moving.data.dtype)
-    sel = sidx[inside]
-    out[inside] = moving.data[sel[:, 0], sel[:, 1], sel[:, 2]]
-    return Volume3(out.reshape(shape), like.spacing, like.origin, like.axes)
+    """Resample ``moving`` through the moving->fixed ``transform`` onto ``like``'s grid.
+
+    Nearest-neighbour (``sample_at_physical``: half-voxel ties round up); 0 outside.
+    """
+    # every voxel index of ``like``, in C order
+    pts = voxel_to_physical(like, np.argwhere(np.ones(like.shape, dtype=bool)))
+    data = sample_at_physical(moving, inverse(transform).apply(pts), nearest=True)
+    return Volume3(data.reshape(like.shape), like.spacing, like.origin, like.axes)

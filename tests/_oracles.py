@@ -1,13 +1,16 @@
 """Independent brute-force reference implementations used across tests.
 
 Everything here is deliberately written the slow, obvious way and never
-calls into the package beyond plain numpy (and scipy's trilinear sampler),
-so that package results can be checked against a second route.
+calls into the package beyond plain numpy (and scipy's trilinear sampler)
+and the ``imgvol`` containers and transform algebra, so that package
+results can be checked against a second route.
 """
 from fractions import Fraction
 
 import numpy as np
 from scipy import ndimage
+
+from usreg_sim.imgvol import RigidTransform3, Volume3, inverse
 
 
 def brute_force_lcc(mask):
@@ -165,6 +168,26 @@ def reference_sample_at_physical(vol, points, nearest):
         output=np.float64,
     )
     return vals.reshape(pts.shape[:-1])
+
+
+def reference_apply_transform(moving: Volume3, transform: RigidTransform3, like: Volume3) -> Volume3:
+    """Resample ``moving`` through the moving->fixed ``transform`` onto ``like``'s grid."""
+    shape = like.data.shape
+    ii, jj, kk = np.meshgrid(*(np.arange(n) for n in shape), indexing="ij")
+    idx = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3).astype(np.float64)
+    pts = like.origin + (idx * like.spacing) @ like.axes
+    src = inverse(transform).apply(pts)
+    sidx = np.rint(((src - moving.origin) @ moving.axes.T) / moving.spacing).astype(np.int64)
+    mshape = moving.data.shape
+    inside = (
+        (sidx[:, 0] >= 0) & (sidx[:, 0] < mshape[0])
+        & (sidx[:, 1] >= 0) & (sidx[:, 1] < mshape[1])
+        & (sidx[:, 2] >= 0) & (sidx[:, 2] < mshape[2])
+    )
+    out = np.zeros(len(idx), dtype=moving.data.dtype)
+    sel = sidx[inside]
+    out[inside] = moving.data[sel[:, 0], sel[:, 1], sel[:, 2]]
+    return Volume3(out.reshape(shape), like.spacing, like.origin, like.axes)
 
 
 def _same_grid(a, b):

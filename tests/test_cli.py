@@ -8,7 +8,7 @@ import pytest
 from usreg_sim import harness
 from usreg_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, main
 from usreg_sim.harness import SweepConfig
-from usreg_sim.imgvol import RigidTransform3, load_volume, save_volume
+from usreg_sim.imgvol import RigidTransform3, Volume3, inverse, load_volume, save_volume
 from usreg_sim.phantom import ct_frame_volume, generate_phantom, load_scene, place_phantom
 from usreg_sim.pipeline import harmonize
 from usreg_sim.registration import mutual_information
@@ -114,18 +114,21 @@ def test_run_trial_search_failure_exits_3(tmp_path, capsys):
     assert "search failed" in captured.err
 
 
-@pytest.fixture()
-def register_pair(tmp_path):
-    """The phantom-3 annotation in the CT frame (fixed) and intrinsically (moving)."""
-    scene = place_phantom(generate_phantom(3), [12.0, -8.0, 0.0])
+@pytest.fixture(params=[0.0, 7.0], ids=["yaw0", "yaw7"])
+def register_pair(request, tmp_path):
+    """The phantom-3 annotation in the CT frame (fixed) and placed (moving).
+
+    Also returns the yaw of the placement and the placement itself.
+    """
+    scene = place_phantom(generate_phantom(3), [12.0, -8.0, 0.0], yaw_deg=request.param)
     fpath, mpath = tmp_path / "fixed.vol", tmp_path / "moving.vol"
     save_volume(ct_frame_volume(scene.hv_annotation, scene.placement), fpath)
     save_volume(scene.hv_annotation, mpath)
-    return fpath, mpath
+    return fpath, mpath, request.param, scene.placement
 
 
 def test_register_emits_transform(register_pair, capsys):
-    fpath, mpath = register_pair
+    fpath, mpath, yaw, placement = register_pair
 
     assert main(["register", str(fpath), str(mpath)]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
@@ -133,16 +136,23 @@ def test_register_emits_transform(register_pair, capsys):
         "rotation", "translation", "score_before", "score_after",
         "dice_before", "dice_after",
     }
-    # moving is the placed volume expressed intrinsically, so the recovered
-    # map is the inverse placement
-    assert np.allclose(report["rotation"], np.eye(3), atol=1e-9)
-    assert np.allclose(report["translation"], [-12.0, 8.0, 0.0], atol=2.0)
-    assert report["dice_after"] >= report["dice_before"] - 1e-12
-    assert report["score_after"] >= report["score_before"] - 1e-12
+    # moving is the placed volume, fixed the same one in the CT frame, so the
+    # recovered map is the inverse placement
+    truth = inverse(placement)
+    assert np.allclose(report["rotation"], truth.rotation, atol=1e-2 if yaw else 1e-9)
+    assert np.allclose(report["translation"], truth.translation, atol=2.0)
+    if yaw:
+        # the centroid init leaves the yaw to the solver
+        assert report["dice_after"] > report["dice_before"]
+        assert report["score_after"] > report["score_before"]
+    else:
+        # a pure translation: the centroid init already aligns the grids
+        assert report["dice_after"] >= report["dice_before"] - 1e-12
+        assert report["score_after"] >= report["score_before"] - 1e-12
 
 
 def test_register_prints_the_solver_scores(register_pair, capsys):
-    fpath, mpath = register_pair
+    fpath, mpath, _, _ = register_pair
     assert main(["register", str(fpath), str(mpath)]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     t = RigidTransform3(np.array(report["rotation"]), np.array(report["translation"]))
@@ -159,6 +169,16 @@ def test_register_prints_the_solver_scores(register_pair, capsys):
 def test_register_missing_file_exits_2(tmp_path, capsys):
     ghost = tmp_path / "ghost.vol"
     assert main(["register", str(ghost), str(ghost)]) == EXIT_CONFIG
+
+
+def test_register_header_without_geometry_exits_2(tmp_path, capsys):
+    vol = Volume3(np.ones((2, 2, 2), dtype=np.uint8), (1, 1, 1), (0, 0, 0), np.eye(3))
+    path = save_volume(vol, tmp_path / "v.vol")
+    header = json.loads(path.read_text())
+    del header["axes"]
+    path.write_text(json.dumps(header))
+    assert main(["register", str(path), str(path)]) == EXIT_CONFIG
+    assert "malformed volume header" in capsys.readouterr().err
 
 
 def test_phantom_gen_roundtrip(tmp_path, capsys):

@@ -62,3 +62,14 @@ def test_pgm_pbm_export(tmp_path):
     assert raw.startswith(b"P4\n4 2\n")
     body = raw[len(b"P4\n4 2\n"):]
     assert body == bytes([0b10110000, 0b00010000])
+
+
+@pytest.mark.parametrize("key", ["spacing", "origin", "axes"])
+def test_vol_header_missing_geometry_key(tmp_path, key):
+    vol = Volume3(np.zeros((2, 2, 2), dtype=np.uint8), (1, 1, 1), (0, 0, 0), np.eye(3))
+    path = save_volume(vol, tmp_path / "v.vol")
+    header = json.loads(path.read_text())
+    del header[key]
+    path.write_text(json.dumps(header))
+    with pytest.raises(ValueError, match=f"malformed volume header .*missing '{key}'"):
+        load_volume(path)
