@@ -7,9 +7,10 @@ run-trial    run one end-to-end trial and print its report as JSON
 register     register two binary .vol masks and print the estimated map
 phantom gen  generate (and optionally place) a phantom, saved to a directory
 
-Exit codes: 0 success, 2 bad config or input, 3 pipeline failure in
-single-trial mode. Timing lines go to stdout only; report files stay a
-pure function of the config.
+Exit codes: 0 success, 2 bad config or input, 3 pipeline failure: a
+failed vein search in ``run-trial``, or a trial that raises in
+``run-trial`` or ``sweep``. Timing lines go to stdout only; report files
+stay a pure function of the config.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .harness import (
 )
 from .imgvol import load_volume
 from .phantom import generate_phantom, place_phantom, save_scene
-from .pipeline import coordinate_map, harmonize
+from .pipeline import coordinate_map
 from .registration import mutual_information
 
 EXIT_OK = 0
@@ -71,7 +72,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("sweep: --out is required (or use --print-config)", file=sys.stderr)
         return EXIT_CONFIG
     cfg = _load_config(args)
-    result = run_sweep(cfg, workers=args.workers)
+    try:
+        result = run_sweep(cfg, workers=args.workers)
+    except RuntimeError as exc:
+        print(f"sweep failed: {exc}", file=sys.stderr)
+        return EXIT_PIPELINE
     paths = emit_reports(result, args.out)
     print(f"{cfg.trials} trials in {result.elapsed_s:.1f}s "
           f"({sum(not t.search_success for t in result.trials)} search failures)")
@@ -104,8 +109,7 @@ def _cmd_register(args: argparse.Namespace) -> int:
     t = cmap.ct_to_physical
     # the registration objective at the init and at the result, on the
     # harmonized grids the mapping stage registered
-    hf, hm, init = harmonize(fixed, moving)
-    score_before, score_after = mutual_information(hf, hm, [init, t])
+    score_before, score_after = mutual_information(cmap.hu, cmap.hc, [cmap.init, t])
     report = {
         "rotation": t.rotation.tolist(),
         "translation": t.translation.tolist(),

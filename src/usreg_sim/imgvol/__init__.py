@@ -20,7 +20,7 @@ from .volume import (
     translate_volume,
     voxel_to_physical,
 )
-from .metrics import dice, omia, precision, recall
+from .metrics import PreparedTruth, dice, omia, precision, prepare_truth, recall
 from .volio import load_volume, save_pbm, save_pgm, save_volume
 
 __all__ = [
@@ -29,6 +29,6 @@ __all__ = [
     "Image2", "Volume3", "centroid", "largest_connected_component",
     "physical_to_voxel", "require_binary", "resample_crop",
     "sample_at_physical", "translate_volume", "voxel_to_physical",
-    "dice", "omia", "precision", "recall",
+    "PreparedTruth", "dice", "omia", "precision", "prepare_truth", "recall",
     "load_volume", "save_pbm", "save_pgm", "save_volume",
 ]

@@ -7,8 +7,10 @@ whose denominator is zero is 0.0.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
-from scipy import signal
+from scipy import fft as sp_fft
 
 from .volume import require_binary
 
@@ -43,33 +45,69 @@ def dice(pred: np.ndarray, truth: np.ndarray) -> float:
     return 2.0 * inter / (n_pred + n_truth)
 
 
-def _bbox_crop(mask: np.ndarray) -> np.ndarray | None:
-    nz = np.nonzero(mask)
-    if nz[0].size == 0:
-        return None
-    lo = [int(ax.min()) for ax in nz]
-    hi = [int(ax.max()) + 1 for ax in nz]
-    return mask[lo[0]:hi[0], lo[1]:hi[1]]
+@dataclass(frozen=True)
+class PreparedTruth:
+    """A truth mask readied for many ``omia`` calls; build with ``prepare_truth``.
 
-def omia(pred: np.ndarray, truth: np.ndarray) -> int:
+    ``shape`` is the truth frame, ``fft_shape`` the fixed transform size and
+    ``spectrum`` the conjugate ``rfft2`` of the truth's content bounding box
+    at that size, or None when the truth is empty.
+    """
+
+    shape: tuple[int, int]
+    fft_shape: tuple[int, int]
+    spectrum: np.ndarray | None
+
+
+def prepare_truth(truth: np.ndarray) -> PreparedTruth:
+    """Check a 2D binary truth mask and transform its bounding box once.
+
+    The transform size is ``next_fast_len(bbox + frame - 1)`` per axis: a
+    prediction is never larger than the truth frame, so every prediction's
+    correlation with the box fits without wrapping.
+    """
+    truth = require_binary(truth, "truth")
+    if truth.ndim != 2:
+        raise ValueError("omia expects 2D masks")
+    nz = np.nonzero(truth)
+    if nz[0].size == 0:
+        return PreparedTruth(truth.shape, truth.shape, None)
+    box = truth[nz[0].min():nz[0].max() + 1, nz[1].min():nz[1].max() + 1]
+    fft_shape = tuple(
+        sp_fft.next_fast_len(b + n - 1, real=True) for b, n in zip(box.shape, truth.shape)
+    )
+    spectrum = np.conj(sp_fft.rfft2(box.astype(np.float64), s=fft_shape))
+    return PreparedTruth(truth.shape, fft_shape, spectrum)
+
+
+def omia(pred: np.ndarray, truth: np.ndarray | PreparedTruth) -> int:
     """Largest overlap count achievable by integer-translating the prediction.
 
     The prediction is conceptually zero-padded to the truth frame and slid
     over every integer (dx, dy); pixels shifted outside the frame drop out.
     Because offsets are unbounded the result depends only on the nonzero
-    content, so it is computed as the peak of the cross-correlation of the
-    two content bounding boxes. The prediction must not be larger than the
-    truth along either axis.
+    content, so it is the peak of the cross-correlation of the prediction
+    with the truth's content bounding box. The prediction must not be larger
+    than the truth along either axis.
+
+    ``truth`` may be a mask or a ``prepare_truth`` result; scoring many
+    predictions against one truth should pass it prepared, so its transform
+    is computed once. The correlation is circular at the prepared size,
+    which is at least box + prediction - 1 along each axis, so no two shifts
+    share a cell. Each correlation value is an integer count, and the
+    transforms' rounding error, of order 1e-16 x log2(size) x the product
+    of the two masks' L2 norms (under 1e-10 for a full 216x100 frame), is
+    far below 0.5, so ``rint`` of the peak is exact.
     """
+    if not isinstance(truth, PreparedTruth):
+        truth = prepare_truth(truth)
     pred = require_binary(pred, "pred")
-    truth = require_binary(truth, "truth")
-    if pred.ndim != 2 or truth.ndim != 2:
+    if pred.ndim != 2:
         raise ValueError("omia expects 2D masks")
     if pred.shape[0] > truth.shape[0] or pred.shape[1] > truth.shape[1]:
         raise ValueError(f"pred {pred.shape} exceeds truth {truth.shape}; pad the truth, not the pred")
-    a = _bbox_crop(truth)
-    b = _bbox_crop(pred)
-    if a is None or b is None:
+    if truth.spectrum is None or not pred.any():
         return 0
-    corr = signal.correlate(a.astype(np.float64), b.astype(np.float64), mode="full")
+    spec = sp_fft.rfft2(pred.astype(np.float64), s=truth.fft_shape)
+    corr = sp_fft.irfft2(spec * truth.spectrum, s=truth.fft_shape)
     return int(np.rint(corr.max()))

@@ -33,6 +33,7 @@ from .imgvol import (
     largest_connected_component,
     omia,
     precision,
+    prepare_truth,
     recall,
     require_binary,
     resample_crop,
@@ -109,11 +110,19 @@ class AcquisitionResult:
 
 @dataclass(frozen=True)
 class CoordinateMap:
-    """CT-frame to physical-frame rigid map with registration diagnostics."""
+    """CT-frame to physical-frame rigid map with registration diagnostics.
+
+    ``hu``, ``hc`` and ``init`` are what ``harmonize`` returned: the acquired
+    and the CT masks on the common grid, and the centroid init the solver
+    started from.
+    """
 
     ct_to_physical: RigidTransform3
     diagnostics: dict
     converged: bool
+    hu: Volume3
+    hc: Volume3
+    init: RigidTransform3
 
 
 @dataclass(frozen=True)
@@ -296,7 +305,10 @@ def coordinate_map(us_veins: Volume3, ct_veins: Volume3) -> CoordinateMap:
         "score": score,
     }
     converged = diagnostics["after"]["dice"] + 1e-12 >= diagnostics["before"]["dice"]
-    return CoordinateMap(ct_to_physical=transform, diagnostics=diagnostics, converged=converged)
+    return CoordinateMap(
+        ct_to_physical=transform, diagnostics=diagnostics, converged=converged,
+        hu=hu, hc=hc, init=init,
+    )
 
 
 def _overlap_metrics(pred: np.ndarray, truth: np.ndarray) -> dict:
@@ -350,9 +362,9 @@ def slice_match(
     Maps the CT target into physical space, then scans waypoints across
     ``span_mm`` around the estimate (the lattice plus the estimate itself),
     scoring each captured segmentation against the target's CT slice by
-    maximum overlap under integer translation. The best-scoring waypoint
-    wins; ties prefer the smallest deviation from the estimate, then the
-    smaller coordinate.
+    maximum overlap under integer translation (``omia``, with the slice
+    prepared once per target). The best-scoring waypoint wins; ties prefer
+    the smallest deviation from the estimate, then the smaller coordinate.
     """
     if n_wp < 1:
         raise ValueError("n_wp must be at least 1")
@@ -368,8 +380,8 @@ def slice_match(
         xs.append(mapped[0])
     xs = np.array(sorted(xs))
 
-    template = _target_template(
-        scene, probe_params, target_ct, ct_to_physical, branch_pos, ct_veins
+    template = prepare_truth(
+        _target_template(scene, probe_params, target_ct, ct_to_physical, branch_pos, ct_veins)
     )
     scores = np.empty(len(xs))
     for i, x in enumerate(xs):

@@ -5,7 +5,11 @@ with a fixed orientation: the image plane is always perpendicular to the
 inferior-superior (x) axis, so every captured frame is an axial view.
 Capture is pure resampling of the scene volumes, done lazily: a frame
 samples each of its fields on first read, so a caller pays only for the
-pixels it consumes. The learned segmentation networks of the real system
+pixels it consumes. A truth mask whose volume axes are exactly the
+identity (every scene placed without yaw) is read by a separable gather:
+one slab of the volume, indexed by one row per lateral pixel and one
+column per depth pixel, which reads the same values as the general
+sampler. The learned segmentation networks of the real system
 are replaced by ground-truth oracles plus a parametric corruption model.
 """
 
@@ -20,8 +24,10 @@ from functools import cached_property
 import numpy as np
 from scipy import ndimage
 
-from .imgvol import Image2, sample_at_physical
+from .imgvol import Image2, Volume3, sample_at_physical
 from .phantom import PhantomScene
+
+_IDENTITY = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,10 @@ class UltrasoundFrame:
     sampled on ``capture_grid(capture_position, params)`` the first time it
     is read and cached on the frame, so all three share one pixel grid.
     ``mask_truth`` samples the full vein annotation and ``branch_truth``
-    the junction-local annotation. Pixel (0, 0) sits at
+    the junction-local annotation, each through ``_axis_aligned_gather``
+    when that annotation's ``axes`` equal the identity exactly and through
+    ``sample_at_physical`` otherwise (a yawed placement); ``image`` always
+    goes through ``sample_at_physical``. Pixel (0, 0) sits at
     ``capture_position - (fov_width/2) * y_hat`` at surface depth, the
     lateral axis runs along +y and the depth axis straight down.
     """
@@ -116,8 +125,11 @@ class UltrasoundFrame:
     def branch_truth(self) -> Image2:
         return self._sample(self.scene.hv_branch_annotation, nearest=True)
 
-    def _sample(self, vol, nearest: bool) -> Image2:
-        vals = sample_at_physical(vol, capture_grid(self.capture_position, self.params), nearest)
+    def _sample(self, vol: Volume3, nearest: bool) -> Image2:
+        if nearest and np.array_equal(vol.axes, _IDENTITY):
+            vals = _axis_aligned_gather(vol, self.capture_position, self.params)
+        else:
+            vals = sample_at_physical(vol, capture_grid(self.capture_position, self.params), nearest)
         if nearest:
             vals = vals.astype(np.uint8, copy=False)
         return Image2(vals, self.params.pixel_spacing)
@@ -217,17 +229,48 @@ def move_to(scene: PhantomScene, x: float, y: float) -> ProbeState:
     return ProbeState(position=np.array([float(x), float(y), z]))
 
 
-def capture_grid(position: np.ndarray, params: ProbeParams) -> np.ndarray:
-    """Physical positions of every pixel of a frame captured at ``position``."""
+def _capture_axes(position: np.ndarray, params: ProbeParams) -> tuple[np.ndarray, np.ndarray]:
+    """The y coordinate of every lateral pixel and the z of every depth pixel."""
     lx, ly = params.image_shape
     vx, vy = params.pixel_spacing
     ys = position[1] - params.fov_width / 2.0 + np.arange(lx) * vx
     zs = position[2] - np.arange(ly) * vy
+    return ys, zs
+
+
+def capture_grid(position: np.ndarray, params: ProbeParams) -> np.ndarray:
+    """Physical positions of every pixel of a frame captured at ``position``."""
+    lx, ly = params.image_shape
+    ys, zs = _capture_axes(position, params)
     pts = np.empty((lx, ly, 3), dtype=np.float64)
     pts[..., 0] = position[0]
     pts[..., 1] = ys[:, None]
     pts[..., 2] = zs[None, :]
     return pts
+
+
+def _axis_aligned_gather(vol: Volume3, position: np.ndarray, params: ProbeParams) -> np.ndarray:
+    """Nearest samples of a volume whose ``axes`` are the identity, on one frame.
+
+    The frame's voxel indices then split per axis: one slab index for the
+    whole frame, one column index per lateral pixel and one per depth pixel,
+    each ``floor((c - origin) / spacing + 0.5)``. That is
+    ``sample_at_physical``'s arithmetic, whose product with an exact identity
+    matrix rounds nothing, so the values are the same; indices outside the
+    volume read 0.
+    """
+    ys, zs = _capture_axes(position, params)
+    i, j, k = (
+        np.floor((c - o) / s + 0.5).astype(np.int64)
+        for c, o, s in zip((position[:1], ys, zs), vol.origin, vol.spacing)
+    )
+    n0, n1, n2 = vol.shape
+    if vol.data.size == 0 or not 0 <= i[0] < n0:  # take() cannot read an empty axis
+        return np.zeros(params.image_shape, dtype=vol.data.dtype)
+    out = vol.data[i[0]].take(j, axis=0, mode="clip").take(k, axis=1, mode="clip")
+    out[(j < 0) | (j >= n1)] = 0
+    out[:, (k < 0) | (k >= n2)] = 0
+    return out
 
 
 def capture_us(scene: PhantomScene, probe: ProbeState, params: ProbeParams) -> UltrasoundFrame:

@@ -1,14 +1,14 @@
 """Independent brute-force reference implementations used across tests.
 
 Everything here is deliberately written the slow, obvious way and never
-calls into the package beyond plain numpy (and scipy's trilinear sampler)
-and the ``imgvol`` containers and transform algebra, so that package
-results can be checked against a second route.
+calls into the package beyond plain numpy (and scipy's trilinear sampler
+and correlation) and the ``imgvol`` containers and transform algebra, so
+that package results can be checked against a second route.
 """
 from fractions import Fraction
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, signal
 
 from usreg_sim.imgvol import RigidTransform3, Volume3, inverse
 
@@ -89,6 +89,21 @@ def brute_force_omia(pred, truth):
             shifted[dst_x, dst_y] = padded[src_x, src_y]
             best = max(best, int(np.count_nonzero(shifted & truth)))
     return best
+
+
+def reference_omia(pred, truth):
+    """``omia`` as first written: ``scipy.signal.correlate`` of the two content boxes.
+
+    Unlike ``brute_force_omia`` it is fast enough for full 216x100 frames.
+    """
+    boxes = []
+    for mask in (truth, pred):
+        nz = np.nonzero(mask)
+        if nz[0].size == 0:
+            return 0
+        box = np.asarray(mask)[nz[0].min():nz[0].max() + 1, nz[1].min():nz[1].max() + 1]
+        boxes.append(box.astype(np.float64))
+    return int(np.rint(signal.correlate(boxes[0], boxes[1], mode="full").max()))
 
 
 def brute_ratio_metrics(pred, truth):

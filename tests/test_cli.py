@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from usreg_sim import harness
+from usreg_sim import harness, pipeline
 from usreg_sim.cli import EXIT_CONFIG, EXIT_OK, EXIT_PIPELINE, main
 from usreg_sim.harness import SweepConfig
-from usreg_sim.imgvol import RigidTransform3, Volume3, inverse, load_volume, save_volume
+from usreg_sim.imgvol import (
+    RigidTransform3, Volume3, inverse, load_volume, resample_crop, save_volume,
+)
 from usreg_sim.phantom import ct_frame_volume, generate_phantom, load_scene, place_phantom
 from usreg_sim.pipeline import harmonize
 from usreg_sim.registration import mutual_information
@@ -102,6 +104,18 @@ def test_run_trial_prints_report(cfg_file, capsys):
     assert set(report["stage_ms"]) == {"setup", "search", "acquire", "map", "targets"}
 
 
+def test_sweep_pipeline_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def unsettled(*args, **kwargs):
+        raise RuntimeError("centralization did not settle within 200 iterations")
+
+    monkeypatch.setattr(harness, "hv_search", unsettled)
+    out = tmp_path / "reports"
+    assert main(["sweep", "--trials", "1", "--out", str(out)]) == EXIT_PIPELINE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "centralization did not settle" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_run_trial_search_failure_exits_3(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -164,6 +178,19 @@ def test_register_prints_the_solver_scores(register_pair, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["dice_before"] == report["dice_after"] == 1.0
     assert report["score_before"] == report["score_after"]
+
+
+def test_register_crops_each_mask_once(register_pair, capsys, monkeypatch):
+    fpath, mpath, _, _ = register_pair
+    crops = []
+
+    def counting_crop(*args, **kwargs):
+        crops.append(args[0].shape)
+        return resample_crop(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "resample_crop", counting_crop)
+    assert main(["register", str(fpath), str(mpath)]) == EXIT_OK
+    assert len(crops) == 2
 
 
 def test_register_missing_file_exits_2(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from usreg_sim.imgvol import dice, omia, precision, recall
+from usreg_sim.imgvol import dice, omia, precision, prepare_truth, recall
 
 
 from _oracles import brute_force_omia, brute_ratio_metrics
@@ -119,3 +119,35 @@ def test_omia_bounds_and_translation_invariance():
 def test_omia_rejects_oversized_pred():
     with pytest.raises(ValueError):
         omia(np.zeros((7, 3), dtype=np.uint8), np.zeros((5, 5), dtype=np.uint8))
+
+
+def test_prepared_truth_scores_many_preds_like_brute_force():
+    rng = np.random.default_rng(11)
+    shape = (23, 14)
+    truth = np.zeros(shape, dtype=np.uint8)
+    truth[6:15, 3:10] = rng.random((9, 7)) < 0.6
+    prepared = prepare_truth(truth)
+
+    empty = np.zeros(shape, dtype=np.uint8)
+    single = empty.copy()
+    single[17, 2] = 1
+    noisy = (rng.random(shape) < 0.3).astype(np.uint8)  # content spans the frame
+    assert noisy[0].any() and noisy[-1].any() and noisy[:, 0].any() and noisy[:, -1].any()
+    edge = empty.copy()
+    edge[-4:, -3:] = truth[8:12, 4:7]  # the corner piece of the truth, at the frame corner
+    small = (rng.random((5, 9)) < 0.5).astype(np.uint8)  # a pred smaller than the frame
+    preds = [empty, single, noisy, edge, small]
+    preds += [(rng.random(shape) < rng.uniform(0.05, 0.9)).astype(np.uint8) for _ in range(10)]
+    for pred in preds:
+        assert omia(pred, prepared) == omia(pred, truth) == brute_force_omia(pred, truth)
+    assert omia(empty, prepared) == 0 and omia(single, prepared) == 1
+
+    with pytest.raises(ValueError, match="exceeds"):
+        omia(np.zeros((24, 14), dtype=np.uint8), prepared)
+    with pytest.raises(ValueError, match="exceeds"):
+        omia(np.zeros((5, 15), dtype=np.uint8), prepared)
+    with pytest.raises(ValueError, match="0 and 1"):
+        omia(np.full((5, 5), 2, dtype=np.uint8), prepared)
+    with pytest.raises(ValueError, match="2D"):
+        omia(np.zeros((2, 2, 2), dtype=np.uint8), prepared)
+    assert omia(noisy, prepare_truth(empty)) == 0

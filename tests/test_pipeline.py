@@ -14,6 +14,7 @@ from usreg_sim.imgvol import (
     Volume3,
     compose,
     largest_connected_component,
+    omia,
     physical_to_voxel,
     sample_at_physical,
     translation,
@@ -27,6 +28,7 @@ from usreg_sim.phantom import (
 )
 from usreg_sim.pipeline import (
     SearchParams,
+    _target_template,
     coordinate_map,
     frames_for_eps,
     hv_acquire,
@@ -44,6 +46,8 @@ from usreg_sim.probe import (
     segment_branch,
     segment_full,
 )
+
+from _oracles import reference_omia
 
 SCENE_OFFSET = np.array([18.0, -12.0, 0.0])
 
@@ -298,6 +302,21 @@ def test_slice_match_empty_template_falls_back_to_estimate(
     sm = slice_match(scene, pp, quiet, target, scene.placement, found.position, ct_veins)
     assert np.all(sm.scores == 0)
     assert np.array_equal(sm.corrected, sm.mapped)
+
+
+def test_slice_match_scores_equal_per_frame_omia(scene, pp, found, ct_veins):
+    noise = NoiseModel.default(seed=12)
+    targets = target_grid(scene)
+    bad = compose(translation([2.0, 0.0, 0.0]), scene.placement)
+    for ti in (40, 55):
+        sm = slice_match(scene, pp, noise, targets[ti], bad, found.position, ct_veins)
+        template = _target_template(scene, pp, targets[ti], bad, found.position, ct_veins)
+        assert template.any()
+        for x, score in zip(sm.waypoint_xs, sm.scores):
+            probe = move_to(scene, float(x), found.position[1])
+            pred = segment_full(capture_us(scene, probe, pp), noise).data
+            assert score == omia(pred, template) == reference_omia(pred, template)
+        assert sm.scores.max() > 0
 
 
 def test_slice_match_validation(scene, pp, quiet, found, ct_veins):

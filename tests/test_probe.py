@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from usreg_sim import probe
 from usreg_sim.imgvol import Volume3, dice, physical_to_voxel, sample_at_physical
 from usreg_sim.phantom import generate_phantom, place_phantom
 from usreg_sim.pipeline import judge_success, target_imaging
@@ -209,8 +210,14 @@ def sampled(frame):
 
 
 @pytest.mark.parametrize("offset, yaw", [((10.0, -5.0, 0.0), 0.0), ((12.5, -7.0, 3.0), 6.0)])
-def test_lazy_fields_match_eager_capture(params, offset, yaw):
+def test_lazy_fields_match_eager_capture(params, monkeypatch, offset, yaw):
     scene = place_phantom(generate_phantom(seed=3), offset, yaw)
+    # a branch annotation with content up to every face, so a frame that reads
+    # past an edge differs from one clamped to it
+    ann = scene.hv_branch_annotation
+    dense = (np.random.default_rng(23).random(ann.shape) < 0.5).astype(np.uint8)
+    scene = dataclasses.replace(
+        scene, hv_branch_annotation=Volume3(dense, ann.spacing, ann.origin, ann.axes))
     bp = scene.tree.branch_point
     rng = np.random.default_rng(17)
     positions = [move_to(scene, bp[0] + dx, bp[1] + dy).position
@@ -218,13 +225,36 @@ def test_lazy_fields_match_eager_capture(params, offset, yaw):
     # free-floating probes whose frames hang off the volume on some side
     corners = np.array(np.meshgrid(*[(0.0, n) for n in scene.ct.shape], indexing="ij")).reshape(3, -1).T
     box = scene.ct.origin + (corners * scene.ct.spacing) @ scene.ct.axes
+    lo, hi = box.min(axis=0), box.max(axis=0)
     for i in range(14):
-        x = rng.uniform(box[:, 0].min(), box[:, 0].max())
-        y = (box[:, 1].min(), box[:, 1].max())[i % 2] + rng.uniform(-30.0, 30.0)
-        z = rng.uniform(box[:, 2].min() + 40.0, box[:, 2].max() + 40.0)
+        x = rng.uniform(lo[0], hi[0])
+        y = (lo[1], hi[1])[i % 2] + rng.uniform(-30.0, 30.0)
+        z = rng.uniform(lo[2] + 40.0, hi[2] + 40.0)
         positions.append(np.array([x, y, z]))
+    # frames wholly outside the volume: in the first slab beyond either x end
+    # (index -1 and n on the unyawed scene), beyond either lateral side
+    mid = (lo + hi) / 2.0
+    half_fov = params.fov_width / 2.0
+    for x in (lo[0] - 1.5, hi[0]):
+        positions.append(np.array([x, mid[1], hi[2]]))
+    for y in (lo[1] - half_fov - 3.0, hi[1] + half_fov + 3.0):
+        positions.append(np.array([mid[0], y, hi[2]]))
+    # half-voxel ties: the slab, the first lateral pixel and the first depth
+    # pixel each sit exactly between two voxel centres (on the unyawed scene)
+    o, sp = scene.hv_annotation.origin, scene.hv_annotation.spacing
+    for m in (10, 20, 31):
+        tie = o + (m + 0.5) * sp
+        positions.append(np.array([tie[0], tie[1] + half_fov, tie[2]]))
 
+    calls = []
+
+    def counting_sampler(vol, *args, **kwargs):
+        calls.append(vol)
+        return sample_at_physical(vol, *args, **kwargs)
+
+    monkeypatch.setattr(probe, "sample_at_physical", counting_sampler)
     partial = with_vessel = 0
+    ties = np.zeros(3, dtype=bool)
     for pos in positions:
         frame = capture_us(scene, ProbeState(pos), params)
         assert sampled(frame) == set()
@@ -240,8 +270,26 @@ def test_lazy_fields_match_eager_capture(params, offset, yaw):
         inside = ((idx > -0.5) & (idx < np.asarray(scene.ct.shape) - 0.5)).all(axis=-1)
         partial += bool(inside.any() and not inside.all())
         with_vessel += bool(got[1].any())
+        ties |= (idx - np.floor(idx) == 0.5).reshape(-1, 3).any(axis=0)
     assert len(positions) >= 30
     assert partial >= 10 and with_vessel >= 10, (partial, with_vessel)
+
+    n = len(positions)
+    masks = (scene.hv_annotation, scene.hv_branch_annotation)
+    if yaw == 0.0:
+        # axis-aligned annotations: the masks take the separable gather
+        assert len(calls) == n and all(v is scene.ct for v in calls)
+        assert ties.all()
+    else:
+        assert len(calls) == 3 * n and sum(any(v is m for m in masks) for v in calls) == 2 * n
+
+    # an annotation with no voxels reads zeros through either path
+    ann = scene.hv_annotation
+    empty = dataclasses.replace(
+        scene, hv_annotation=Volume3(np.zeros((ann.shape[0], 0, ann.shape[2]), np.uint8),
+                                     ann.spacing, ann.origin, ann.axes))
+    frame = capture_us(empty, ProbeState(positions[0]), params)
+    assert np.array_equal(frame.mask_truth.data, np.zeros(params.image_shape, np.uint8))
 
 
 def test_frame_is_immutable(scene, params):
