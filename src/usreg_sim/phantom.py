@@ -123,9 +123,11 @@ class EllipticSurface:
     def __post_init__(self):
         if abs(self.frame.rotation[2, 2] - 1.0) > 1e-9:
             raise ValueError("surface frame must keep the z axis vertical")
+        # inverted once; an attribute, not a field, so equality ignores it
+        object.__setattr__(self, "_to_intrinsic", inverse(self.frame))
 
     def __call__(self, x: float, y: float) -> float:
-        q = inverse(self.frame).apply([float(x), float(y), 0.0])
+        q = self._to_intrinsic.apply([float(x), float(y), 0.0])
         rel = (q[1] - self.center_y) / self.semi_y
         if abs(rel) >= 1.0:
             return math.nan

@@ -318,8 +318,13 @@ def _corrupt(mask: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> n
             cj = int(rng.integers(0, lx))
             ck = int(rng.integers(0, ly))
             r = math.sqrt(area / math.pi)
-            jj, kk = np.ogrid[:lx, :ly]
-            out |= (jj - cj) ** 2 + (kk - ck) ** 2 <= r * r
+            # the disc's clipped bounding window; every pixel outside it is
+            # farther than r from the center
+            w = math.ceil(r)
+            j0, j1 = max(cj - w, 0), min(cj + w + 1, lx)
+            k0, k1 = max(ck - w, 0), min(ck + w + 1, ly)
+            jj, kk = np.ogrid[j0:j1, k0:k1]
+            out[j0:j1, k0:k1] |= (jj - cj) ** 2 + (kk - ck) ** 2 <= r * r
     if noise.pixel_flip_rate > 0:
         flips = rng.random(out.shape) < noise.pixel_flip_rate
         out ^= flips

@@ -11,7 +11,8 @@ The score is the 2x2 partial-volume joint histogram of fixed lattice values
 against the trilinear-sampled moving mask (Maes et al., IEEE TMI 1997). It
 is evaluated sparsely but exactly: samples are taken only where the moving
 mask has foreground within reach and the inside counts come from row runs,
-yet the counts are bit-identical to sampling the whole lattice.
+yet the counts are bit-identical to sampling the whole lattice. A stage
+scores each distinct candidate once and answers repeats from its record.
 ``mutual_information`` reports this same score for given transforms; it is
 the package's only MI estimator.
 """
@@ -433,7 +434,10 @@ def register_rigid(
     Each score is computed sparsely but exactly (see ``_SparseJointCounts``):
     the same counts, bit for bit, as trilinear-sampling the moving mask at
     every point of the stage's fixed lattice, at a cost that follows the
-    moving foreground rather than the lattice size.
+    moving foreground rather than the lattice size. A stage scores each
+    distinct candidate once: a theta asked for again (a clipped step, the
+    refinement's start, the final score) is answered from the stage's record,
+    which changes no result since a score depends on its map alone.
     """
     cfg = cfg or RegistrationConfig()
     init = init or RigidTransform3.identity()
@@ -443,9 +447,17 @@ def register_rigid(
 
     def stage_scorer(inits, pad_vox, stride):
         joint_counts = _lattice_scorer(fixed, moving_f, support, inits, pad_vox, stride)
-        return lambda thetas: [
-            _mi_from_counts(c) for c in joint_counts([_theta_map(t, center, init) for t in thetas])
-        ]
+        scores: dict[bytes, float] = {}  # theta bytes -> score, per stage
+
+        def score(thetas):
+            keys = [t.tobytes() for t in thetas]
+            unseen = {k: t for k, t in zip(keys, thetas) if k not in scores}
+            if unseen:
+                counts = joint_counts([_theta_map(t, center, init) for t in unseen.values()])
+                scores.update(zip(unseen, map(_mi_from_counts, counts)))
+            return [scores[k] for k in keys]
+
+        return score
 
     rng = np.random.default_rng(cfg.seed)
     scale = np.repeat(_BOUNDS, 3)
@@ -477,8 +489,23 @@ def apply_transform(moving: Volume3, transform: RigidTransform3, like: Volume3) 
     """Resample ``moving`` through the moving->fixed ``transform`` onto ``like``'s grid.
 
     Nearest-neighbour (``sample_at_physical``: half-voxel ties round up); 0 outside.
+    The output is filled one index slab (fixed first index) at a time, so the
+    temporaries scale with one slab's ``n1 * n2`` points, not the grid's
+    ``n0 * n1 * n2`` (1.2 MB, not 47 MB, on a 64x96x64 grid). A slab of
+    one voxel is evaluated as a pair whenever the grid has more: numpy's
+    one-row matrix product rounds differently from the multi-row one that
+    the whole grid takes.
     """
-    # every voxel index of ``like``, in C order
-    pts = voxel_to_physical(like, np.argwhere(np.ones(like.shape, dtype=bool)))
-    data = sample_at_physical(moving, inverse(transform).apply(pts), nearest=True)
-    return Volume3(data.reshape(like.shape), like.spacing, like.origin, like.axes)
+    n0, n1, n2 = like.shape
+    out = np.empty((n0, n1 * n2), dtype=moving.data.dtype)
+    to_moving = inverse(transform)
+    # every voxel index of one slab, in C order; column 0 is set per slab
+    slab = np.zeros((n1 * n2, 3), dtype=np.float64)
+    slab[:, 1:] = np.argwhere(np.ones((n1, n2), dtype=bool))
+    if len(slab) == 1 and n0 > 1:
+        slab = np.repeat(slab, 2, axis=0)
+    for i in range(n0):
+        slab[:, 0] = i
+        pts = to_moving.apply(voxel_to_physical(like, slab))
+        out[i] = sample_at_physical(moving, pts, nearest=True)[: n1 * n2]
+    return Volume3(out.reshape(like.shape), like.spacing, like.origin, like.axes)

@@ -3,14 +3,19 @@
 Everything here is deliberately written the slow, obvious way and never
 calls into the package beyond plain numpy (and scipy's trilinear sampler
 and correlation) and the ``imgvol`` containers and transform algebra, so
-that package results can be checked against a second route.
+that package results can be checked against a second route. The one
+exception is ``reference_register_rigid``, which drives the package's own
+scorer and pattern search: it checks the solver's bookkeeping, not its
+arithmetic.
 """
+import math
 from fractions import Fraction
 
 import numpy as np
 from scipy import ndimage, signal
 
-from usreg_sim.imgvol import RigidTransform3, Volume3, inverse
+from usreg_sim import registration as reg
+from usreg_sim.imgvol import RigidTransform3, Volume3, centroid, inverse
 
 
 def brute_force_lcc(mask):
@@ -203,6 +208,68 @@ def reference_apply_transform(moving: Volume3, transform: RigidTransform3, like:
     sel = sidx[inside]
     out[inside] = moving.data[sel[:, 0], sel[:, 1], sel[:, 2]]
     return Volume3(out.reshape(shape), like.spacing, like.origin, like.axes)
+
+
+def reference_corrupt(mask, noise, rng):
+    """The segmentation corruption as first written: each blob over the full frame."""
+    out = mask.astype(bool)
+    if noise.morph_jitter > 0:
+        j = int(rng.integers(-noise.morph_jitter, noise.morph_jitter + 1))
+        if j > 0:
+            out = ndimage.binary_dilation(out, iterations=j)
+        elif j < 0:
+            out = ndimage.binary_erosion(out, iterations=-j)
+    if noise.spurious_blob_rate > 0:
+        lo, hi = noise.blob_size
+        n_blobs = int(rng.poisson(noise.spurious_blob_rate))
+        lx, ly = out.shape
+        for _ in range(n_blobs):
+            area = int(rng.integers(lo, hi + 1))
+            cj = int(rng.integers(0, lx))
+            ck = int(rng.integers(0, ly))
+            r = math.sqrt(area / math.pi)
+            jj, kk = np.ogrid[:lx, :ly]
+            out |= (jj - cj) ** 2 + (kk - ck) ** 2 <= r * r
+    if noise.pixel_flip_rate > 0:
+        flips = rng.random(out.shape) < noise.pixel_flip_rate
+        out ^= flips
+    return out.astype(np.uint8)
+
+
+def reference_register_rigid(fixed, moving, init, cfg):
+    """``register_rigid`` as first written: every requested candidate is scored.
+
+    Same schedule, scorer and pattern search as the package solver, but a
+    theta asked for again is scored again. Returns (transform, final score,
+    [coarse trace, fine trace]).
+    """
+    moving_f, support = reg._score_inputs(fixed, moving)
+    center = init.apply(centroid(moving))
+    pad = np.ceil(reg._BOUNDS[0] / fixed.spacing).astype(int) + 2
+
+    def stage_scorer(inits, pad_vox, stride):
+        joint_counts = reg._lattice_scorer(fixed, moving_f, support, inits, pad_vox, stride)
+        return lambda thetas: [
+            reg._mi_from_counts(c)
+            for c in joint_counts([reg._theta_map(t, center, init) for t in thetas])
+        ]
+
+    rng = np.random.default_rng(cfg.seed)
+    scale = np.repeat(reg._BOUNDS, 3)
+    starts = [np.zeros(6)] + [rng.uniform(-0.5, 0.5, size=6) * scale for _ in range(reg._RESTARTS)]
+    coarse = stage_scorer([init], pad, 2)
+    theta_best, _, coarse_trace = max(
+        (reg._pattern_search(coarse, start, (4.0, 3.0)) for start in starts), key=lambda run: run[1]
+    )
+    fine = stage_scorer(
+        [init, reg._make_transform(theta_best, center, init)], np.minimum(pad, reg._REFINE_PAD), 1
+    )
+    init_score, best_score = fine([np.zeros(6), theta_best])
+    if init_score > best_score:
+        theta_best = np.zeros(6)
+    theta_best, _, fine_trace = reg._pattern_search(fine, theta_best, (1.0, 1.0))
+    (final_score,) = fine([theta_best])
+    return reg._make_transform(theta_best, center, init), final_score, [coarse_trace, fine_trace]
 
 
 def _same_grid(a, b):

@@ -1,3 +1,7 @@
+import dataclasses
+import math
+import pickle
+
 import numpy as np
 import pytest
 
@@ -191,3 +195,42 @@ def test_branch_point_index_consistency(scene):
     assert scene.hv_annotation.data[tuple(np.round(idx).astype(int))] == 1
     ct_frame_bp = inverse(scene.placement).apply(scene.tree.branch_point)
     np.testing.assert_allclose(ct_frame_bp, scene.tree.branch_point)  # identity placement
+
+
+def _per_call_height(surface, x, y):
+    """The skin height with the surface frame inverted on every call."""
+    q = inverse(surface.frame).apply([float(x), float(y), 0.0])
+    rel = (q[1] - surface.center_y) / surface.semi_y
+    if abs(rel) >= 1.0:
+        return math.nan
+    z_intrinsic = surface.center_z + surface.semi_z * math.sqrt(1.0 - rel * rel)
+    return z_intrinsic + float(surface.frame.translation[2])
+
+
+@pytest.fixture(scope="module")
+def yawed(scene):
+    return place_phantom(scene, offset=(14.0, -9.0, 3.0), yaw_deg=-7.0)
+
+
+def test_surface_height_matches_per_call_inverse(yawed):
+    surface = yawed.surface_height
+    heights = [
+        (surface(x, y), _per_call_height(surface, x, y))
+        for x in np.linspace(-40.0, 180.0, 23)
+        for y in np.linspace(-20.0, 210.0, 24)
+    ]
+    off_body = [math.isnan(want) for _, want in heights]
+    assert 0 < sum(off_body) < len(heights)
+    for (got, want), nan in zip(heights, off_body):
+        assert math.isnan(got) if nan else got == want
+    # the inverse is held outside the dataclass fields: equality reads the fields only
+    assert dataclasses.replace(surface) == surface
+
+
+def test_scene_pickles_for_pool_workers(yawed):
+    back = pickle.loads(pickle.dumps(yawed))
+    np.testing.assert_array_equal(back.hv_annotation.data, yawed.hv_annotation.data)
+    np.testing.assert_array_equal(back.placement.rotation, yawed.placement.rotation)
+    for x, y in ((100.0, 95.0), (60.0, 20.0), (60.0, 190.0)):
+        got, want = back.surface_height(x, y), yawed.surface_height(x, y)
+        assert got == want or (math.isnan(got) and math.isnan(want))

@@ -1,6 +1,7 @@
 """Probe contact, axial capture geometry, and the segmentation oracles."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from usreg_sim.probe import (
     segment_full,
 )
 
-from _oracles import count_components, eager_capture
+from _oracles import count_components, eager_capture, reference_corrupt
 
 FIELDS = ("image", "mask_truth", "branch_truth")
 
@@ -127,6 +128,51 @@ def test_blob_noise_components_stay_small(scene, params):
         out = segment_full(frame, noise)
         labels = _label_sizes(out.data)
         assert all(size < area_limit for size in labels)
+
+
+class _PinnedCentres:
+    """A seeded generator whose blob-centre draws return ``centres`` in turn.
+
+    ``_corrupt`` draws a blob's row, then its column, as ``integers(0, n)``;
+    the area and jitter draws have a nonzero low bound and are answered by
+    the generator. Pinned draws still consume one generator draw each.
+    """
+
+    def __init__(self, seed, centres):
+        self._rng = np.random.default_rng(seed)
+        self._coords = itertools.cycle([c for centre in centres for c in centre])
+
+    def integers(self, low, high=None):
+        value = self._rng.integers(low, high)
+        return next(self._coords) if low == 0 else value
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_corrupt_matches_full_frame_reference(params):
+    lx, ly = params.image_shape
+    centres = [
+        (0, 0), (0, ly - 1), (lx - 1, 0), (lx - 1, ly - 1),  # corners
+        (0, ly // 2), (lx - 1, ly // 2), (lx // 2, 0), (lx // 2, ly - 1),  # edges
+        (1, 2), (lx - 3, ly - 2),  # one or two pixels in
+    ]
+    models = [
+        NoiseModel.default(),
+        NoiseModel.zero(),
+        NoiseModel(spurious_blob_rate=6.0, blob_size=(1, 60), morph_jitter=1),
+    ]
+    rng = np.random.default_rng(71)
+    calls = 0
+    for seed in range(40):
+        mask = (rng.random((lx, ly)) < 0.02).astype(np.uint8)
+        pinned = centres[seed % len(centres):] + centres[:seed % len(centres)]
+        for noise in models:
+            for make_rng in (np.random.default_rng, lambda s: _PinnedCentres(s, pinned)):
+                got = probe._corrupt(mask, noise, make_rng(seed))
+                assert np.array_equal(got, reference_corrupt(mask, noise, make_rng(seed)))
+                calls += 1
+    assert calls >= 200
 
 
 def _label_sizes(mask):

@@ -7,6 +7,7 @@ sparse joint counts are checked bit for bit against the dense reference in
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from usreg_sim.imgvol import (
     rotation_z,
     translate_volume,
     translation,
+    voxel_to_physical,
 )
-from usreg_sim.phantom import generate_phantom
+from usreg_sim.phantom import ct_frame_volume, generate_phantom, place_phantom
+from usreg_sim.pipeline import harmonize
 from usreg_sim.registration import (
     RegistrationConfig,
     _eval_points,
@@ -37,7 +40,7 @@ from usreg_sim.registration import (
     register_rigid,
 )
 
-from _oracles import dense_joint_counts, reference_apply_transform
+from _oracles import dense_joint_counts, reference_apply_transform, reference_register_rigid
 
 
 def _mi_oracle(n00, n01, n10, n11):
@@ -241,6 +244,54 @@ def test_zero_noise_misalignments_always_improve(annotation):
         assert after >= before
 
 
+def _acceptance_3_case(annotation, k):
+    """Acceptance check 3's case k: moved frame, centroid init, seed k."""
+    rng = np.random.default_rng(33)
+    for _ in range(k + 1):
+        shift = rng.uniform(-10.0, 10.0, 3)
+        yaw = float(rng.uniform(-5.0, 5.0))
+    truth_move = compose(translation(shift), rotation_about(rotation_z(yaw), centroid(annotation)))
+    moving = Volume3(
+        annotation.data, annotation.spacing,
+        truth_move.apply(annotation.origin), annotation.axes @ truth_move.rotation.T,
+    )
+    init = translation(centroid(annotation) - centroid(moving))
+    return annotation, moving, init, RegistrationConfig(seed=k)
+
+
+def _register_yaw7_case():
+    """The harmonized pair ``usreg-sim register`` solves for the placed, 7 deg yawed phantom 3."""
+    scene = place_phantom(generate_phantom(3), [12.0, -8.0, 0.0], yaw_deg=7.0)
+    hu, hc, init = harmonize(ct_frame_volume(scene.hv_annotation, scene.placement), scene.hv_annotation)
+    return hu, hc, init, RegistrationConfig()
+
+
+def test_each_candidate_is_scored_once_with_unchanged_results(annotation, monkeypatch):
+    # per scorer instance, the (a, b) bytes of every map it was asked for
+    scored = {}
+    call = _SparseJointCounts.__call__
+
+    def recording_call(self, maps):
+        scored.setdefault(self, []).extend(a.tobytes() + b.tobytes() for a, b in maps)
+        return call(self, maps)
+
+    monkeypatch.setattr(_SparseJointCounts, "__call__", recording_call)
+    cases = [_acceptance_3_case(annotation, k) for k in range(3)] + [_register_yaw7_case()]
+    for fixed, moving, init, cfg in cases:
+        scored.clear()
+        t, score, traces = register_rigid(fixed, moving, init, cfg, return_trace=True)
+        assert len(scored) == 2  # one scorer per stage
+        assert all(len(set(maps)) == len(maps) for maps in scored.values())
+
+        scored.clear()
+        t_ref, score_ref, traces_ref = reference_register_rigid(fixed, moving, init, cfg)
+        assert any(len(set(maps)) < len(maps) for maps in scored.values())
+        assert t.rotation.tobytes() == t_ref.rotation.tobytes()
+        assert t.translation.tobytes() == t_ref.translation.tobytes()
+        assert score == score_ref
+        assert traces == traces_ref
+
+
 def test_validation_errors(annotation):
     empty = Volume3(
         np.zeros_like(annotation.data), annotation.spacing, annotation.origin, annotation.axes,
@@ -278,16 +329,60 @@ def test_apply_transform_matches_reference(annotation):
         np.zeros((40, 36, 40), dtype=np.uint8), annotation.spacing,
         g - np.array([40.0, 36.0, 66.0]) @ tilted, tilted,
     )
+    fg = np.argwhere(annotation.data)
     for k in range(12):
         shift = rng.uniform(-12.0, 12.0, 3)
         rot = np.eye(3) if k < 4 else rotation_z(float(rng.uniform(-10.0, 10.0)))
         move = compose(translation(shift), rotation_about(rot, g))
-        for grid in (annotation, like):
+        # tilted grids whose slabs hold one voxel, or one row: the first
+        # voxel sits on a moved foreground voxel
+        first = move.apply(voxel_to_physical(annotation, fg[rng.integers(len(fg))]))
+        tiny = [
+            Volume3(np.zeros(shape, dtype=np.uint8), annotation.spacing, first, tilted)
+            for shape in ((1, 1, 1), (5, 1, 1), (3, 1, 2), (2, 3, 1))
+        ]
+        for grid in [annotation, like, *tiny]:
             got = apply_transform(annotation, move, grid)
             want = reference_apply_transform(annotation, move, grid)
             assert got.data.dtype == want.data.dtype
             assert np.array_equal(got.data, want.data)
             assert got.data.any()
+
+
+def test_apply_transform_one_voxel_slabs_round_as_the_whole_grid():
+    # numpy's one-row product rounds differently from the multi-row one; put
+    # every sample within rounding of a half-voxel tie, where that flips the
+    # nearest voxel, and compare one-voxel slabs with a column of a wider grid
+    rng = np.random.default_rng(61)
+    spacing = np.full(3, 2.0)
+    moving = Volume3(
+        (rng.random((12, 12, 12)) < 0.5).astype(np.uint8), spacing,
+        np.array([3.0, -7.0, 11.0]), np.eye(3),
+    )
+    tilted = euler_zyx(20.0, 5.0, -10.0)
+    for _ in range(20):
+        origin = rng.uniform(-50.0, 50.0, 3)
+        # the inverse map takes like index i to moving index i + c + 0.5
+        to_moving = moving.origin + spacing * (rng.integers(1, 6, 3) + 0.5) - origin @ tilted.T
+        move = RigidTransform3(tilted.T, -tilted.T @ to_moving)
+        wide = apply_transform(moving, move, Volume3(np.zeros((5, 2, 2), np.uint8), spacing, origin, tilted))
+        for n0 in (5, 2):
+            thin = Volume3(np.zeros((n0, 1, 1), np.uint8), spacing, origin, tilted)
+            assert np.array_equal(apply_transform(moving, move, thin).data, wide.data[:n0, :1, :1])
+
+
+def test_apply_transform_memory_is_one_slab(annotation):
+    # the whole-grid route held ~47 MB of (N, 3) float64 temporaries here
+    move = rotation_about(rotation_z(4.0), centroid(annotation), [3.0, -2.0, 1.0])
+    apply_transform(annotation, move, annotation)  # warm up lazy imports and caches
+    tracemalloc.start()
+    try:
+        apply_transform(annotation, move, annotation)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert annotation.shape == (64, 96, 64)
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_apply_transform_rounds_half_voxel_ties_up(annotation):
