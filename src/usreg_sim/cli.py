@@ -83,8 +83,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for row in success_rates(result):
         print(f"  eps {row['eps_mm']:g} mm: success mean {row['mean']:.3f} "
               f"(min {row['min']:.3f}, max {row['max']:.3f})")
-    for name in ("trials", "registration", "summary", "curve"):
-        print(f"  wrote {paths[name]}")
+    for path in paths.values():
+        print(f"  wrote {path}")
     return EXIT_OK
 
 

@@ -7,7 +7,8 @@ deterministic given the config: placements and seeds derive from ``seed``
 and the trial index, the noise model keys its corruption off the capture
 position, and report files are emitted with fixed ordering and formatting
 so a rerun reproduces them byte for byte. Per-stage wall-clock timings ride
-along on the in-memory reports but are never written into the files.
+along on the in-memory reports and go only into the ``timings.json``
+sidecar, which is outside that byte-identical set.
 """
 
 from __future__ import annotations
@@ -446,11 +447,35 @@ def _success_svg(result: SweepResult) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_reports(result: SweepResult, out_dir: str | Path) -> dict[str, Path]:
-    """Write trials.csv, registration.csv, summary.json and success_curve.svg.
+def _timings_json(result: SweepResult) -> str:
+    """Wall-clock sidecar: each trial's ``stage_ms`` and per-stage sum, median, max."""
+    stages = dict.fromkeys(name for t in result.trials for name in t.stage_ms)
+    per_stage = {}
+    for name in stages:
+        ms = [t.stage_ms[name] for t in result.trials if name in t.stage_ms]
+        per_stage[name] = {
+            "sum_ms": round(sum(ms), 3),
+            "median_ms": round(float(np.median(ms)), 3),
+            "max_ms": round(max(ms), 3),
+        }
+    timings = {
+        "elapsed_s": round(result.elapsed_s, 3),
+        "stages": per_stage,
+        "trials": [
+            {"index": t.index, "stage_ms": {k: round(v, 3) for k, v in t.stage_ms.items()}}
+            for t in result.trials
+        ],
+    }
+    return json.dumps(timings, indent=2) + "\n"
 
-    Output bytes depend only on the sweep result, never on wall time, so
-    rerunning the same config reproduces the files exactly.
+
+def emit_reports(result: SweepResult, out_dir: str | Path) -> dict[str, Path]:
+    """Write trials.csv, registration.csv, summary.json, success_curve.svg and timings.json.
+
+    The first four files' bytes depend only on the sweep result, never on
+    wall time, so rerunning the same config reproduces them exactly. The
+    ``timings.json`` sidecar holds the per-stage wall-clock times and so is
+    not part of that byte-identical set.
     """
     out = Path(out_dir)
     try:
@@ -462,6 +487,7 @@ def emit_reports(result: SweepResult, out_dir: str | Path) -> dict[str, Path]:
         "registration": (out / "registration.csv", _registration_csv(result)),
         "summary": (out / "summary.json", _summary_json(result)),
         "curve": (out / "success_curve.svg", _success_svg(result)),
+        "timings": (out / "timings.json", _timings_json(result)),
     }
     for path, text in files.values():
         try:

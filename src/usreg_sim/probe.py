@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from .imgvol import Image2, Volume3, sample_at_physical
 from .phantom import PhantomScene
@@ -301,14 +300,38 @@ def _frame_rng(noise: NoiseModel, frame: UltrasoundFrame, tag: str) -> np.random
     return np.random.default_rng(int.from_bytes(h.digest(), "little"))
 
 
+def _cross_step(mask: np.ndarray, grow: bool) -> np.ndarray:
+    """One dilation (``grow``) or erosion of a bool frame by the 4-neighbour cross.
+
+    The frame is padded with one pixel of zeros and each output pixel ORs
+    (dilation) or ANDs (erosion) itself with its four neighbours, read as
+    shifted slices of the padded frame. This is ``scipy.ndimage.binary_dilation`` /
+    ``binary_erosion`` with their default cross structure and
+    ``border_value=0``: pixels outside the frame count as 0, so erosion
+    clears the frame's border.
+    """
+    op = np.logical_or if grow else np.logical_and
+    padded = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
+    padded[1:-1, 1:-1] = mask
+    out = op(mask, padded[:-2, 1:-1])
+    for neighbour in (padded[2:, 1:-1], padded[1:-1, :-2], padded[1:-1, 2:]):
+        op(out, neighbour, out=out)
+    return out
+
+
 def _corrupt(mask: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
+    """Segmentation corruption: morphological jitter, spurious blobs, pixel flips.
+
+    A jitter draw j dilates (j > 0) or erodes (j < 0) the mask by |j| steps
+    of the 4-neighbour cross, each step a shifted-slice OR/AND over the
+    frame (``_cross_step``); |j| steps equal scipy's ``iterations=|j|``
+    dilation/erosion with the default structure and a zero border.
+    """
     out = mask.astype(bool)
     if noise.morph_jitter > 0:
         j = int(rng.integers(-noise.morph_jitter, noise.morph_jitter + 1))
-        if j > 0:
-            out = ndimage.binary_dilation(out, iterations=j)
-        elif j < 0:
-            out = ndimage.binary_erosion(out, iterations=-j)
+        for _ in range(abs(j)):
+            out = _cross_step(out, grow=j > 0)
     if noise.spurious_blob_rate > 0:
         lo, hi = noise.blob_size
         n_blobs = int(rng.poisson(noise.spurious_blob_rate))

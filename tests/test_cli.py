@@ -40,11 +40,13 @@ def test_print_config_is_loadable(capsys):
 def test_sweep_writes_reports(cfg_file, tmp_path, capsys):
     out = tmp_path / "reports"
     assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == EXIT_OK
-    for name in ("trials.csv", "registration.csv", "summary.json", "success_curve.svg"):
+    printed = capsys.readouterr().out
+    for name in ("trials.csv", "registration.csv", "summary.json", "success_curve.svg", "timings.json"):
         assert (out / name).is_file()
+        assert f"wrote {out / name}" in printed
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["trials"] == 1
-    assert "search failures" in capsys.readouterr().out
+    assert "search failures" in printed
 
 
 def test_sweep_overrides_apply(cfg_file, tmp_path, capsys):

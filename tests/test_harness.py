@@ -26,6 +26,9 @@ from usreg_sim.harness import (
 )
 
 SMALL = dict(trials=2, noise="zero", epsilons=(2.0, 6.0), targets_limit=3, seed=5)
+# the byte-identical report set; the timings.json sidecar is not in it
+REPORTS = ("trials", "registration", "summary", "curve")
+STAGES = ("setup", "search", "acquire", "map", "targets")
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +142,7 @@ def test_success_rates_count_failed_search_as_zero():
 
 
 def test_reports_written(small_reports):
-    assert sorted(small_reports) == ["curve", "registration", "summary", "trials"]
+    assert sorted(small_reports) == ["curve", "registration", "summary", "timings", "trials"]
     for path in small_reports.values():
         assert path.is_file() and path.stat().st_size > 0
 
@@ -147,8 +150,8 @@ def test_reports_written(small_reports):
 def test_rerun_reports_byte_identical(small_reports, tmp_path):
     result = run_sweep(SweepConfig(**SMALL))
     again = emit_reports(result, tmp_path / "again")
-    for name, path in small_reports.items():
-        assert again[name].read_bytes() == path.read_bytes(), name
+    for name in REPORTS:
+        assert again[name].read_bytes() == small_reports[name].read_bytes(), name
 
 
 def test_worker_count_does_not_change_reports(tmp_path):
@@ -227,6 +230,22 @@ def test_no_timings_leak_into_reports(small_reports):
         text = small_reports[name].read_text()
         assert "stage_ms" not in text
         assert "elapsed" not in text
+
+
+def test_timings_sidecar_lists_every_trial_and_stage(small_sweep, small_reports):
+    timings = json.loads(small_reports["timings"].read_text())
+    assert [t["index"] for t in timings["trials"]] == [t.index for t in small_sweep.trials]
+    assert tuple(timings["stages"]) == STAGES
+    for row, trial in zip(timings["trials"], small_sweep.trials):
+        assert tuple(row["stage_ms"]) == STAGES
+        for name in STAGES:
+            assert row["stage_ms"][name] == pytest.approx(trial.stage_ms[name], abs=1e-3)
+    for name, stats in timings["stages"].items():
+        ms = [trial.stage_ms[name] for trial in small_sweep.trials]
+        assert stats["sum_ms"] == pytest.approx(sum(ms), abs=1e-3)
+        assert stats["median_ms"] == pytest.approx(float(np.median(ms)), abs=1e-3)
+        assert stats["max_ms"] == pytest.approx(max(ms), abs=1e-3)
+        assert 0.0 <= stats["max_ms"] <= stats["sum_ms"]
 
 
 def test_svg_has_one_polyline_per_statistic(small_reports):

@@ -4,7 +4,7 @@ import pytest
 from usreg_sim.imgvol import dice, omia, precision, prepare_truth, recall
 
 
-from _oracles import brute_force_omia, brute_ratio_metrics
+from _oracles import brute_force_omia, brute_ratio_metrics, reference_omia
 
 
 def test_worked_example():
@@ -151,3 +151,31 @@ def test_prepared_truth_scores_many_preds_like_brute_force():
     with pytest.raises(ValueError, match="2D"):
         omia(np.zeros((2, 2, 2), dtype=np.uint8), prepared)
     assert omia(noisy, prepare_truth(empty)) == 0
+
+
+def test_single_precision_omia_is_exact_at_dense_extremes():
+    # the transforms run in float32; the largest peaks, and the largest
+    # rounding error, come from dense masks filling the frame
+    rng = np.random.default_rng(13)
+    shape = (216, 100)
+    full = np.ones(shape, dtype=np.uint8)
+    tall = np.zeros(shape, dtype=np.uint8)
+    tall[30:187, 40:55] = 1  # a 157x15 box
+    single = np.zeros(shape, dtype=np.uint8)
+    single[100, 50] = 1
+    half = [(rng.random(shape) < 0.5).astype(np.uint8) for _ in range(3)]
+    cases = [(full, full), (single, full), (single, tall)]
+    cases += [(pred, truth) for pred in half for truth in (full, tall)]
+    for pred, truth in cases:
+        want = reference_omia(pred, truth)  # float64 correlation, rint
+        assert omia(pred, truth) == omia(pred, prepare_truth(truth)) == want
+    assert omia(full, full) == 21600
+    assert omia(single, full) == omia(single, tall) == 1
+    # on small frames, against the exhaustive integer scan
+    for _ in range(20):
+        small = tuple(rng.integers(1, 13, size=2))
+        truth = np.ones(small, dtype=np.uint8) if rng.random() < 0.5 else (
+            (rng.random(small) < 0.5).astype(np.uint8))
+        pred = (rng.random(small) < rng.choice([0.5, 1.0])).astype(np.uint8)
+        want = brute_force_omia(pred, truth)
+        assert omia(pred, truth) == omia(pred, prepare_truth(truth)) == want

@@ -157,22 +157,46 @@ def test_corrupt_matches_full_frame_reference(params):
         (0, ly // 2), (lx - 1, ly // 2), (lx // 2, 0), (lx // 2, ly - 1),  # edges
         (1, 2), (lx - 3, ly - 2),  # one or two pixels in
     ]
+    # the presets draw |j| <= 1; morph_jitter=3 also runs 2- and 3-step
+    # dilation and erosion against scipy's iterations
     models = [
         NoiseModel.default(),
         NoiseModel.zero(),
         NoiseModel(spurious_blob_rate=6.0, blob_size=(1, 60), morph_jitter=1),
+        NoiseModel(morph_jitter=3),
     ]
     rng = np.random.default_rng(71)
     calls = 0
+    jitters = set()
     for seed in range(40):
-        mask = (rng.random((lx, ly)) < 0.02).astype(np.uint8)
+        sparse = (rng.random((lx, ly)) < 0.02).astype(np.uint8)
+        # a dense mask with holes that touches all four frame edges, so
+        # erosion must clear the border as scipy's zero border does
+        edges = (rng.random((lx, ly)) >= 0.05).astype(np.uint8)
+        assert edges[0].any() and edges[-1].any() and edges[:, 0].any() and edges[:, -1].any()
         pinned = centres[seed % len(centres):] + centres[:seed % len(centres)]
-        for noise in models:
-            for make_rng in (np.random.default_rng, lambda s: _PinnedCentres(s, pinned)):
-                got = probe._corrupt(mask, noise, make_rng(seed))
-                assert np.array_equal(got, reference_corrupt(mask, noise, make_rng(seed)))
-                calls += 1
-    assert calls >= 200
+        # the jitter is the first draw of a segmentation's generator
+        jitters.add(int(np.random.default_rng(seed).integers(-3, 4)))
+        for mask in (sparse, edges):
+            for noise in models:
+                for make_rng in (np.random.default_rng, lambda s: _PinnedCentres(s, pinned)):
+                    got = probe._corrupt(mask, noise, make_rng(seed))
+                    want = reference_corrupt(mask, noise, make_rng(seed))
+                    assert np.array_equal(got, want)
+                    calls += 1
+    assert jitters == set(range(-3, 4))
+    assert calls >= 600
+
+
+def test_corrupt_jitter_matches_reference_on_small_frames():
+    # frames one or two pixels across are all border: erosion clears them
+    noise = NoiseModel(morph_jitter=3)
+    rng = np.random.default_rng(73)
+    for shape in ((1, 1), (1, 5), (5, 1), (2, 2), (3, 7)):
+        for seed in range(30):
+            mask = (rng.random(shape) < rng.uniform(0.2, 1.0)).astype(np.uint8)
+            got = probe._corrupt(mask, noise, np.random.default_rng(seed))
+            assert np.array_equal(got, reference_corrupt(mask, noise, np.random.default_rng(seed)))
 
 
 def _label_sizes(mask):
