@@ -8,9 +8,9 @@ register     register two binary .vol masks and print the estimated map
 phantom gen  generate (and optionally place) a phantom, saved to a directory
 
 Exit codes: 0 success, 2 bad config or input, 3 pipeline failure: a
-failed vein search in ``run-trial``, or a trial that raises in
-``run-trial`` or ``sweep``. Timing lines go to stdout only; report files
-stay a pure function of the config.
+failed vein search in ``run-trial``, or a trial that raises a
+``RuntimeError`` or ``ValueError`` in ``run-trial`` or ``sweep``. Timing
+lines go to stdout only; report files stay a pure function of the config.
 """
 
 from __future__ import annotations
@@ -74,7 +74,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     try:
         result = run_sweep(cfg, workers=args.workers)
-    except RuntimeError as exc:
+    except ConfigError:
+        raise
+    except (RuntimeError, ValueError) as exc:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
     paths = emit_reports(result, args.out)
@@ -92,7 +94,7 @@ def _cmd_run_trial(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     try:
         trial = run_trial(cfg, args.index)
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"trial {args.index} failed: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
     print(json.dumps(asdict(trial), indent=2))
@@ -172,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     psub = p.add_subparsers(dest="phantom_command", required=True)
     g = psub.add_parser("gen", help="generate a phantom scene directory")
     g.add_argument("--out", required=True, metavar="DIR", help="output directory")
-    g.add_argument("--seed", type=int, default=0, help="phantom seed")
+    g.add_argument("--seed", type=int, default=0,
+                   help="seed recorded in the scene (the geometry does not depend on it)")
     g.add_argument("--offset-x", type=float, default=0.0, help="placement x (mm)")
     g.add_argument("--offset-y", type=float, default=0.0, help="placement y (mm)")
     g.add_argument("--yaw", type=float, default=0.0, help="placement yaw (deg)")

@@ -177,6 +177,8 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialResult:
     rng = np.random.default_rng([cfg.seed, index])
     offset_x = float(rng.uniform(-cfg.placement_x_mm, cfg.placement_x_mm))
     offset_y = float(rng.uniform(-cfg.placement_y_mm, cfg.placement_y_mm))
+    # the phantom's geometry ignores its seed, but the draw stays: it sets
+    # the stream position of noise_seed and trials.csv reports it
     phantom_seed = int(rng.integers(2**31))
     noise_seed = int(rng.integers(2**31))
     noise = NOISE_PRESETS[cfg.noise](noise_seed)
@@ -272,13 +274,13 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
     Trials are independent (each is seeded from [cfg.seed, index]) and
     CPU-bound, so they fan out to a process pool when more than one
     worker is available. ``workers`` defaults to one per CPU; any count is
-    capped at the trial count, and one below 1 is a ValueError. Results
+    capped at the trial count, and one below 1 is a ConfigError. Results
     are identical for any worker count.
     """
     if workers is None:
         workers = os.cpu_count() or 1
     elif workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     workers = min(workers, cfg.trials)
     start = time.perf_counter()
     if workers == 1:

@@ -21,7 +21,7 @@ from .volume import (
     voxel_to_physical,
 )
 from .metrics import PreparedTruth, dice, omia, precision, prepare_truth, recall
-from .volio import load_volume, save_pbm, save_pgm, save_volume
+from .volio import load_volume, save_pbm, save_volume
 
 __all__ = [
     "RigidTransform3", "compose", "euler_zyx", "inverse", "rotation_about",
@@ -30,5 +30,5 @@ __all__ = [
     "physical_to_voxel", "require_binary", "resample_crop",
     "sample_at_physical", "translate_volume", "voxel_to_physical",
     "PreparedTruth", "dice", "omia", "precision", "prepare_truth", "recall",
-    "load_volume", "save_pbm", "save_pgm", "save_volume",
+    "load_volume", "save_pbm", "save_volume",
 ]

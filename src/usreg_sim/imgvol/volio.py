@@ -1,9 +1,10 @@
-"""File formats: .vol volumes (JSON header + raw payload), PGM/PBM frames.
+"""File formats: .vol volumes (JSON header + raw payload), PBM mask frames.
 
 A ``name.vol`` file is a JSON header with fields shape, spacing, origin,
 axes, dtype ("u8" or "f32") and data_file; the payload is a separate raw
 little-endian binary in C order (axis 0 major), referenced relative to the
-header's directory.
+header's directory. The package writes masks (u8) only; f32 stays
+readable because ``usreg-sim register`` accepts float-typed masks.
 """
 from __future__ import annotations
 
@@ -57,23 +58,6 @@ def load_volume(path: str | Path) -> Volume3:
         raise ValueError(f"{path}: payload is {len(raw)} bytes, expected {expected}")
     data = np.frombuffer(raw, dtype=dtype).reshape(shape)
     return Volume3(data, *geometry)
-
-
-def save_pgm(image: Image2, path: str | Path) -> Path:
-    """Write a grayscale frame as binary PGM, scaling floats to 0..255."""
-    path = Path(path)
-    data = np.asarray(image.data)
-    if np.issubdtype(data.dtype, np.floating):
-        lo, hi = float(data.min()), float(data.max())
-        scale = 255.0 / (hi - lo) if hi > lo else 0.0
-        data = np.round((data - lo) * scale).astype(np.uint8)
-    else:
-        data = np.clip(data, 0, 255).astype(np.uint8)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{data.shape[1]} {data.shape[0]}\n255\n".encode())
-        fh.write(data.tobytes())
-    return path
 
 
 def save_pbm(mask: Image2, path: str | Path) -> Path:

@@ -150,7 +150,7 @@ def resample_crop(vol: Volume3, target_spacing, target_shape, center) -> Volume3
     The output keeps the source axis directions and is centered on
     ``center`` (mm): the mid-point of the output voxel-center lattice lands
     exactly on ``center``. Voxels sampled outside the source extent are 0.
-    Integer-typed data is resampled nearest-neighbor, float data trilinear.
+    Sampling is nearest-neighbour and the output keeps the source dtype.
     """
     target_spacing = np.asarray(target_spacing, dtype=np.float64)
     target_shape = tuple(int(n) for n in target_shape)
@@ -170,35 +170,27 @@ def resample_crop(vol: Volume3, target_spacing, target_shape, center) -> Volume3
     grids = [offset[i] + np.arange(target_shape[i], dtype=np.float64) * ratio[i] for i in range(3)]
     coords = np.meshgrid(*grids, indexing="ij")
 
-    nearest = np.issubdtype(vol.data.dtype, np.integer)
     out = ndimage.map_coordinates(
-        vol.data, coords, order=0 if nearest else 1, mode="grid-constant", cval=0.0,
-        output=vol.data.dtype if nearest else np.float64,
+        vol.data, coords, order=0, mode="grid-constant", cval=0.0, output=vol.data.dtype,
     )
-    if not nearest:
-        out = out.astype(vol.data.dtype)
     return Volume3(out, target_spacing, out_origin, vol.axes)
 
 
-def sample_at_physical(vol: Volume3, points: np.ndarray, nearest: bool) -> np.ndarray:
-    """Sample a volume at physical points (..., 3); outside the extent reads 0."""
+def sample_at_physical(vol: Volume3, points: np.ndarray) -> np.ndarray:
+    """Nearest samples of a volume at physical points (..., 3); outside reads 0.
+
+    Each point reads voxel ``floor(index + 0.5)``, so half-voxel ties round
+    up. The output keeps the volume's dtype.
+    """
     pts = np.asarray(points, dtype=np.float64)
+    if vol.data.size == 0:  # every point is outside; take() cannot read an empty array
+        return np.zeros(pts.shape[:-1], dtype=vol.data.dtype)
     idx = ((pts.reshape(-1, 3) - vol.origin) @ vol.axes.T) / vol.spacing
-    if nearest:
-        # round-half-up gather, zero outside; same convention as the
-        # interpolated branch but much cheaper for the mask sampling that
-        # dominates frame capture
-        if vol.data.size == 0:  # every point is outside; take() cannot read an empty array
-            return np.zeros(pts.shape[:-1], dtype=vol.data.dtype)
-        near = np.floor(idx + 0.5).astype(np.int64)
-        # a negative index wraps to a huge unsigned one, so a single
-        # unsigned compare tests both bounds
-        outside = ~(near.view(np.uint64) < np.asarray(vol.shape, dtype=np.uint64)).all(axis=1)
-        _, n1, n2 = vol.shape
-        vals = vol.data.take((near[:, 0] * n1 + near[:, 1]) * n2 + near[:, 2], mode="clip")
-        vals[outside] = 0
-        return vals.reshape(pts.shape[:-1])
-    vals = ndimage.map_coordinates(
-        vol.data, idx.T, order=1, mode="grid-constant", cval=0.0, output=np.float64,
-    )
+    near = np.floor(idx + 0.5).astype(np.int64)
+    # a negative index wraps to a huge unsigned one, so a single
+    # unsigned compare tests both bounds
+    outside = ~(near.view(np.uint64) < np.asarray(vol.shape, dtype=np.uint64)).all(axis=1)
+    _, n1, n2 = vol.shape
+    vals = vol.data.take((near[:, 0] * n1 + near[:, 1]) * n2 + near[:, 2], mode="clip")
+    vals[outside] = 0
     return vals.reshape(pts.shape[:-1])

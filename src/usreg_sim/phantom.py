@@ -1,4 +1,4 @@
-"""Virtual abdominal phantom: body, hepatic-vein tree, CT volume, targets.
+"""Virtual abdominal phantom: body mask, hepatic-vein tree, targets.
 
 The phantom is generated in its own intrinsic frame (identity axes, origin
 at zero), which doubles as the CT frame of the preoperative scan. Placing
@@ -30,7 +30,7 @@ from .imgvol import (
 
 @dataclass(frozen=True)
 class PhantomParams:
-    """Geometry and texture of the generated phantom (mm units)."""
+    """Geometry of the generated phantom (mm units); it is masks only."""
 
     volume_shape: tuple[int, int, int] = (64, 96, 64)
     spacing_mm: float = 2.0
@@ -52,9 +52,6 @@ class PhantomParams:
     radius_mhv: float = 4.5
     radius_lhv: float = 3.5
     radius_rhv: float = 4.0
-    body_intensity: float = 0.6
-    vessel_intensity: float = 0.2
-    noise_texture_level: float = 0.02
     # arc-length window of the trunk/middle-vein oracle used by branch-aware
     # segmentation, measured along the centerline from the branching point
     branch_window_mm: float = 25.0
@@ -137,9 +134,13 @@ class EllipticSurface:
 
 @dataclass(frozen=True)
 class PhantomScene:
-    """A generated phantom with its CT, vein annotations and ground truth."""
+    """A generated phantom: body mask, vein annotations and ground truth.
 
-    ct: Volume3
+    ``body`` is the binary ``uint8`` extruded ellipse. ``seed`` is only a
+    record: the geometry does not depend on it.
+    """
+
+    body: Volume3
     hv_annotation: Volume3
     hv_branch_annotation: Volume3
     surface_height: EllipticSurface
@@ -240,7 +241,8 @@ def _rasterize_tubes(branches, shape, spacing: float) -> np.ndarray:
 def generate_phantom(seed: int, params: PhantomParams | None = None) -> PhantomScene:
     """Build the phantom scene in its intrinsic frame (placement = identity).
 
-    Bit-for-bit deterministic for a given (seed, params).
+    Bit-for-bit deterministic for given params. The geometry does not
+    depend on ``seed``, which is only recorded on the scene.
     """
     params = params or PhantomParams()
     shape = tuple(int(n) for n in params.volume_shape)
@@ -272,15 +274,7 @@ def generate_phantom(seed: int, params: PhantomParams | None = None) -> PhantomS
     rel_y = (yy - params.body_center_y) / params.body_semi_y
     rel_z = (zz - params.body_center_z) / params.body_semi_z
     body_yz = (rel_y[:, None] ** 2 + rel_z[None, :] ** 2) <= 1.0
-    body = np.broadcast_to(body_yz[None, :, :], shape)
-
-    rng = np.random.default_rng(seed)
-    ct = np.zeros(shape, dtype=np.float64)
-    ct[body] = params.body_intensity
-    ct[annotation == 1] = params.vessel_intensity
-    if params.noise_texture_level > 0:
-        ct = ct + body * rng.normal(0.0, params.noise_texture_level, size=shape)
-    ct = np.clip(ct, 0.0, 1.0).astype(np.float32)
+    body = np.broadcast_to(body_yz[None, :, :].astype(np.uint8), shape)
 
     surface = EllipticSurface(params.body_center_y, params.body_center_z,
                               params.body_semi_y, params.body_semi_z)
@@ -294,7 +288,7 @@ def generate_phantom(seed: int, params: PhantomParams | None = None) -> PhantomS
         raise ValueError("vessel annotation reaches the skin surface")
 
     return PhantomScene(
-        ct=Volume3(ct, spacing, origin, axes),
+        body=Volume3(body, spacing, origin, axes),
         hv_annotation=Volume3(annotation, spacing, origin, axes),
         hv_branch_annotation=Volume3(branch_annotation, spacing, origin, axes),
         surface_height=surface,
@@ -318,7 +312,7 @@ def place_phantom(scene: PhantomScene, offset, yaw_deg: float = 0.0) -> PhantomS
         replace(br, points=motion.apply(br.points)) for br in scene.tree.branches
     )
     return PhantomScene(
-        ct=move_vol(scene.ct),
+        body=move_vol(scene.body),
         hv_annotation=move_vol(scene.hv_annotation),
         hv_branch_annotation=move_vol(scene.hv_branch_annotation),
         surface_height=replace(scene.surface_height, frame=compose(motion, scene.surface_height.frame)),
@@ -349,10 +343,10 @@ def target_grid(scene: PhantomScene) -> np.ndarray:
     z = bp_ct[2] + p.target_depth_offset
     targets = np.array([[x, y, z] for x in xs for y in ys])
 
-    shape = np.asarray(scene.ct.shape)
+    shape = np.asarray(scene.body.shape)
     for g in targets:
         phys = scene.placement.apply(g)
-        idx = physical_to_voxel(scene.ct, phys)
+        idx = physical_to_voxel(scene.body, phys)
         if np.any(idx < 0) or np.any(idx > shape - 1):
             raise ValueError(f"target {g} falls outside the CT volume")
         top = scene.surface_height(phys[0], phys[1])
@@ -363,14 +357,14 @@ def target_grid(scene: PhantomScene) -> np.ndarray:
 
 # ------------------------------------------------------------- serialization
 
-SCENE_FORMAT_VERSION = 1
+SCENE_FORMAT_VERSION = 2
 
 
 def save_scene(scene: PhantomScene, out_dir: str | Path) -> Path:
-    """Write ct/annotation volumes plus a JSON descriptor; returns the JSON path."""
+    """Write body/annotation volumes plus a JSON descriptor; returns the JSON path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_volume(scene.ct, out / "ct.vol")
+    save_volume(scene.body, out / "body.vol")
     save_volume(scene.hv_annotation, out / "hv_annotation.vol")
     save_volume(scene.hv_branch_annotation, out / "hv_branch_annotation.vol")
     desc = {
@@ -398,7 +392,7 @@ def save_scene(scene: PhantomScene, out_dir: str | Path) -> Path:
             for br in scene.tree.branches
         ],
         "files": {
-            "ct": "ct.vol",
+            "body": "body.vol",
             "hv_annotation": "hv_annotation.vol",
             "hv_branch_annotation": "hv_branch_annotation.vol",
         },
@@ -436,7 +430,7 @@ def load_scene(path: str | Path) -> PhantomScene:
         frame=_transform_from(surf["frame"]),
     )
     return PhantomScene(
-        ct=load_volume(base / desc["files"]["ct"]),
+        body=load_volume(base / desc["files"]["body"]),
         hv_annotation=load_volume(base / desc["files"]["hv_annotation"]),
         hv_branch_annotation=load_volume(base / desc["files"]["hv_branch_annotation"]),
         surface_height=surface,

@@ -270,8 +270,11 @@ def harmonize(us_veins: Volume3, ct_veins: Volume3):
     centered on its own content centroid; ``init`` is the CT -> US centroid
     translation that registration starts from.
     """
-    require_binary(us_veins.data, "acquired volume")
-    require_binary(ct_veins.data, "CT annotation")
+    # a float-typed 0/1 mask (an f32 .vol) continues as uint8
+    us_veins, ct_veins = (
+        Volume3(require_binary(v.data, name), v.spacing, v.origin, v.axes)
+        for v, name in ((us_veins, "acquired volume"), (ct_veins, "CT annotation"))
+    )
     if us_veins.data.sum() == 0 or ct_veins.data.sum() == 0:
         raise ValueError("cannot map coordinates from an empty mask")
 
@@ -343,7 +346,7 @@ def _target_template(
     pts = capture_grid(probe.position, probe_params)
     pts_ct = inverse(ct_to_physical).apply(pts.reshape(-1, 3)).reshape(pts.shape)
     pts_ct[..., 0] = target_ct[0]
-    return sample_at_physical(ct_veins, pts_ct, nearest=True).astype(np.uint8)
+    return sample_at_physical(ct_veins, pts_ct).astype(np.uint8)
 
 
 def slice_match(

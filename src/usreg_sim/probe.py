@@ -3,9 +3,9 @@
 The probe is a point transducer that rides on the phantom's skin surface
 with a fixed orientation: the image plane is always perpendicular to the
 inferior-superior (x) axis, so every captured frame is an axial view.
-Capture is pure resampling of the scene volumes, done lazily: a frame
-samples each of its fields on first read, so a caller pays only for the
-pixels it consumes. A truth mask whose volume axes are exactly the
+Capture is pure resampling of the scene's vein annotations, done lazily:
+a frame samples each of its fields on first read, so a caller pays only
+for the pixels it consumes. A truth mask whose volume axes are exactly the
 identity (every scene placed without yaw) is read by a separable gather:
 one slab of the volume, indexed by one row per lateral pixel and one
 column per depth pixel, which reads the same values as the general
@@ -85,19 +85,18 @@ class ProbeState:
 
 @dataclass(frozen=True)
 class UltrasoundFrame:
-    """One axial capture: intensity image plus the two hidden truth masks.
+    """One axial capture: the two hidden truth masks of the imaged plane.
 
     The frame holds only the scene, the capture position and the probe
-    geometry. Each of ``image``, ``mask_truth`` and ``branch_truth`` is
-    sampled on ``capture_grid(capture_position, params)`` the first time it
-    is read and cached on the frame, so all three share one pixel grid.
-    ``mask_truth`` samples the full vein annotation and ``branch_truth``
-    the junction-local annotation, each through ``_axis_aligned_gather``
-    when that annotation's ``axes`` equal the identity exactly and through
-    ``sample_at_physical`` otherwise (a yawed placement); ``image`` always
-    goes through ``sample_at_physical``. Pixel (0, 0) sits at
-    ``capture_position - (fov_width/2) * y_hat`` at surface depth, the
-    lateral axis runs along +y and the depth axis straight down.
+    geometry. Each of ``mask_truth`` and ``branch_truth`` is sampled on
+    ``capture_grid(capture_position, params)`` the first time it is read
+    and cached on the frame, so both share one pixel grid. ``mask_truth``
+    samples the full vein annotation and ``branch_truth`` the
+    junction-local annotation, each through ``_axis_aligned_gather`` when
+    that annotation's ``axes`` equal the identity exactly and through
+    ``sample_at_physical`` otherwise (a yawed placement). Pixel (0, 0)
+    sits at ``capture_position - (fov_width/2) * y_hat`` at surface depth,
+    the lateral axis runs along +y and the depth axis straight down.
     """
 
     scene: PhantomScene = field(repr=False)
@@ -113,25 +112,19 @@ class UltrasoundFrame:
         object.__setattr__(self, "capture_position", pos)
 
     @cached_property
-    def image(self) -> Image2:
-        return self._sample(self.scene.ct, nearest=False)
-
-    @cached_property
     def mask_truth(self) -> Image2:
-        return self._sample(self.scene.hv_annotation, nearest=True)
+        return self._sample(self.scene.hv_annotation)
 
     @cached_property
     def branch_truth(self) -> Image2:
-        return self._sample(self.scene.hv_branch_annotation, nearest=True)
+        return self._sample(self.scene.hv_branch_annotation)
 
-    def _sample(self, vol: Volume3, nearest: bool) -> Image2:
-        if nearest and np.array_equal(vol.axes, _IDENTITY):
+    def _sample(self, vol: Volume3) -> Image2:
+        if np.array_equal(vol.axes, _IDENTITY):
             vals = _axis_aligned_gather(vol, self.capture_position, self.params)
         else:
-            vals = sample_at_physical(vol, capture_grid(self.capture_position, self.params), nearest)
-        if nearest:
-            vals = vals.astype(np.uint8, copy=False)
-        return Image2(vals, self.params.pixel_spacing)
+            vals = sample_at_physical(vol, capture_grid(self.capture_position, self.params))
+        return Image2(vals.astype(np.uint8, copy=False), self.params.pixel_spacing)
 
     def pixel_to_physical(self, j: float, k: float) -> np.ndarray:
         """Physical mm point of pixel (j=lateral, k=depth)."""
@@ -205,15 +198,14 @@ def initial_contact(scene: PhantomScene) -> ProbeState:
     contact point is the (x, y) centroid of the occupied skin footprint at
     surface height.
     """
-    body = scene.ct.data > 0
-    footprint = body.any(axis=2)
+    footprint = scene.body.data.any(axis=2)
     idx = np.argwhere(footprint)
     if idx.size == 0:
         raise ValueError("cannot make contact: body footprint is empty")
     center_idx = idx.mean(axis=0)
-    anchor = scene.ct.origin + (
-        np.array([center_idx[0], center_idx[1], 0.0]) * scene.ct.spacing
-    ) @ scene.ct.axes
+    anchor = scene.body.origin + (
+        np.array([center_idx[0], center_idx[1], 0.0]) * scene.body.spacing
+    ) @ scene.body.axes
     z = scene.surface_height(anchor[0], anchor[1])
     if math.isnan(z):
         raise ValueError("footprint centroid is off the skin surface")
@@ -275,10 +267,9 @@ def _axis_aligned_gather(vol: Volume3, position: np.ndarray, params: ProbeParams
 def capture_us(scene: PhantomScene, probe: ProbeState, params: ProbeParams) -> UltrasoundFrame:
     """Image the axial plane through the probe position.
 
-    Nothing is sampled here: the frame samples each field on first read.
-    The intensity image is a trilinear sample of the CT-like volume; the
-    truth masks are nearest-neighbor samples of the annotations. Points
-    outside the volume read 0.
+    Nothing is sampled here: the frame samples each truth mask on first
+    read, a nearest-neighbour sample of its annotation. Points outside the
+    volume read 0.
     """
     return UltrasoundFrame(scene, probe.position, params)
 

@@ -507,5 +507,5 @@ def apply_transform(moving: Volume3, transform: RigidTransform3, like: Volume3) 
     for i in range(n0):
         slab[:, 0] = i
         pts = to_moving.apply(voxel_to_physical(like, slab))
-        out[i] = sample_at_physical(moving, pts, nearest=True)[: n1 * n2]
+        out[i] = sample_at_physical(moving, pts)[: n1 * n2]
     return Volume3(out.reshape(like.shape), like.spacing, like.origin, like.axes)

@@ -169,24 +169,16 @@ def dense_joint_counts(fixed_vals, moving, points):
     return counts
 
 
-def reference_sample_at_physical(vol, points, nearest):
+def reference_sample_at_physical(vol, points):
     """The volume sampler as first written: stacked index product, masked gather."""
     pts = np.asarray(points, dtype=np.float64)
     idx = ((pts - vol.origin) @ vol.axes.T) / vol.spacing
-    if nearest:
-        # round-half-up gather, zero outside; same convention as the
-        # interpolated branch but much cheaper for the mask sampling that
-        # dominates frame capture
-        near = np.floor(idx.reshape(-1, 3) + 0.5).astype(np.int64)
-        inside = ((near >= 0) & (near < vol.data.shape)).all(axis=1)
-        vals = np.zeros(len(near), dtype=vol.data.dtype)
-        sel = near[inside]
-        vals[inside] = vol.data[sel[:, 0], sel[:, 1], sel[:, 2]]
-        return vals.reshape(pts.shape[:-1])
-    vals = ndimage.map_coordinates(
-        vol.data, idx.reshape(-1, 3).T, order=1, mode="grid-constant", cval=0.0,
-        output=np.float64,
-    )
+    # round-half-up gather, zero outside
+    near = np.floor(idx.reshape(-1, 3) + 0.5).astype(np.int64)
+    inside = ((near >= 0) & (near < vol.data.shape)).all(axis=1)
+    vals = np.zeros(len(near), dtype=vol.data.dtype)
+    sel = near[inside]
+    vals[inside] = vol.data[sel[:, 0], sel[:, 1], sel[:, 2]]
     return vals.reshape(pts.shape[:-1])
 
 
@@ -282,11 +274,12 @@ def _same_grid(a, b):
 
 
 def eager_capture(scene, position, params, shared_grid):
-    """(image, mask, branch) of an axial frame, all sampled up front.
+    """(mask, branch) of an axial frame, both sampled up front.
 
     Both routes of the first capture model: ``shared_grid`` computes one
-    index array for the three volumes (it requires that they share a
-    grid), otherwise each volume goes through the reference sampler.
+    index array on the vein annotation's grid for both annotations (it
+    requires that they share a grid), otherwise each annotation goes
+    through the reference sampler.
     """
     lx, ly = params.image_shape
     vx, vy = params.pixel_spacing
@@ -296,27 +289,21 @@ def eager_capture(scene, position, params, shared_grid):
     pts[..., 0] = position[0]
     pts[..., 1] = ys[:, None]
     pts[..., 2] = zs[None, :]
-    ct = scene.ct
+    ann = scene.hv_annotation
     if not shared_grid:
-        image = reference_sample_at_physical(ct, pts, nearest=False)
-        mask = reference_sample_at_physical(scene.hv_annotation, pts, nearest=True).astype(np.uint8)
-        branch = reference_sample_at_physical(
-            scene.hv_branch_annotation, pts, nearest=True
-        ).astype(np.uint8)
-        return image, mask, branch
-    assert _same_grid(ct, scene.hv_annotation) and _same_grid(ct, scene.hv_branch_annotation)
+        mask = reference_sample_at_physical(ann, pts).astype(np.uint8)
+        branch = reference_sample_at_physical(scene.hv_branch_annotation, pts).astype(np.uint8)
+        return mask, branch
+    assert _same_grid(ann, scene.hv_branch_annotation)
     shape = pts.shape[:-1]
-    idx = ((pts.reshape(-1, 3) - ct.origin) @ ct.axes.T) / ct.spacing
-    image = ndimage.map_coordinates(
-        ct.data, idx.T, order=1, mode="grid-constant", cval=0.0, output=np.float64,
-    ).reshape(shape)
+    idx = ((pts.reshape(-1, 3) - ann.origin) @ ann.axes.T) / ann.spacing
     near = np.floor(idx + 0.5).astype(np.int64)
     n0, n1, n2 = near[:, 0], near[:, 1], near[:, 2]
-    s0, s1, s2 = ct.data.shape
+    s0, s1, s2 = ann.data.shape
     inside = (n0 >= 0) & (n0 < s0) & (n1 >= 0) & (n1 < s1) & (n2 >= 0) & (n2 < s2)
     sel = near[inside]
     mask = np.zeros(len(near), dtype=np.uint8)
     branch = np.zeros(len(near), dtype=np.uint8)
-    mask[inside] = scene.hv_annotation.data[sel[:, 0], sel[:, 1], sel[:, 2]]
+    mask[inside] = ann.data[sel[:, 0], sel[:, 1], sel[:, 2]]
     branch[inside] = scene.hv_branch_annotation.data[sel[:, 0], sel[:, 1], sel[:, 2]]
-    return image, mask.reshape(shape), branch.reshape(shape)
+    return mask.reshape(shape), branch.reshape(shape)

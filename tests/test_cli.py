@@ -106,16 +106,31 @@ def test_run_trial_prints_report(cfg_file, capsys):
     assert set(report["stage_ms"]) == {"setup", "search", "acquire", "map", "targets"}
 
 
-def test_sweep_pipeline_failure_exits_3(tmp_path, capsys, monkeypatch):
-    def unsettled(*args, **kwargs):
-        raise RuntimeError("centralization did not settle within 200 iterations")
+@pytest.mark.parametrize("error", [
+    RuntimeError("centralization did not settle within 200 iterations"),
+    ValueError("(12.0, 190.0) is off the skin surface"),
+], ids=["RuntimeError", "ValueError"])
+def test_sweep_pipeline_failure_exits_3(tmp_path, capsys, monkeypatch, error):
+    def failing(*args, **kwargs):
+        raise error
 
-    monkeypatch.setattr(harness, "hv_search", unsettled)
+    monkeypatch.setattr(harness, "hv_search", failing)
     out = tmp_path / "reports"
     assert main(["sweep", "--trials", "1", "--out", str(out)]) == EXIT_PIPELINE
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "centralization did not settle" in err
+    assert err.count("\n") == 1 and str(error) in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_run_trial_pipeline_failure_exits_3(capsys, monkeypatch):
+    def off_surface(*args, **kwargs):
+        raise ValueError("(12.0, 190.0) is off the skin surface")
+
+    monkeypatch.setattr(harness, "hv_search", off_surface)
+    assert main(["run-trial"]) == EXIT_PIPELINE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "off the skin surface" in captured.err
 
 
 def test_run_trial_search_failure_exits_3(tmp_path, capsys):
@@ -193,6 +208,19 @@ def test_register_crops_each_mask_once(register_pair, capsys, monkeypatch):
     monkeypatch.setattr(pipeline, "resample_crop", counting_crop)
     assert main(["register", str(fpath), str(mpath)]) == EXIT_OK
     assert len(crops) == 2
+
+
+def test_register_accepts_float_masks(register_pair, tmp_path, capsys):
+    fpath, mpath, _, _ = register_pair
+    assert main(["register", str(fpath), str(mpath)]) == EXIT_OK
+    want = json.loads(capsys.readouterr().out)
+    paths = []
+    for path in (fpath, mpath):
+        vol = load_volume(path)
+        as_f32 = Volume3(vol.data.astype(np.float32), vol.spacing, vol.origin, vol.axes)
+        paths.append(str(save_volume(as_f32, tmp_path / f"f32_{path.name}")))
+    assert main(["register", *paths]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == want
 
 
 def test_register_missing_file_exits_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ is cheap bookkeeping on the emitted files.
 """
 
 import csv
+import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 
@@ -73,6 +74,10 @@ def test_config_json_roundtrip():
         dict(config_version=99),
         dict(phantom={"no_such_param": 1}),
         dict(search={"step_mm": -2.0}),
+        # the phantom is masks only: it has no intensity knobs
+        dict(phantom={"noise_texture_level": 0.02}),
+        dict(phantom={"body_intensity": 0.6}),
+        dict(phantom={"vessel_intensity": 0.2}),
     ],
 )
 def test_config_rejects(kwargs):
@@ -154,12 +159,23 @@ def test_rerun_reports_byte_identical(small_reports, tmp_path):
         assert again[name].read_bytes() == small_reports[name].read_bytes(), name
 
 
+# sha256 of the serial reports of the config below. The digests hold only
+# for the numpy and scipy versions pinned in .github/workflows/tier1.yml:
+# the reports print floats whose last bits depend on them.
+SERIAL_DIGESTS = {
+    "trials": "624a4dd8d60de3679c16748781b14f534edd0db93efa3d4938a7507c8a65a506",
+    "registration": "115afdf23a6d93b2ed206c95fef2e6978618bf5a4274547c47ec26e862c6ab12",
+    "summary": "adbde1e3861aeedb74ac0b4e3701fe4b8c26d024d2d90b001c36f493961d4de2",
+}
+
+
 def test_worker_count_does_not_change_reports(tmp_path):
     cfg = SweepConfig(**{**SMALL, "noise": "default"})
     serial = emit_reports(run_sweep(cfg, workers=1), tmp_path / "serial")
     pooled = emit_reports(run_sweep(cfg, workers=2), tmp_path / "pooled")
     for name in ("trials", "registration", "summary"):
         assert pooled[name].read_bytes() == serial[name].read_bytes(), name
+        assert hashlib.sha256(serial[name].read_bytes()).hexdigest() == SERIAL_DIGESTS[name], name
 
 
 def test_worker_count_capped_at_trial_count(small_reports, tmp_path, monkeypatch):

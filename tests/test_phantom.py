@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import pickle
 
@@ -25,12 +26,14 @@ def scene():
 
 def test_generation_is_deterministic(scene):
     again = generate_phantom(seed=0)
-    np.testing.assert_array_equal(again.ct.data, scene.ct.data)
+    np.testing.assert_array_equal(again.body.data, scene.body.data)
     np.testing.assert_array_equal(again.hv_annotation.data, scene.hv_annotation.data)
     np.testing.assert_array_equal(again.hv_branch_annotation.data, scene.hv_branch_annotation.data)
+    # the seed is recorded on the scene; the geometry does not depend on it
     different = generate_phantom(seed=1)
-    assert not np.array_equal(different.ct.data, scene.ct.data)  # texture changes
-    np.testing.assert_array_equal(different.hv_annotation.data, scene.hv_annotation.data)
+    assert different.seed == 1
+    for name in ("body", "hv_annotation", "hv_branch_annotation"):
+        np.testing.assert_array_equal(getattr(different, name).data, getattr(scene, name).data)
 
 
 def test_annotation_is_exactly_the_tube_set(scene):
@@ -51,7 +54,7 @@ def test_annotation_is_exactly_the_tube_set(scene):
 
     unmarked_checked = 0
     while unmarked_checked < 300:
-        vox = rng.integers(0, scene.ct.shape, size=3)
+        vox = rng.integers(0, scene.body.shape, size=3)
         center = vox * sp
         inside = any(
             point_to_polyline_distance(center, br.points) <= br.radius
@@ -100,19 +103,24 @@ def test_surface_height_values(scene):
     assert np.isnan(scene.surface_height(10.0, p.body_center_y + p.body_semi_y + 1))
 
 
-def test_ct_intensities(scene):
+def test_body_mask_is_the_extruded_ellipse(scene):
     p = scene.params
-    ann = scene.hv_annotation.data.astype(bool)
-    assert scene.ct.data[ann].mean() == pytest.approx(p.vessel_intensity, abs=0.01)
-    outside = scene.ct.data[:, 0, 0]
-    np.testing.assert_array_equal(outside, 0.0)  # off-body voxels carry no signal
+    body = scene.body.data
+    assert body.dtype == np.uint8 and set(np.unique(body)) == {0, 1}
+    # every voxel center inside the (y, z) ellipse, on every x slab
+    _, yy, zz = np.indices(body.shape) * p.spacing_mm
+    rel_y = (yy - p.body_center_y) / p.body_semi_y
+    rel_z = (zz - p.body_center_z) / p.body_semi_z
+    inside = rel_y**2 + rel_z**2 <= 1.0
+    np.testing.assert_array_equal(body, inside.astype(np.uint8))
+    assert (scene.hv_annotation.data <= body).all()
 
 
 def test_placement_consistency():
     base = generate_phantom(seed=2)
     moved = place_phantom(base, offset=(12.5, -7.0, 3.0), yaw_deg=6.0)
     rng = np.random.default_rng(4)
-    idx = rng.integers(0, np.array(base.ct.shape), size=(50, 3))
+    idx = rng.integers(0, np.array(base.body.shape), size=(50, 3))
     np.testing.assert_allclose(
         voxel_to_physical(moved.hv_annotation, idx),
         moved.placement.apply(voxel_to_physical(base.hv_annotation, idx)),
@@ -179,15 +187,25 @@ def test_scene_round_trip(tmp_path, scene):
     moved = place_phantom(scene, offset=(5.0, 2.0, 0.0), yaw_deg=-3.0)
     path = save_scene(moved, tmp_path / "scene")
     back = load_scene(path)
-    np.testing.assert_array_equal(back.ct.data, moved.ct.data)
+    assert back.body.data.dtype == np.uint8
+    np.testing.assert_array_equal(back.body.data, moved.body.data)
     np.testing.assert_array_equal(back.hv_annotation.data, moved.hv_annotation.data)
-    np.testing.assert_allclose(back.ct.origin, moved.ct.origin, atol=1e-12)
-    np.testing.assert_allclose(back.ct.axes, moved.ct.axes, atol=1e-12)
+    np.testing.assert_allclose(back.body.origin, moved.body.origin, atol=1e-12)
+    np.testing.assert_allclose(back.body.axes, moved.body.axes, atol=1e-12)
     np.testing.assert_allclose(back.placement.rotation, moved.placement.rotation, atol=1e-12)
     np.testing.assert_allclose(back.placement.translation, moved.placement.translation, atol=1e-12)
     np.testing.assert_allclose(back.tree.branch_point, moved.tree.branch_point, atol=1e-12)
     np.testing.assert_allclose(target_grid(back), target_grid(moved), atol=1e-9)
     assert back.surface_height(100.0, 95.0) == pytest.approx(moved.surface_height(100.0, 95.0), abs=1e-9)
+
+
+def test_load_scene_rejects_format_1(tmp_path, scene):
+    path = save_scene(scene, tmp_path / "scene")
+    desc = json.loads(path.read_text())
+    desc["format_version"] = 1
+    path.write_text(json.dumps(desc))
+    with pytest.raises(ValueError, match="unsupported scene format 1"):
+        load_scene(path)
 
 
 def test_branch_point_index_consistency(scene):

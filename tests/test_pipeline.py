@@ -212,7 +212,7 @@ def test_acquisition_matches_annotation_at_zero_noise(scene, acq):
     vol = acq.volume
     idx = np.stack(np.meshgrid(*(np.arange(n) for n in vol.data.shape), indexing="ij"), axis=-1)
     pts = voxel_to_physical(vol, idx.reshape(-1, 3)).reshape(idx.shape)
-    truth = sample_at_physical(scene.hv_annotation, pts, nearest=True)
+    truth = sample_at_physical(scene.hv_annotation, pts)
     assert np.array_equal(vol.data, truth.astype(vol.data.dtype))
     assert vol.data.sum() > 0
 

@@ -24,7 +24,7 @@ from usreg_sim.probe import (
 
 from _oracles import count_components, eager_capture, reference_corrupt
 
-FIELDS = ("image", "mask_truth", "branch_truth")
+FIELDS = ("mask_truth", "branch_truth")
 
 
 @pytest.fixture(scope="module")
@@ -51,12 +51,7 @@ def test_pixel_origin_geometry(scene, params):
         j = int(rng.integers(0, params.image_shape[0]))
         k = int(rng.integers(0, params.image_shape[1]))
         pt = frame.pixel_to_physical(j, k)
-        assert frame.mask_truth.data[j, k] == sample_at_physical(
-            scene.hv_annotation, pt, nearest=True
-        )
-        assert frame.image.data[j, k] == pytest.approx(
-            float(sample_at_physical(scene.ct, pt, nearest=False)), abs=1e-12
-        )
+        assert frame.mask_truth.data[j, k] == sample_at_physical(scene.hv_annotation, pt)
 
 
 def test_two_lobe_mask_one_slice_from_branch_point(params):
@@ -236,14 +231,25 @@ def test_initial_contact_translation_equivariant(scene):
     assert np.allclose(shifted, base + np.array([30.0, -20.0, 0.0]), atol=1e-9)
 
 
+@pytest.mark.parametrize("offset, yaw, want", [
+    ((0.0, 0.0, 0.0), 0.0, [63.0, 95.0, 100.0]),
+    ((12.0, -8.0, 0.0), 7.0, [62.95281992991428, 93.96965304044988, 100.0]),
+    ((-30.0, 20.0, 0.0), -5.0, [41.040061540807486, 109.14768452561336, 100.0]),
+], ids=["origin", "yaw7", "yaw-5"])
+def test_initial_contact_lands_on_recorded_points(offset, yaw, want):
+    """Contact points recorded for phantom seed 0, compared bit for bit."""
+    scene = place_phantom(generate_phantom(seed=0), offset, yaw)
+    assert initial_contact(scene).position.tolist() == want
+
+
 def test_initial_contact_empty_body_errors(scene):
-    empty_ct = Volume3(
-        np.zeros_like(scene.ct.data),
-        scene.ct.spacing,
-        scene.ct.origin,
-        scene.ct.axes,
+    empty_body = Volume3(
+        np.zeros_like(scene.body.data),
+        scene.body.spacing,
+        scene.body.origin,
+        scene.body.axes,
     )
-    hollow = dataclasses.replace(scene, ct=empty_ct)
+    hollow = dataclasses.replace(scene, body=empty_body)
     with pytest.raises(ValueError, match="footprint"):
         initial_contact(hollow)
 
@@ -293,8 +299,9 @@ def test_lazy_fields_match_eager_capture(params, monkeypatch, offset, yaw):
     positions = [move_to(scene, bp[0] + dx, bp[1] + dy).position
                  for dx in np.linspace(-30.0, 30.0, 10) for dy in (-6.0, 0.0, 6.0)]
     # free-floating probes whose frames hang off the volume on some side
-    corners = np.array(np.meshgrid(*[(0.0, n) for n in scene.ct.shape], indexing="ij")).reshape(3, -1).T
-    box = scene.ct.origin + (corners * scene.ct.spacing) @ scene.ct.axes
+    grid = scene.hv_annotation
+    corners = np.array(np.meshgrid(*[(0.0, n) for n in grid.shape], indexing="ij")).reshape(3, -1).T
+    box = grid.origin + (corners * grid.spacing) @ grid.axes
     lo, hi = box.min(axis=0), box.max(axis=0)
     for i in range(14):
         x = rng.uniform(lo[0], hi[0])
@@ -311,7 +318,7 @@ def test_lazy_fields_match_eager_capture(params, monkeypatch, offset, yaw):
         positions.append(np.array([mid[0], y, hi[2]]))
     # half-voxel ties: the slab, the first lateral pixel and the first depth
     # pixel each sit exactly between two voxel centres (on the unyawed scene)
-    o, sp = scene.hv_annotation.origin, scene.hv_annotation.spacing
+    o, sp = grid.origin, grid.spacing
     for m in (10, 20, 31):
         tie = o + (m + 0.5) * sp
         positions.append(np.array([tie[0], tie[1] + half_fov, tie[2]]))
@@ -328,18 +335,18 @@ def test_lazy_fields_match_eager_capture(params, monkeypatch, offset, yaw):
     for pos in positions:
         frame = capture_us(scene, ProbeState(pos), params)
         assert sampled(frame) == set()
-        got = (frame.image.data, frame.mask_truth.data, frame.branch_truth.data)
+        got = (frame.mask_truth.data, frame.branch_truth.data)
         for shared_grid in (True, False):
             want = eager_capture(scene, frame.capture_position, params, shared_grid)
             for name, g, w in zip(FIELDS, got, want):
                 assert g.dtype == w.dtype, name
                 assert np.array_equal(g, w), f"{name} at {pos} (shared_grid={shared_grid})"
-        for img in (frame.image, frame.mask_truth, frame.branch_truth):
+        for img in (frame.mask_truth, frame.branch_truth):
             assert np.array_equal(img.spacing, params.pixel_spacing)
-        idx = physical_to_voxel(scene.ct, capture_grid(frame.capture_position, params))
-        inside = ((idx > -0.5) & (idx < np.asarray(scene.ct.shape) - 0.5)).all(axis=-1)
+        idx = physical_to_voxel(grid, capture_grid(frame.capture_position, params))
+        inside = ((idx > -0.5) & (idx < np.asarray(grid.shape) - 0.5)).all(axis=-1)
         partial += bool(inside.any() and not inside.all())
-        with_vessel += bool(got[1].any())
+        with_vessel += bool(got[0].any())
         ties |= (idx - np.floor(idx) == 0.5).reshape(-1, 3).any(axis=0)
     assert len(positions) >= 30
     assert partial >= 10 and with_vessel >= 10, (partial, with_vessel)
@@ -348,10 +355,10 @@ def test_lazy_fields_match_eager_capture(params, monkeypatch, offset, yaw):
     masks = (scene.hv_annotation, scene.hv_branch_annotation)
     if yaw == 0.0:
         # axis-aligned annotations: the masks take the separable gather
-        assert len(calls) == n and all(v is scene.ct for v in calls)
+        assert len(calls) == 0
         assert ties.all()
     else:
-        assert len(calls) == 3 * n and sum(any(v is m for m in masks) for v in calls) == 2 * n
+        assert len(calls) == 2 * n and all(any(v is m for m in masks) for v in calls)
 
     # an annotation with no voxels reads zeros through either path
     ann = scene.hv_annotation
