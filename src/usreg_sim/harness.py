@@ -190,7 +190,7 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialResult:
         generate_phantom(phantom_seed, cfg.phantom_params()), [offset_x, offset_y, 0.0]
     )
     probe_params = ProbeParams()
-    contact = initial_contact(scene).position
+    contact = initial_contact(scene)
     stage_ms["setup"] = (clock() - t) * 1e3
 
     t = clock()
@@ -241,8 +241,8 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialResult:
         successes = []
         for eps in cfg.epsilons:
             n_frames = frames_for_eps(eps, JUDGE_TOL_X_MM)
-            frames = target_imaging(scene, probe_params, sm.corrected, eps, n_frames)
-            successes.append(judge_success(frames, truth, JUDGE_TOL_X_MM))
+            positions = target_imaging(scene, sm.corrected, eps, n_frames)
+            successes.append(judge_success(positions, probe_params, truth, JUDGE_TOL_X_MM))
         outcomes.append(
             TargetOutcome(
                 target_index=int(ti),

@@ -1,4 +1,4 @@
-"""File formats: .vol volumes (JSON header + raw payload), PBM mask frames.
+"""The .vol volume file format: a JSON header plus a raw payload.
 
 A ``name.vol`` file is a JSON header with fields shape, spacing, origin,
 axes, dtype ("u8" or "f32") and data_file; the payload is a separate raw
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .volume import Volume3, Image2
+from .volume import Volume3
 
 _DTYPES = {"u8": np.dtype("uint8"), "f32": np.dtype("<f4")}
 
@@ -46,27 +46,19 @@ def save_volume(vol: Volume3, path: str | Path) -> Path:
 def load_volume(path: str | Path) -> Volume3:
     path = Path(path)
     header = json.loads(path.read_text())
+    if not isinstance(header, dict):
+        raise ValueError(f"malformed volume header {path}: not a JSON object")
     try:
         dtype = _DTYPES[header["dtype"]]
         shape = tuple(int(n) for n in header["shape"])
-        geometry = header["spacing"], header["origin"], header["axes"]
+        geometry = [np.asarray(header[k], dtype=np.float64) for k in ("spacing", "origin", "axes")]
         raw = (path.parent / header["data_file"]).read_bytes()
     except KeyError as exc:
         raise ValueError(f"malformed volume header {path}: missing {exc}") from exc
+    except TypeError as exc:  # a field of the wrong JSON type
+        raise ValueError(f"malformed volume header {path}: {exc}") from exc
     expected = int(np.prod(shape)) * dtype.itemsize
     if len(raw) != expected:
         raise ValueError(f"{path}: payload is {len(raw)} bytes, expected {expected}")
     data = np.frombuffer(raw, dtype=dtype).reshape(shape)
     return Volume3(data, *geometry)
-
-
-def save_pbm(mask: Image2, path: str | Path) -> Path:
-    """Write a binary mask as PBM (P4, packed bits)."""
-    path = Path(path)
-    data = (np.asarray(mask.data) != 0).astype(np.uint8)
-    packed = np.packbits(data, axis=1)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(f"P4\n{data.shape[1]} {data.shape[0]}\n".encode())
-        fh.write(packed.tobytes())
-    return path

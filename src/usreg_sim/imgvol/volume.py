@@ -1,4 +1,4 @@
-"""Volume and image containers with physical-space coordinate algebra.
+"""The volume container with physical-space coordinate algebra.
 
 A volume is a 3D array plus the geometry needed to place every voxel in
 millimeter space: per-axis spacing, the physical position of voxel
@@ -56,28 +56,6 @@ class Volume3:
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        return self.data.shape
-
-
-@dataclass(frozen=True)
-class Image2:
-    """2D image with per-axis pixel spacing in mm."""
-
-    data: np.ndarray
-    spacing: np.ndarray
-
-    def __post_init__(self) -> None:
-        data = np.asarray(self.data)
-        if data.ndim != 2:
-            raise ValueError(f"image data must be 2D, got ndim={data.ndim}")
-        spacing = np.asarray(self.spacing, dtype=np.float64)
-        if spacing.shape != (2,) or not np.all(spacing > 0):
-            raise ValueError("image spacing must be a positive 2-vector")
-        object.__setattr__(self, "data", _freeze(data))
-        object.__setattr__(self, "spacing", _freeze(spacing))
-
-    @property
-    def shape(self) -> tuple[int, int]:
         return self.data.shape
 
 

@@ -13,8 +13,10 @@ Four stages, each a pure function over the scene and probe model:
    CT-to-physical transform.
 4. ``slice_match`` / ``target_imaging`` / ``judge_success``: map a CT
    target into physical space, correct its inferior-superior coordinate by
-   overlap scoring against the target's CT slice, then image around the
-   corrected point and judge whether a frame actually covers the target.
+   overlap scoring against the target's CT slice, then sweep probe
+   positions around the corrected point and judge whether the field of
+   view at one of them covers the target. The sweep reads no pixels, so
+   ``target_imaging`` returns positions, not frames.
 """
 
 from __future__ import annotations
@@ -177,10 +179,10 @@ def hv_search(
     visited = 0
     best_area = 0.0
     for dx, dy in _search_offsets(sp):
-        probe = move_to(scene, p0[0] + dx, p0[1] + dy)
+        pos = move_to(scene, p0[0] + dx, p0[1] + dy)
         visited += 1
-        mask = segment_branch(capture_us(scene, probe, probe_params), noise)
-        _, area, col = _largest_component_stats(mask.data)
+        mask = segment_branch(capture_us(scene, pos, probe_params), noise)
+        _, area, col = _largest_component_stats(mask)
         best_area = max(best_area, area)
         if area < sp.detect_area_px:
             continue
@@ -191,15 +193,15 @@ def hv_search(
             if abs(offset) <= sp.center_tol_px:
                 return SearchResult(
                     success=True,
-                    position=probe.position,
+                    position=pos,
                     waypoints_visited=visited,
                     final_area=area,
                     final_center_offset_px=abs(offset),
                 )
             step = math.copysign(sp.step_mm, offset)
-            probe = move_to(scene, probe.position[0], probe.position[1] + step)
-            mask = segment_branch(capture_us(scene, probe, probe_params), noise)
-            _, area, col = _largest_component_stats(mask.data)
+            pos = move_to(scene, pos[0], pos[1] + step)
+            mask = segment_branch(capture_us(scene, pos, probe_params), noise)
+            _, area, col = _largest_component_stats(mask)
             if area == 0.0:
                 raise RuntimeError(
                     "centralization lost the vessel: empty segmentation while centering"
@@ -250,9 +252,8 @@ def hv_acquire(
     slices = np.empty((n_slices, lx, ly), dtype=np.uint8)
     for i in range(n_slices):
         x = branch_pos[0] - length_mm / 2.0 + i * pitch
-        probe = move_to(scene, x, branch_pos[1])
-        waypoints[i] = probe.position
-        slices[i] = segment_full(capture_us(scene, probe, probe_params), noise).data
+        waypoints[i] = move_to(scene, x, branch_pos[1])
+        slices[i] = segment_full(capture_us(scene, waypoints[i], probe_params), noise)
 
     origin = waypoints[0] - np.array([0.0, lx * vx / 2.0, 0.0])
     axes = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
@@ -342,8 +343,7 @@ def _target_template(
     if not np.allclose(ct_veins.axes, np.eye(3)):
         raise ValueError("CT annotation must be in its intrinsic frame")
     mapped = ct_to_physical.apply(target_ct)
-    probe = move_to(scene, mapped[0], branch_pos[1])
-    pts = capture_grid(probe.position, probe_params)
+    pts = capture_grid(move_to(scene, mapped[0], branch_pos[1]), probe_params)
     pts_ct = inverse(ct_to_physical).apply(pts.reshape(-1, 3)).reshape(pts.shape)
     pts_ct[..., 0] = target_ct[0]
     return sample_at_physical(ct_veins, pts_ct).astype(np.uint8)
@@ -388,9 +388,8 @@ def slice_match(
     )
     scores = np.empty(len(xs))
     for i, x in enumerate(xs):
-        probe = move_to(scene, float(x), branch_pos[1])
-        pred = segment_full(capture_us(scene, probe, probe_params), noise)
-        scores[i] = omia(pred.data, template)
+        pos = move_to(scene, float(x), branch_pos[1])
+        scores[i] = omia(segment_full(capture_us(scene, pos, probe_params), noise), template)
 
     best = 0
     for i in range(1, len(xs)):
@@ -408,47 +407,43 @@ def slice_match(
 
 def target_imaging(
     scene: PhantomScene,
-    probe_params: ProbeParams,
     target_phys: np.ndarray,
     eps_mm: float,
     n_frames: int,
-) -> list:
-    """Image ``n_frames`` waypoints sweeping target.x - eps .. target.x + eps.
+) -> np.ndarray:
+    """Positions of ``n_frames`` waypoints sweeping target.x - eps .. target.x + eps.
 
     Waypoint i sits at x = target.x - eps + 2*eps*i/n_frames; the probe
     rides the skin, so frame depth starts at the surface, not at the
-    target depth. Frames sample their pixels only when read, and
-    ``judge_success`` reads none.
+    target depth. Returns the ``(n_frames, 3)`` probe positions: whether a
+    frame images the target follows from its position and field of view
+    alone (``judge_success``), so no frame is built.
     """
     if eps_mm < 0:
         raise ValueError("eps_mm must be nonnegative")
     if n_frames < 1:
         raise ValueError("n_frames must be at least 1")
     target_phys = np.asarray(target_phys, dtype=np.float64)
-    frames = []
-    for i in range(n_frames):
-        x = target_phys[0] - eps_mm + 2.0 * eps_mm * i / n_frames
-        probe = move_to(scene, float(x), target_phys[1])
-        frames.append(capture_us(scene, probe, probe_params))
-    return frames
+    xs = (target_phys[0] - eps_mm + 2.0 * eps_mm * i / n_frames for i in range(n_frames))
+    return np.array([move_to(scene, float(x), target_phys[1]) for x in xs])
 
 
-def judge_success(frames, true_target_physical, tol_x: float) -> bool:
-    """Did some frame image the true target?
+def judge_success(positions, params: ProbeParams, true_target_physical, tol_x: float) -> bool:
+    """Did a frame captured at one of ``positions`` image the true target?
 
-    True iff a frame's slice coordinate is within ``tol_x`` of the target's
-    and the target's lateral/depth position falls inside that frame's field
-    of view. Replaces the original protocol's human visual judgement.
+    True iff a position's slice coordinate is within ``tol_x`` of the
+    target's and the target's lateral/depth position falls inside the
+    field of view of a frame captured there; every bound is inclusive.
+    Replaces the original protocol's human visual judgement.
     """
     t = np.asarray(true_target_physical, dtype=np.float64)
-    for frame in frames:
-        pos = frame.capture_position
+    for pos in positions:
         if abs(pos[0] - t[0]) > tol_x:
             continue
-        if abs(t[1] - pos[1]) > frame.params.fov_width / 2.0:
+        if abs(t[1] - pos[1]) > params.fov_width / 2.0:
             continue
         depth = pos[2] - t[2]
-        if 0.0 <= depth <= frame.params.fov_depth:
+        if 0.0 <= depth <= params.fov_depth:
             return True
     return False
 

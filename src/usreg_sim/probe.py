@@ -2,7 +2,13 @@
 
 The probe is a point transducer that rides on the phantom's skin surface
 with a fixed orientation: the image plane is always perpendicular to the
-inferior-superior (x) axis, so every captured frame is an axial view.
+inferior-superior (x) axis, so every captured frame is an axial view. The
+probe's state is therefore just its position: ``initial_contact`` and
+``move_to`` return it as a ``(3,)`` array and ``capture_us`` takes it.
+Every mask this module hands out (a frame's truth masks and the
+segmentations) is a read-only ``uint8`` array of ``image_shape``, indexed
+(lateral, depth).
+
 Capture is pure resampling of the scene's vein annotations, done lazily:
 a frame samples each of its fields on first read, so a caller pays only
 for the pixels it consumes. A truth mask whose volume axes are exactly the
@@ -18,15 +24,20 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .imgvol import Image2, Volume3, sample_at_physical
+from .imgvol import Volume3, sample_at_physical
 from .phantom import PhantomScene
 
 _IDENTITY = np.eye(3)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -65,30 +76,12 @@ class ProbeParams:
 
 
 @dataclass(frozen=True)
-class ProbeState:
-    """Transducer center on the body surface.
-
-    Orientation is fixed for an entire run (axial imaging plane), so the
-    state is just a position.
-    """
-
-    position: np.ndarray
-
-    def __post_init__(self) -> None:
-        pos = np.asarray(self.position, dtype=np.float64)
-        if pos.shape != (3,):
-            raise ValueError(f"probe position must be a 3-vector, got shape {pos.shape}")
-        pos = pos.copy()
-        pos.setflags(write=False)
-        object.__setattr__(self, "position", pos)
-
-
-@dataclass(frozen=True)
 class UltrasoundFrame:
     """One axial capture: the two hidden truth masks of the imaged plane.
 
     The frame holds only the scene, the capture position and the probe
-    geometry. Each of ``mask_truth`` and ``branch_truth`` is sampled on
+    geometry. Each of ``mask_truth`` and ``branch_truth``, a read-only
+    ``uint8`` array of ``params.image_shape``, is sampled on
     ``capture_grid(capture_position, params)`` the first time it is read
     and cached on the frame, so both share one pixel grid. ``mask_truth``
     samples the full vein annotation and ``branch_truth`` the
@@ -104,33 +97,25 @@ class UltrasoundFrame:
     params: ProbeParams
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.capture_position, dtype=np.float64)
+        pos = np.array(self.capture_position, dtype=np.float64)
         if pos.shape != (3,):
             raise ValueError("capture_position must be a 3-vector")
-        pos = pos.copy()
-        pos.setflags(write=False)
-        object.__setattr__(self, "capture_position", pos)
+        object.__setattr__(self, "capture_position", _read_only(pos))
 
     @cached_property
-    def mask_truth(self) -> Image2:
+    def mask_truth(self) -> np.ndarray:
         return self._sample(self.scene.hv_annotation)
 
     @cached_property
-    def branch_truth(self) -> Image2:
+    def branch_truth(self) -> np.ndarray:
         return self._sample(self.scene.hv_branch_annotation)
 
-    def _sample(self, vol: Volume3) -> Image2:
+    def _sample(self, vol: Volume3) -> np.ndarray:
         if np.array_equal(vol.axes, _IDENTITY):
             vals = _axis_aligned_gather(vol, self.capture_position, self.params)
         else:
             vals = sample_at_physical(vol, capture_grid(self.capture_position, self.params))
-        return Image2(vals.astype(np.uint8, copy=False), self.params.pixel_spacing)
-
-    def pixel_to_physical(self, j: float, k: float) -> np.ndarray:
-        """Physical mm point of pixel (j=lateral, k=depth)."""
-        vx, vy = self.params.pixel_spacing
-        off = np.array([0.0, -self.params.fov_width / 2.0 + j * vx, -k * vy])
-        return self.capture_position + off
+        return _read_only(vals.astype(np.uint8, copy=False))
 
 
 @dataclass(frozen=True)
@@ -191,7 +176,7 @@ NOISE_PRESETS = {
 }
 
 
-def initial_contact(scene: PhantomScene) -> ProbeState:
+def initial_contact(scene: PhantomScene) -> np.ndarray:
     """Land the probe at the centroid of the body's top-down footprint.
 
     Stands in for the force-controlled descend-and-touch routine: the
@@ -209,15 +194,15 @@ def initial_contact(scene: PhantomScene) -> ProbeState:
     z = scene.surface_height(anchor[0], anchor[1])
     if math.isnan(z):
         raise ValueError("footprint centroid is off the skin surface")
-    return ProbeState(position=np.array([anchor[0], anchor[1], z]))
+    return np.array([anchor[0], anchor[1], z])
 
 
-def move_to(scene: PhantomScene, x: float, y: float) -> ProbeState:
-    """Place the probe on the surface above (x, y)."""
+def move_to(scene: PhantomScene, x: float, y: float) -> np.ndarray:
+    """The probe position on the surface above (x, y)."""
     z = scene.surface_height(x, y)
     if math.isnan(z):
         raise ValueError(f"({x:.1f}, {y:.1f}) is off the skin surface")
-    return ProbeState(position=np.array([float(x), float(y), z]))
+    return np.array([float(x), float(y), z])
 
 
 def _capture_axes(position: np.ndarray, params: ProbeParams) -> tuple[np.ndarray, np.ndarray]:
@@ -264,14 +249,14 @@ def _axis_aligned_gather(vol: Volume3, position: np.ndarray, params: ProbeParams
     return out
 
 
-def capture_us(scene: PhantomScene, probe: ProbeState, params: ProbeParams) -> UltrasoundFrame:
-    """Image the axial plane through the probe position.
+def capture_us(scene: PhantomScene, position: np.ndarray, params: ProbeParams) -> UltrasoundFrame:
+    """Image the axial plane through the probe ``position`` (a 3-vector).
 
     Nothing is sampled here: the frame samples each truth mask on first
     read, a nearest-neighbour sample of its annotation. Points outside the
     volume read 0.
     """
-    return UltrasoundFrame(scene, probe.position, params)
+    return UltrasoundFrame(scene, position, params)
 
 
 def _frame_rng(noise: NoiseModel, frame: UltrasoundFrame, tag: str) -> np.random.Generator:
@@ -345,18 +330,18 @@ def _corrupt(mask: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> n
     return out.astype(np.uint8)
 
 
-def _segment(frame: UltrasoundFrame, truth: Image2, noise: NoiseModel, tag: str) -> Image2:
+def _segment(frame: UltrasoundFrame, truth: np.ndarray, noise: NoiseModel, tag: str) -> np.ndarray:
     if noise.is_zero():
-        return replace(truth)
+        return truth
     rng = _frame_rng(noise, frame, tag)
-    return Image2(_corrupt(truth.data, noise, rng), truth.spacing)
+    return _read_only(_corrupt(truth, noise, rng))
 
 
-def segment_full(frame: UltrasoundFrame, noise: NoiseModel) -> Image2:
+def segment_full(frame: UltrasoundFrame, noise: NoiseModel) -> np.ndarray:
     """Full-vein segmentation: the truth mask under the corruption model."""
     return _segment(frame, frame.mask_truth, noise, "full")
 
 
-def segment_branch(frame: UltrasoundFrame, noise: NoiseModel) -> Image2:
+def segment_branch(frame: UltrasoundFrame, noise: NoiseModel) -> np.ndarray:
     """Junction-local segmentation: the branch truth under the same model."""
     return _segment(frame, frame.branch_truth, noise, "branch")

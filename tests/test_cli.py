@@ -238,6 +238,18 @@ def test_register_header_without_geometry_exits_2(tmp_path, capsys):
     assert "malformed volume header" in capsys.readouterr().err
 
 
+def test_register_header_of_wrong_type_exits_2(tmp_path, capsys):
+    vol = Volume3(np.ones((2, 2, 2), dtype=np.uint8), (1, 1, 1), (0, 0, 0), np.eye(3))
+    path = save_volume(vol, tmp_path / "v.vol")
+    header = json.loads(path.read_text())
+    for name, bad in (("list", [header]), ("dtype", {**header, "dtype": ["u8"]})):
+        bad_path = tmp_path / f"{name}.vol"
+        bad_path.write_text(json.dumps(bad))
+        assert main(["register", str(bad_path), str(path)]) == EXIT_CONFIG, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed volume header") and err.count("\n") == 1, err
+
+
 def test_phantom_gen_roundtrip(tmp_path, capsys):
     out = tmp_path / "scene"
     code = main([

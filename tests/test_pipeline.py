@@ -69,7 +69,7 @@ def quiet():
 
 @pytest.fixture(scope="module")
 def contact(scene):
-    return initial_contact(scene).position
+    return initial_contact(scene)
 
 
 @pytest.fixture(scope="module")
@@ -102,9 +102,9 @@ def test_search_detects_and_centers_from_offset_start(scene, pp, quiet, contact)
     result = hv_search(scene, pp, quiet, start)
     assert result.success
     # verify the exit condition independently of the result's bookkeeping
-    probe = move_to(scene, result.position[0], result.position[1])
-    mask = segment_branch(capture_us(scene, probe, pp), quiet)
-    comp = largest_connected_component(mask.data)
+    pos = move_to(scene, result.position[0], result.position[1])
+    mask = segment_branch(capture_us(scene, pos, pp), quiet)
+    comp = largest_connected_component(mask)
     area = comp.sum()
     col = np.argwhere(comp)[:, 0].mean()
     assert area >= SearchParams().detect_area_px
@@ -203,9 +203,8 @@ def test_acquisition_first_slice_is_probe_segmentation(scene, pp, acq):
     for noise in (NoiseModel.zero(0), NoiseModel.default(11)):
         stack = hv_acquire(scene, pp, noise, acq.branch_pos)
         w0 = stack.waypoints[0]
-        probe = move_to(scene, w0[0], w0[1])
-        direct = segment_full(capture_us(scene, probe, pp), noise)
-        assert np.array_equal(stack.volume.data[0], direct.data)
+        direct = segment_full(capture_us(scene, move_to(scene, w0[0], w0[1]), pp), noise)
+        assert np.array_equal(stack.volume.data[0], direct)
 
 
 def test_acquisition_matches_annotation_at_zero_noise(scene, acq):
@@ -313,8 +312,8 @@ def test_slice_match_scores_equal_per_frame_omia(scene, pp, found, ct_veins):
         template = _target_template(scene, pp, targets[ti], bad, found.position, ct_veins)
         assert template.any()
         for x, score in zip(sm.waypoint_xs, sm.scores):
-            probe = move_to(scene, float(x), found.position[1])
-            pred = segment_full(capture_us(scene, probe, pp), noise).data
+            pos = move_to(scene, float(x), found.position[1])
+            pred = segment_full(capture_us(scene, pos, pp), noise)
             assert score == omia(pred, template) == reference_omia(pred, template)
         assert sm.scores.max() > 0
 
@@ -335,36 +334,57 @@ def test_slice_match_validation(scene, pp, quiet, found, ct_veins):
 # ------------------------------------------- target imaging and judgement
 
 
-def test_target_imaging_waypoint_positions(scene, pp):
+def test_target_imaging_waypoint_positions(scene):
     at = np.array([82.0, 83.0, 0.0])
-    frames = target_imaging(scene, pp, at, eps_mm=1.0, n_frames=4)
-    xs = [f.capture_position[0] for f in frames]
-    assert xs == pytest.approx([81.0, 81.5, 82.0, 82.5])
-    assert all(f.capture_position[1] == pytest.approx(83.0) for f in frames)
+    positions = target_imaging(scene, at, eps_mm=1.0, n_frames=4)
+    assert positions.shape == (4, 3)
+    assert positions[:, 0].tolist() == pytest.approx([81.0, 81.5, 82.0, 82.5])
+    assert np.allclose(positions[:, 1], 83.0)
+    # the probe rides the skin
+    assert positions[:, 2].tolist() == [scene.surface_height(x, y) for x, y, _ in positions]
 
-    still = target_imaging(scene, pp, at, eps_mm=0.0, n_frames=3)
-    assert all(f.capture_position[0] == pytest.approx(82.0) for f in still)
+    still = target_imaging(scene, at, eps_mm=0.0, n_frames=3)
+    assert np.allclose(still[:, 0], 82.0)
 
 
-def test_target_imaging_validation(scene, pp):
+def test_target_imaging_validation(scene):
     at = np.array([82.0, 83.0, 0.0])
     with pytest.raises(ValueError):
-        target_imaging(scene, pp, at, eps_mm=-0.1, n_frames=4)
+        target_imaging(scene, at, eps_mm=-0.1, n_frames=4)
     with pytest.raises(ValueError):
-        target_imaging(scene, pp, at, eps_mm=1.0, n_frames=0)
+        target_imaging(scene, at, eps_mm=1.0, n_frames=0)
 
 
 def test_judge_success_frame_and_fov_conditions(scene, pp):
     at = np.array([82.0, 83.0, 0.0])
-    frames = target_imaging(scene, pp, at, eps_mm=2.0, n_frames=8)
-    pos = frames[3].capture_position
+    positions = target_imaging(scene, at, eps_mm=2.0, n_frames=8)
+    pos = positions[3]
     inside = pos + np.array([0.5, 3.0, -10.0])
-    assert judge_success(frames, inside, tol_x=2.0)
-    assert not judge_success(frames, inside + [50.0, 0, 0], tol_x=2.0)  # wrong slice
-    assert not judge_success(frames, pos + [0, 45.0, -10.0], tol_x=2.0)  # outside fov laterally
-    assert not judge_success(frames, pos + [0, 0, 5.0], tol_x=2.0)  # above the skin
-    assert not judge_success(frames, pos + [0, 0, -100.0], tol_x=2.0)  # below imaging depth
-    assert not judge_success([], inside, tol_x=2.0)
+    assert judge_success(positions, pp, inside, tol_x=2.0)
+    assert not judge_success(positions, pp, inside + [50.0, 0, 0], tol_x=2.0)  # wrong slice
+    assert not judge_success(positions, pp, pos + [0, 45.0, -10.0], tol_x=2.0)  # outside fov laterally
+    assert not judge_success(positions, pp, pos + [0, 0, 5.0], tol_x=2.0)  # above the skin
+    assert not judge_success(positions, pp, pos + [0, 0, -100.0], tol_x=2.0)  # below imaging depth
+    assert not judge_success(np.empty((0, 3)), pp, inside, tol_x=2.0)
+
+
+def test_judge_success_bounds_are_inclusive(pp):
+    """A target on a bound counts as imaged; one ulp past it does not.
+
+    With the probe at the origin each judged quantity (|dx|, lateral
+    offset, depth) is a target coordinate itself, so one ulp of the
+    coordinate is one ulp of the quantity.
+    """
+    tol_x = 2.0
+    at_origin = np.zeros((1, 3))
+    half = pp.fov_width / 2.0
+    for axis, edge in ((0, tol_x), (0, -tol_x), (1, half), (1, -half), (2, 0.0), (2, -pp.fov_depth)):
+        on = np.array([0.0, 0.0, -pp.fov_depth / 2.0])
+        on[axis] = edge
+        past = on.copy()
+        past[axis] = np.nextafter(edge, np.copysign(np.inf, edge))  # out of the box
+        assert judge_success(at_origin, pp, on, tol_x), (axis, edge)
+        assert not judge_success(at_origin, pp, past, tol_x), (axis, edge)
 
 
 def test_frames_for_eps_covers_judging_tolerance():

@@ -6,14 +6,13 @@ import itertools
 import numpy as np
 import pytest
 
-from usreg_sim import probe
+from usreg_sim import pipeline, probe
 from usreg_sim.imgvol import Volume3, dice, physical_to_voxel, sample_at_physical
 from usreg_sim.phantom import generate_phantom, place_phantom
 from usreg_sim.pipeline import judge_success, target_imaging
 from usreg_sim.probe import (
     NoiseModel,
     ProbeParams,
-    ProbeState,
     capture_grid,
     capture_us,
     initial_contact,
@@ -38,20 +37,22 @@ def params():
 
 
 def test_pixel_origin_geometry(scene, params):
-    probe = move_to(scene, 64.0, 95.0)
-    frame = capture_us(scene, probe, params)
+    pos = move_to(scene, 64.0, 95.0)
+    frame = capture_us(scene, pos, params)
+    grid = capture_grid(frame.capture_position, params)
+    vx, vy = params.pixel_spacing
 
-    p00 = frame.pixel_to_physical(0, 0)
-    expected = probe.position + np.array([0.0, -params.fov_width / 2.0, 0.0])
-    assert np.allclose(p00, expected, atol=1e-12)
+    expected = pos + np.array([0.0, -params.fov_width / 2.0, 0.0])
+    assert np.allclose(grid[0, 0], expected, atol=1e-12)
 
     # spot-check that pixel values really are samples at the mapped points
     rng = np.random.default_rng(0)
     for _ in range(20):
         j = int(rng.integers(0, params.image_shape[0]))
         k = int(rng.integers(0, params.image_shape[1]))
-        pt = frame.pixel_to_physical(j, k)
-        assert frame.mask_truth.data[j, k] == sample_at_physical(scene.hv_annotation, pt)
+        pt = grid[j, k]
+        assert np.allclose(pt, expected + np.array([0.0, j * vx, -k * vy]), atol=1e-12)
+        assert frame.mask_truth[j, k] == sample_at_physical(scene.hv_annotation, pt)
 
 
 def test_two_lobe_mask_one_slice_from_branch_point(params):
@@ -59,19 +60,16 @@ def test_two_lobe_mask_one_slice_from_branch_point(params):
     bp = scene.placement.apply(np.asarray(scene.params.branch_point, dtype=float))
     slice_mm = scene.params.spacing_mm
     for dx in (-slice_mm, slice_mm):
-        probe = move_to(scene, bp[0] + dx, bp[1])
-        frame = capture_us(scene, probe, params)
-        comps = count_components(frame.mask_truth.data)
+        frame = capture_us(scene, move_to(scene, bp[0] + dx, bp[1]), params)
+        comps = count_components(frame.mask_truth)
         assert comps >= 2, f"expected two lobes at dx={dx}, got {comps} component(s)"
 
 
 def test_lateral_shift_moves_mask_by_whole_pixels(scene, params):
     vx = params.pixel_spacing[0]
     shift_px = 7
-    probe_a = move_to(scene, 64.0, 95.13)
-    probe_b = move_to(scene, 64.0, 95.13 + shift_px * vx)
-    mask_a = capture_us(scene, probe_a, params).mask_truth.data
-    mask_b = capture_us(scene, probe_b, params).mask_truth.data
+    mask_a = capture_us(scene, move_to(scene, 64.0, 95.13), params).mask_truth
+    mask_b = capture_us(scene, move_to(scene, 64.0, 95.13 + shift_px * vx), params).mask_truth
 
     # content must sit safely inside both frames for the overlap comparison
     cols_a = np.nonzero(mask_a.any(axis=1))[0]
@@ -80,19 +78,18 @@ def test_lateral_shift_moves_mask_by_whole_pixels(scene, params):
 
 
 def test_far_lateral_capture_is_empty(scene, params):
-    probe = move_to(scene, 64.0, 165.0)
-    frame = capture_us(scene, probe, params)
-    assert frame.mask_truth.data.sum() == 0
-    assert frame.branch_truth.data.sum() == 0
+    frame = capture_us(scene, move_to(scene, 64.0, 165.0), params)
+    assert frame.mask_truth.sum() == 0
+    assert frame.branch_truth.sum() == 0
 
 
 def test_zero_noise_segmentation_is_exact(scene, params):
     frame = capture_us(scene, move_to(scene, 64.0, 95.0), params)
-    assert frame.mask_truth.data.sum() > 0
+    assert frame.mask_truth.sum() > 0
     full = segment_full(frame, NoiseModel.zero())
     branch = segment_branch(frame, NoiseModel.zero())
-    assert np.array_equal(full.data, frame.mask_truth.data)
-    assert np.array_equal(branch.data, frame.branch_truth.data)
+    assert np.array_equal(full, frame.mask_truth)
+    assert np.array_equal(branch, frame.branch_truth)
 
 
 def test_segmentation_bit_reproducible(scene, params):
@@ -100,18 +97,18 @@ def test_segmentation_bit_reproducible(scene, params):
     noise = NoiseModel.default(seed=5)
     out1 = segment_full(frame, noise)
     out2 = segment_full(frame, noise)
-    assert np.array_equal(out1.data, out2.data)
+    assert np.array_equal(out1, out2)
 
     # a fresh capture of the same plane segments identically
     frame_again = capture_us(scene, move_to(scene, 62.0, 96.0), params)
-    assert np.array_equal(segment_full(frame_again, noise).data, out1.data)
+    assert np.array_equal(segment_full(frame_again, noise), out1)
 
     # and the full/branch models draw independent corruption
     out_branch = segment_branch(frame, noise)
-    assert not np.array_equal(out_branch.data, out1.data)
+    assert not np.array_equal(out_branch, out1)
 
     other_seed = segment_full(frame, NoiseModel.default(seed=6))
-    assert not np.array_equal(other_seed.data, out1.data)
+    assert not np.array_equal(other_seed, out1)
 
 
 def test_blob_noise_components_stay_small(scene, params):
@@ -119,9 +116,8 @@ def test_blob_noise_components_stay_small(scene, params):
     area_limit = 160  # detection threshold at this image scale
     for x in np.linspace(40.0, 90.0, 6):
         frame = capture_us(scene, move_to(scene, float(x), 165.0), params)
-        assert frame.mask_truth.data.sum() == 0
-        out = segment_full(frame, noise)
-        labels = _label_sizes(out.data)
+        assert frame.mask_truth.sum() == 0
+        labels = _label_sizes(segment_full(frame, noise))
         assert all(size < area_limit for size in labels)
 
 
@@ -208,8 +204,7 @@ def test_default_noise_dice_band(params):
     scores = []
     for x in np.linspace(bp[0] - 30.0, bp[0] + 30.0, 64):
         frame = capture_us(scene, move_to(scene, float(x), bp[1]), params)
-        out = segment_full(frame, noise)
-        scores.append(dice(out.data, frame.mask_truth.data))
+        scores.append(dice(segment_full(frame, noise), frame.mask_truth))
     mean = float(np.mean(scores))
     assert 0.75 <= mean <= 0.95, f"mean oracle dice {mean:.3f} outside band"
 
@@ -217,17 +212,15 @@ def test_default_noise_dice_band(params):
 def test_initial_contact_lands_near_branch_point(scene):
     contact = initial_contact(scene)
     bp = np.asarray(scene.params.branch_point, dtype=float)
-    assert abs(contact.position[0] - bp[0]) <= 10.0
-    assert abs(contact.position[1] - bp[1]) <= 10.0
-    assert contact.position[2] == pytest.approx(
-        scene.surface_height(contact.position[0], contact.position[1])
-    )
+    assert abs(contact[0] - bp[0]) <= 10.0
+    assert abs(contact[1] - bp[1]) <= 10.0
+    assert contact[2] == pytest.approx(scene.surface_height(contact[0], contact[1]))
 
 
 def test_initial_contact_translation_equivariant(scene):
     moved = place_phantom(scene, (30.0, -20.0, 0.0))
-    base = initial_contact(scene).position
-    shifted = initial_contact(moved).position
+    base = initial_contact(scene)
+    shifted = initial_contact(moved)
     assert np.allclose(shifted, base + np.array([30.0, -20.0, 0.0]), atol=1e-9)
 
 
@@ -239,7 +232,7 @@ def test_initial_contact_translation_equivariant(scene):
 def test_initial_contact_lands_on_recorded_points(offset, yaw, want):
     """Contact points recorded for phantom seed 0, compared bit for bit."""
     scene = place_phantom(generate_phantom(seed=0), offset, yaw)
-    assert initial_contact(scene).position.tolist() == want
+    assert initial_contact(scene).tolist() == want
 
 
 def test_initial_contact_empty_body_errors(scene):
@@ -259,13 +252,13 @@ def test_move_to_off_surface_errors(scene):
         move_to(scene, 64.0, 95.0 + 85.0)
 
 
-def test_probe_params_validation():
+def test_probe_params_validation(scene):
     with pytest.raises(ValueError, match="fov_width"):
         ProbeParams(image_shape=(100, 100), pixel_spacing=(0.5, 0.8))
     with pytest.raises(ValueError, match="positive"):
         ProbeParams(pixel_spacing=(-0.1, 0.8))
     with pytest.raises(ValueError, match="3-vector"):
-        ProbeState(position=np.zeros(2))
+        capture_us(scene, np.zeros(2), ProbeParams())
 
 
 def test_noise_model_validation():
@@ -296,7 +289,7 @@ def test_lazy_fields_match_eager_capture(params, monkeypatch, offset, yaw):
         scene, hv_branch_annotation=Volume3(dense, ann.spacing, ann.origin, ann.axes))
     bp = scene.tree.branch_point
     rng = np.random.default_rng(17)
-    positions = [move_to(scene, bp[0] + dx, bp[1] + dy).position
+    positions = [move_to(scene, bp[0] + dx, bp[1] + dy)
                  for dx in np.linspace(-30.0, 30.0, 10) for dy in (-6.0, 0.0, 6.0)]
     # free-floating probes whose frames hang off the volume on some side
     grid = scene.hv_annotation
@@ -333,16 +326,14 @@ def test_lazy_fields_match_eager_capture(params, monkeypatch, offset, yaw):
     partial = with_vessel = 0
     ties = np.zeros(3, dtype=bool)
     for pos in positions:
-        frame = capture_us(scene, ProbeState(pos), params)
+        frame = capture_us(scene, pos, params)
         assert sampled(frame) == set()
-        got = (frame.mask_truth.data, frame.branch_truth.data)
+        got = (frame.mask_truth, frame.branch_truth)
         for shared_grid in (True, False):
             want = eager_capture(scene, frame.capture_position, params, shared_grid)
             for name, g, w in zip(FIELDS, got, want):
                 assert g.dtype == w.dtype, name
                 assert np.array_equal(g, w), f"{name} at {pos} (shared_grid={shared_grid})"
-        for img in (frame.mask_truth, frame.branch_truth):
-            assert np.array_equal(img.spacing, params.pixel_spacing)
         idx = physical_to_voxel(grid, capture_grid(frame.capture_position, params))
         inside = ((idx > -0.5) & (idx < np.asarray(grid.shape) - 0.5)).all(axis=-1)
         partial += bool(inside.any() and not inside.all())
@@ -365,8 +356,8 @@ def test_lazy_fields_match_eager_capture(params, monkeypatch, offset, yaw):
     empty = dataclasses.replace(
         scene, hv_annotation=Volume3(np.zeros((ann.shape[0], 0, ann.shape[2]), np.uint8),
                                      ann.spacing, ann.origin, ann.axes))
-    frame = capture_us(empty, ProbeState(positions[0]), params)
-    assert np.array_equal(frame.mask_truth.data, np.zeros(params.image_shape, np.uint8))
+    frame = capture_us(empty, positions[0], params)
+    assert np.array_equal(frame.mask_truth, np.zeros(params.image_shape, np.uint8))
 
 
 def test_frame_is_immutable(scene, params):
@@ -376,8 +367,12 @@ def test_frame_is_immutable(scene, params):
     with pytest.raises(dataclasses.FrozenInstanceError):
         frame.params = params
     assert frame.mask_truth is frame.mask_truth  # sampled once, then cached
-    with pytest.raises(ValueError):
-        frame.mask_truth.data[0, 0] = 1
+    for noise in (NoiseModel.zero(), NoiseModel.default(seed=4)):
+        for mask in (frame.mask_truth, frame.branch_truth,
+                     segment_full(frame, noise), segment_branch(frame, noise)):
+            assert mask.dtype == np.uint8 and mask.shape == params.image_shape
+            with pytest.raises(ValueError):
+                mask[0, 0] = 1
 
 
 @pytest.mark.parametrize("noise", [NoiseModel.zero(), NoiseModel.default(seed=4)], ids=["zero", "default"])
@@ -389,20 +384,23 @@ def test_segmentation_samples_only_its_truth(scene, params, noise, segment, fiel
     assert sampled(frame) == {field}
 
 
-def test_judging_target_frames_samples_nothing(scene, params):
-    target = move_to(scene, 64.0, 95.0).position - np.array([0.0, 0.0, 30.0])
-    frames = target_imaging(scene, params, target, eps_mm=5.0, n_frames=10)
-    assert judge_success(frames, target, tol_x=1.0)
-    assert all(sampled(frame) == set() for frame in frames)
+def test_judging_targets_captures_nothing(scene, params, monkeypatch):
+    def no_capture(*args, **kwargs):
+        raise AssertionError("target imaging captured a frame")
+
+    monkeypatch.setattr(pipeline, "capture_us", no_capture)
+    target = move_to(scene, 64.0, 95.0) - np.array([0.0, 0.0, 30.0])
+    positions = target_imaging(scene, target, eps_mm=5.0, n_frames=10)
+    assert judge_success(positions, params, target, tol_x=1.0)
 
 
 @pytest.mark.parametrize("segment", [segment_full, segment_branch])
 def test_segmentation_independent_of_prior_reads(scene, params, segment):
     noise = NoiseModel.default(seed=9)
-    probe = move_to(scene, 63.0, 94.0)
-    fresh = segment(capture_us(scene, probe, params), noise)
-    primed = capture_us(scene, probe, params)
+    pos = move_to(scene, 63.0, 94.0)
+    fresh = segment(capture_us(scene, pos, params), noise)
+    primed = capture_us(scene, pos, params)
     for name in FIELDS:
         getattr(primed, name)
-    assert np.array_equal(segment(primed, noise).data, fresh.data)
-    assert fresh.data.any()
+    assert np.array_equal(segment(primed, noise), fresh)
+    assert fresh.any()

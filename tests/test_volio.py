@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from usreg_sim.imgvol import Image2, Volume3, load_volume, save_pbm, save_volume
+from usreg_sim.imgvol import Volume3, load_volume, save_volume
 
 
 def test_vol_round_trip_u8(tmp_path):
@@ -47,15 +47,6 @@ def test_vol_payload_size_mismatch(tmp_path):
     (tmp_path / header["data_file"]).write_bytes(b"\x00" * 3)
     with pytest.raises(ValueError):
         load_volume(path)
-
-
-def test_pbm_export(tmp_path):
-    mask = Image2(np.array([[1, 0, 1, 1], [0, 0, 0, 1]], dtype=np.uint8), (1.0, 1.0))
-    p = save_pbm(mask, tmp_path / "m.pbm")
-    raw = p.read_bytes()
-    assert raw.startswith(b"P4\n4 2\n")
-    body = raw[len(b"P4\n4 2\n"):]
-    assert body == bytes([0b10110000, 0b00010000])
 
 
 @pytest.mark.parametrize("key", ["spacing", "origin", "axes"])

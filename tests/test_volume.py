@@ -173,7 +173,10 @@ def test_resample_identity_grid():
 
 
 def nearest_oracle(vol, target_spacing, target_shape, center):
-    """Independent nearest-neighbor resampler using explicit point rounding."""
+    """Independent nearest-neighbor resampler using explicit point rounding.
+
+    Half-voxel ties round up, like every nearest sampler of the package.
+    """
     target_spacing = np.asarray(target_spacing, float)
     half = (np.asarray(target_shape, float) - 1) / 2
     out_origin = np.asarray(center, float) - (half * target_spacing) @ vol.axes
@@ -181,7 +184,7 @@ def nearest_oracle(vol, target_spacing, target_shape, center):
     for idx in np.ndindex(*target_shape):
         p = out_origin + (np.asarray(idx, float) * target_spacing) @ vol.axes
         src = ((p - vol.origin) @ vol.axes.T) / vol.spacing
-        rounded = np.rint(src).astype(int)
+        rounded = np.floor(src + 0.5).astype(int)
         if np.all(rounded >= 0) and np.all(rounded < vol.shape):
             out[idx] = vol.data[tuple(rounded)]
     return out
@@ -215,6 +218,15 @@ def test_resample_matches_nearest_oracle_randomized():
         center = rng.normal(size=3) * 4
         out = resample_crop(vol, spacing, shape, center)
         np.testing.assert_array_equal(out.data, nearest_oracle(vol, spacing, shape, center))
+
+
+def test_resample_half_voxel_ties_round_up():
+    # every sample sits half a voxel off a source centre on every axis
+    data = (np.random.default_rng(5).random((8, 9, 10)) < 0.5).astype(np.uint8)
+    vol = make_vol(data)
+    out = resample_crop(vol, (1, 1, 1), (7, 8, 9), (3.5, 4.0, 4.5))
+    np.testing.assert_array_equal(out.origin, [0.5, 0.5, 0.5])
+    np.testing.assert_array_equal(out.data, nearest_oracle(vol, (1, 1, 1), (7, 8, 9), (3.5, 4.0, 4.5)))
 
 
 def test_resample_outside_is_zero():
