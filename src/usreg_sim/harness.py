@@ -100,8 +100,11 @@ class SweepConfig:
             raise ConfigError("placement bounds must be nonnegative")
         if self.targets_limit < 1:
             raise ConfigError("targets_limit must be at least 1")
+        # the phantom's geometry depends on its params alone: building it
+        # (once per process, so a sweep's pool workers inherit it) rejects
+        # params that no trial could run
         try:
-            self.phantom_params()
+            generate_phantom(0, self.phantom_params())
             self.search_params()
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad parameter override: {exc}") from exc

@@ -48,6 +48,11 @@ def load_volume(path: str | Path) -> Volume3:
     header = json.loads(path.read_text())
     if not isinstance(header, dict):
         raise ValueError(f"malformed volume header {path}: not a JSON object")
+    tag = header.get("dtype")
+    if tag is not None and (not isinstance(tag, str) or tag not in _DTYPES):
+        raise ValueError(
+            f"malformed volume header {path}: unsupported dtype {tag!r}; accepted: {sorted(_DTYPES)}"
+        )
     try:
         dtype = _DTYPES[header["dtype"]]
         shape = tuple(int(n) for n in header["shape"])

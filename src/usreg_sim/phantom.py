@@ -8,6 +8,7 @@ by the pipeline itself.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -61,6 +62,12 @@ class PhantomParams:
     target_depth_offset: float = -2.0
     targets_along: int = 50
     targets_across: int = 2
+
+    def __post_init__(self):
+        # JSON gives lists; tuples keep the params hashable, the key of
+        # generate_phantom's per-process geometry cache
+        for name in ("volume_shape", "branch_point"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -239,12 +246,19 @@ def _rasterize_tubes(branches, shape, spacing: float) -> np.ndarray:
 
 
 def generate_phantom(seed: int, params: PhantomParams | None = None) -> PhantomScene:
-    """Build the phantom scene in its intrinsic frame (placement = identity).
+    """The phantom scene in its intrinsic frame (placement = identity).
 
     Bit-for-bit deterministic for given params. The geometry does not
-    depend on ``seed``, which is only recorded on the scene.
+    depend on ``seed``, which is only recorded on the scene: it is built
+    once per process for each ``PhantomParams`` and shared, read-only, by
+    every scene generated from them. Raises ``ValueError`` for params that
+    cannot be built.
     """
-    params = params or PhantomParams()
+    return replace(_phantom_geometry(params or PhantomParams()), seed=seed)
+
+
+@functools.lru_cache(maxsize=8)
+def _phantom_geometry(params: PhantomParams) -> PhantomScene:
     shape = tuple(int(n) for n in params.volume_shape)
     if min(shape) < 16:
         raise ValueError(f"volume_shape too small {shape}; need at least 16 voxels per axis")
@@ -295,7 +309,7 @@ def generate_phantom(seed: int, params: PhantomParams | None = None) -> PhantomS
         placement=RigidTransform3.identity(),
         tree=tree,
         params=params,
-        seed=seed,
+        seed=0,
     )
 
 
@@ -414,10 +428,7 @@ def load_scene(path: str | Path) -> PhantomScene:
     if desc.get("format_version") != SCENE_FORMAT_VERSION:
         raise ValueError(f"unsupported scene format {desc.get('format_version')}")
     base = path.parent
-    raw = dict(desc["params"])
-    raw["volume_shape"] = tuple(raw["volume_shape"])
-    raw["branch_point"] = tuple(raw["branch_point"])
-    params = PhantomParams(**raw)
+    params = PhantomParams(**desc["params"])
     tree = VesselTree(
         branches=tuple(
             VesselBranch(b["label"], b["radius"], np.asarray(b["points"])) for b in desc["tree"]

@@ -7,6 +7,13 @@ lattice, then one refinement at full resolution. Both volumes carry their
 own origin/axes, so all geometry happens in physical millimeters and the
 returned transform maps moving-space points into fixed space.
 
+The coarse restarts run in lockstep: each round gathers the pending
+candidates of every live search and scores them as one batch, so the work
+around the per-map products (candidate maps, row runs, the exact index
+route, MI) is done once per round rather than once per map. Each search
+decides from its own scores only, so its result is the one it would get
+alone.
+
 The score is the 2x2 partial-volume joint histogram of fixed lattice values
 against the trilinear-sampled moving mask (Maes et al., IEEE TMI 1997). It
 is evaluated sparsely but exactly: samples are taken only where the moving
@@ -19,6 +26,7 @@ the package's only MI estimator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +36,6 @@ from .imgvol import (
     RigidTransform3,
     Volume3,
     centroid,
-    euler_zyx,
     inverse,
     require_binary,
     sample_at_physical,
@@ -63,17 +70,16 @@ class RegistrationConfig:
 _INDEX_SLACK = 1e-6
 
 
-def _moving_index(points: np.ndarray, a: np.ndarray, b: np.ndarray, moving: Volume3) -> np.ndarray:
-    """Moving-grid voxel index of fixed-space ``points`` under the map x -> a x + b.
+def _rows_product(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``x @ m`` for (N, 3) rows ``x``, a single row evaluated as a pair.
 
-    Every value the score keeps goes through this one arithmetic route, so a
-    subset of the lattice gets the same bits as the whole. A single point is
-    evaluated as a pair: numpy's matrix-vector product rounds differently
-    from the matrix-matrix one that longer inputs take.
+    numpy's matrix-vector product rounds differently from the matrix-matrix
+    one that longer inputs take, so one row would get other bits than the
+    same row inside a longer block.
     """
-    if len(points) == 1:
-        return _moving_index(np.repeat(points, 2, axis=0), a, b, moving)[:1]
-    return (((points - b) @ a - moving.origin) @ moving.axes.T) / moving.spacing
+    if len(x) == 1:
+        return (np.repeat(x, 2, axis=0) @ m)[:1]
+    return x @ m
 
 
 def _inside(idx: np.ndarray, shape) -> np.ndarray:
@@ -200,9 +206,12 @@ class _SparseJointCounts:
             [lo - _INDEX_SLACK, hi + _INDEX_SLACK],  # possibly inside
         ])
 
-    def __call__(self, maps) -> np.ndarray:
-        a = np.array([m[0] for m in maps])
-        b = np.array([m[1] for m in maps])
+    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Counts (M, 2, 2) of the M maps stacked as ``a`` (M, 3, 3) and ``b`` (M, 3).
+
+        The work around the per-map products is done once for the batch, and
+        each map's counts are the bits a batch of that map alone would get.
+        """
         m = (a @ self.moving.axes.T) / self.moving.spacing
         grad = (self.step @ m).transpose(0, 2, 1)  # shortcut index per lattice index
         origin = ((self.pts[0] - b)[:, None] @ m)[:, 0, :, None] - self.frame[:, None]
@@ -212,24 +221,35 @@ class _SparseJointCounts:
         all_inside = np.all(corners >= sure[0]) and np.all(corners <= sure[1])
         boxes = self.boxes[:1] if all_inside else self.boxes
         start, stop = _row_spans(base, grad[:, :, 2], boxes, self.shape[2])
-        weights = self._foreground_weights(maps, origin, grad, start[:, 0], stop[:, 0])
+        weights = self._foreground_weights(a, b, origin, grad, start[:, 0], stop[:, 0])
         if all_inside:
             n_inside = self.totals
         else:
-            n_inside = self._inside_counts(maps, start[:, 1:], stop[:, 1:])
-        counts = np.zeros((len(maps), 2, 2), dtype=np.float64)
+            n_inside = self._inside_counts(a, b, start[:, 1:], stop[:, 1:])
+        counts = np.zeros((len(a), 2, 2), dtype=np.float64)
         counts[:, :, 1] = weights
         counts[:, :, 0] = n_inside - weights
         return counts
 
-    def _exact(self, maps, point_sets):
-        """Exact moving indices of each map's lattice points, concatenated."""
-        return np.concatenate([
-            _moving_index(self.pts.take(p, axis=0), a, b, self.moving)
-            for (a, b), p in zip(maps, point_sets)
-        ])
+    def _exact(self, a, b, flat, sizes) -> np.ndarray:
+        """Exact moving indices of the lattice points ``flat``, ``sizes[t]`` of them per map t.
 
-    def _inside_counts(self, maps, start, stop) -> np.ndarray:
+        Every value the score keeps goes through this one arithmetic route,
+        so a subset of the lattice gets the same bits as the whole: per map
+        ``(x - b) @ a``, then one ``(y - origin) @ axes.T / spacing`` over all
+        maps' points.
+        """
+        y = self.pts.take(flat, axis=0)
+        ends = np.cumsum(sizes)
+        for t, (lo, hi) in enumerate(zip(ends - sizes, ends)):
+            if hi > lo:
+                y[lo:hi] = _rows_product(y[lo:hi] - b[t], a[t])
+        y -= self.moving.origin
+        idx = _rows_product(y, self.moving.axes.T)
+        idx /= self.moving.spacing
+        return idx
+
+    def _inside_counts(self, a, b, start, stop) -> np.ndarray:
         row_prefix = np.arange(start.shape[2]) * (self.shape[2] + 1)
         sure0, may0 = start[:, 0], start[:, 1]
         sure1, may1 = stop[:, 0], stop[:, 1]
@@ -242,45 +262,49 @@ class _SparseJointCounts:
         lengths = np.concatenate([sure0 - may0, may1 - sure1], axis=1)
         if lengths.any():
             starts = np.concatenate([self.row_start + may0, self.row_start + sure1], axis=1)
-            edges = [_runs(s, n) for s, n in zip(starts, lengths)]
-            inside = _inside(self._exact(maps, edges), self.m_shape)
-            which = np.repeat(np.arange(len(maps)), [len(e) for e in edges])
-            fvals = self.fvals[np.concatenate(edges)]
-            counts += np.bincount(2 * which[inside] + fvals[inside], minlength=2 * len(maps)).reshape(-1, 2)
+            edges = _runs(starts.ravel(), lengths.ravel())
+            sizes = lengths.sum(axis=1)
+            inside = _inside(self._exact(a, b, edges, sizes), self.m_shape)
+            which = np.repeat(np.arange(len(a)), sizes)
+            fvals = self.fvals[edges]
+            counts += np.bincount(2 * which[inside] + fvals[inside], minlength=2 * len(a)).reshape(-1, 2)
         return counts
 
-    def _foreground_weights(self, maps, origin, grad, start, stop) -> np.ndarray:
+    def _foreground_weights(self, a, b, origin, grad, start, stop) -> np.ndarray:
         # per map, the run points whose shortcut index lies half a voxel
         # inside the support's box: their floors, shortcut and exact, index
         # the tables. A point whose exact floor is marked in ``exact`` has its
         # shortcut floor marked in ``near``; only those get the exact route.
         sup = self.support
+        lengths = stop - start
+        flat = _runs((self.row_start + start).ravel(), lengths.ravel())
         point_sets = []
-        for t in range(len(maps)):
-            flat = _runs(self.row_start + start[t], stop[t] - start[t])
-            rel = grad[t] @ self.ijk.take(flat, axis=1) + origin[t]
-            point_sets.append(flat[sup.near.take(sup.strides @ rel.astype(np.int64))])
-        idx = self._exact(maps, point_sets)
+        for t, rows in enumerate(np.split(flat, np.cumsum(lengths.sum(axis=1))[:-1])):
+            rel = grad[t] @ self.ijk.take(rows, axis=1) + origin[t]
+            point_sets.append(rows[sup.near.take(sup.strides @ rel.astype(np.int64))])
+        sizes = np.array([len(p) for p in point_sets])
+        points = np.concatenate(point_sets)
+        idx = self._exact(a, b, points, sizes)
         hit = _inside(idx, self.m_shape)
         hit &= sup.exact.take((np.floor(idx).astype(np.int64) - sup.lo) @ sup.strides)
         frac = ndimage.map_coordinates(
             self.moving.data, idx[hit].T, order=1, mode="grid-constant", cval=0.0,
         )
-        which = np.repeat(np.arange(len(maps)), [len(p) for p in point_sets])
-        bins = 2 * which + self.fvals.take(np.concatenate(point_sets))
-        return np.bincount(bins[hit], weights=frac, minlength=2 * len(maps)).reshape(-1, 2)
+        bins = 2 * np.repeat(np.arange(len(a)), sizes) + self.fvals.take(points)
+        return np.bincount(bins[hit], weights=frac, minlength=2 * len(a)).reshape(-1, 2)
 
 
-def _mi_from_counts(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    pr = p.sum(axis=1, keepdims=True)
-    pc = p.sum(axis=0, keepdims=True)
-    denom = pr @ pc
-    nz = p > 0
-    return float(np.sum(p[nz] * np.log(p[nz] / denom[nz])))
+def _batch_mi(counts: np.ndarray) -> np.ndarray:
+    """MI of each 2x2 joint count table in ``counts`` (M, 2, 2); 0 for an empty table.
+
+    Empty cells add an exact zero term, so every table sums its four terms
+    in the same order whatever its zeros.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = counts / counts.sum(axis=(1, 2))[:, None, None]
+        denom = p.sum(axis=2, keepdims=True) * p.sum(axis=1, keepdims=True)
+        terms = p * np.log(p / denom)
+    return np.where(p > 0, terms, 0.0).sum(axis=(1, 2))
 
 
 def _content_bbox_in_fixed(vol: Volume3, to_fixed: RigidTransform3, fixed: Volume3):
@@ -353,34 +377,45 @@ def mutual_information(
     """
     moving_f, support = _score_inputs(fixed, moving)
     scorer = _lattice_scorer(fixed, moving_f, support, transforms, _REFINE_PAD, 1)
-    return [_mi_from_counts(c) for c in scorer([(t.rotation, t.translation) for t in transforms])]
+    a = np.array([t.rotation for t in transforms])
+    b = np.array([t.translation for t in transforms])
+    return _batch_mi(scorer(a, b)).tolist()
 
 
-def _theta_map(theta: np.ndarray, center: np.ndarray, init: RigidTransform3):
-    """Rotation matrix and translation vector of the candidate transform.
+def _theta_maps(thetas, center: np.ndarray, init: RigidTransform3):
+    """Stacked rotations (M, 3, 3) and translations (M, 3) of the candidate transforms.
 
-    Raw arrays for the score loop; equivalent to ``_make_transform`` minus
-    the per-call transform-object validation.
+    Raw arrays for the score loop. Each map gets the bits of ``euler_zyx``
+    and the single-map products: scalar ``math`` trig per angle, then the
+    same products, stacked.
     """
-    rot = euler_zyx(theta[3], theta[4], theta[5])
+    rz, ry, rx = [], [], []
+    for theta in thetas:
+        (cz, sz), (cy, sy), (cx, sx) = ((math.cos(r), math.sin(r)) for r in map(math.radians, theta[3:]))
+        rz.append(((cz, -sz, 0.0), (sz, cz, 0.0), (0.0, 0.0, 1.0)))
+        ry.append(((cy, 0.0, sy), (0.0, 1.0, 0.0), (-sy, 0.0, cy)))
+        rx.append(((1.0, 0.0, 0.0), (0.0, cx, -sx), (0.0, sx, cx)))
+    rot = np.array(rz) @ np.array(ry) @ np.array(rx)
     a = rot @ init.rotation
-    b = rot @ init.translation + (center - rot @ center) + theta[:3]
+    b = rot @ init.translation + (center - rot @ center) + np.asarray(thetas)[:, :3]
     return a, b
 
 
 def _make_transform(theta: np.ndarray, center: np.ndarray, init: RigidTransform3) -> RigidTransform3:
-    return RigidTransform3(*_theta_map(theta, center, init))
+    a, b = _theta_maps([theta], center, init)
+    return RigidTransform3(a[0], b[0])
 
 
-def _pattern_search(score_fn, theta0, steps0):
-    """Coordinate pattern search; ``score_fn`` scores a list of thetas at once.
+def _pattern_search(theta0, steps0):
+    """Coordinate pattern search, as a generator of candidate batches.
 
-    The two candidates of one axis are independent, so they are scored in
-    one call; the next axis starts from whichever won. Returns the final
-    theta, its score and the best score after each sweep.
+    Each ``yield`` hands out a list of thetas and receives their scores. The
+    two candidates of one axis are independent, so they go out together; the
+    next axis starts from whichever won. Returns (as the ``StopIteration``
+    value) the final theta, its score and the best score after each sweep.
     """
     theta = theta0.copy()
-    (best,) = score_fn([theta])
+    (best,) = yield [theta]
     t_step, r_step = steps0
     trace: list[float] = []
     while (t_step >= _TOLERANCE[0] or r_step >= _TOLERANCE[1]) and len(trace) < _MAX_SWEEPS:
@@ -395,7 +430,7 @@ def _pattern_search(score_fn, theta0, steps0):
                 cand = theta.copy()
                 cand[axis] = float(np.clip(cand[axis] + sign * step, -bound, bound))
                 cands.append(cand)
-            for cand, s in zip(cands, score_fn(cands)):
+            for cand, s in zip(cands, (yield cands)):
                 if s > best_cand_score + 1e-12:
                     best_cand, best_cand_score = cand, s
             if best_cand is not None:
@@ -406,6 +441,29 @@ def _pattern_search(score_fn, theta0, steps0):
             t_step *= 0.5
             r_step *= 0.5
     return theta, best, trace
+
+
+def _lockstep(score, searches) -> list:
+    """Run generator searches side by side, one ``score`` call per round.
+
+    A round gathers the pending candidates of every live search, scores them
+    in one call and sends each search its own slice of the scores. A search
+    decides from its own scores only, so its result is the one it gets
+    alone. Returns the searches' results in order.
+    """
+    results = [None] * len(searches)
+    pending = [(i, search, next(search)) for i, search in enumerate(searches)]
+    while pending:
+        scores = score([theta for _, _, cands in pending for theta in cands])
+        live = []
+        for i, search, cands in pending:
+            mine, scores = scores[:len(cands)], scores[len(cands):]
+            try:
+                live.append((i, search, search.send(mine)))
+            except StopIteration as done:
+                results[i] = done.value
+        pending = live
+    return results
 
 
 def register_rigid(
@@ -434,10 +492,13 @@ def register_rigid(
     Each score is computed sparsely but exactly (see ``_SparseJointCounts``):
     the same counts, bit for bit, as trilinear-sampling the moving mask at
     every point of the stage's fixed lattice, at a cost that follows the
-    moving foreground rather than the lattice size. A stage scores each
-    distinct candidate once: a theta asked for again (a clipped step, the
-    refinement's start, the final score) is answered from the stage's record,
-    which changes no result since a score depends on its map alone.
+    moving foreground rather than the lattice size. The four coarse searches
+    advance in lockstep rounds (``_lockstep``): a round's pending candidates,
+    up to two per live search, are scored in one batched call. A stage
+    scores each distinct candidate once: a theta asked for again (a clipped
+    step, the refinement's start, the final score) is answered from the
+    stage's record. Neither changes a result, since a score depends on its
+    map alone and each search reads only its own scores.
     """
     cfg = cfg or RegistrationConfig()
     init = init or RigidTransform3.identity()
@@ -453,8 +514,8 @@ def register_rigid(
             keys = [t.tobytes() for t in thetas]
             unseen = {k: t for k, t in zip(keys, thetas) if k not in scores}
             if unseen:
-                counts = joint_counts([_theta_map(t, center, init) for t in unseen.values()])
-                scores.update(zip(unseen, map(_mi_from_counts, counts)))
+                counts = joint_counts(*_theta_maps(list(unseen.values()), center, init))
+                scores.update(zip(unseen, _batch_mi(counts).tolist()))
             return [scores[k] for k in keys]
 
         return score
@@ -465,7 +526,8 @@ def register_rigid(
     coarse = stage_scorer([init], pad, 2)
     # max keeps the first of equal scores: the lowest restart index
     theta_best, _, coarse_trace = max(
-        (_pattern_search(coarse, start, (4.0, 3.0)) for start in starts), key=lambda run: run[1]
+        _lockstep(coarse, [_pattern_search(start, (4.0, 3.0)) for start in starts]),
+        key=lambda run: run[1],
     )
 
     # refinement stays near the coarse winner, so its margin shrinks; it
@@ -476,7 +538,7 @@ def register_rigid(
     init_score, best_score = fine([np.zeros(6), theta_best])
     if init_score > best_score:
         theta_best = np.zeros(6)
-    theta_best, _, fine_trace = _pattern_search(fine, theta_best, (1.0, 1.0))
+    ((theta_best, _, fine_trace),) = _lockstep(fine, [_pattern_search(theta_best, (1.0, 1.0))])
 
     (final_score,) = fine([theta_best])
     result = _make_transform(theta_best, center, init)

@@ -5,8 +5,8 @@ calls into the package beyond plain numpy (and scipy's trilinear sampler
 and correlation) and the ``imgvol`` containers and transform algebra, so
 that package results can be checked against a second route. The one
 exception is ``reference_register_rigid``, which drives the package's own
-scorer and pattern search: it checks the solver's bookkeeping, not its
-arithmetic.
+sparse scorer through the per-map solver below: it checks the solver's
+bookkeeping, not the scorer's arithmetic.
 """
 import math
 from fractions import Fraction
@@ -15,7 +15,7 @@ import numpy as np
 from scipy import ndimage, signal
 
 from usreg_sim import registration as reg
-from usreg_sim.imgvol import RigidTransform3, Volume3, centroid, inverse
+from usreg_sim.imgvol import RigidTransform3, Volume3, centroid, euler_zyx, inverse
 
 
 def brute_force_lcc(mask):
@@ -228,12 +228,74 @@ def reference_corrupt(mask, noise, rng):
     return out.astype(np.uint8)
 
 
-def reference_register_rigid(fixed, moving, init, cfg):
-    """``register_rigid`` as first written: every requested candidate is scored.
+def _mi_from_counts(counts: np.ndarray) -> float:
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts / total
+    pr = p.sum(axis=1, keepdims=True)
+    pc = p.sum(axis=0, keepdims=True)
+    denom = pr @ pc
+    nz = p > 0
+    return float(np.sum(p[nz] * np.log(p[nz] / denom[nz])))
 
-    Same schedule, scorer and pattern search as the package solver, but a
-    theta asked for again is scored again. Returns (transform, final score,
-    [coarse trace, fine trace]).
+
+def _theta_map(theta: np.ndarray, center: np.ndarray, init: RigidTransform3):
+    """Rotation matrix and translation vector of the candidate transform.
+
+    Raw arrays for the score loop; equivalent to ``_make_transform`` minus
+    the per-call transform-object validation.
+    """
+    rot = euler_zyx(theta[3], theta[4], theta[5])
+    a = rot @ init.rotation
+    b = rot @ init.translation + (center - rot @ center) + theta[:3]
+    return a, b
+
+
+def _pattern_search(score_fn, theta0, steps0):
+    """Coordinate pattern search; ``score_fn`` scores a list of thetas at once.
+
+    The two candidates of one axis are independent, so they are scored in
+    one call; the next axis starts from whichever won. Returns the final
+    theta, its score and the best score after each sweep.
+    """
+    theta = theta0.copy()
+    (best,) = score_fn([theta])
+    t_step, r_step = steps0
+    trace: list[float] = []
+    while (t_step >= reg._TOLERANCE[0] or r_step >= reg._TOLERANCE[1]) and len(trace) < reg._MAX_SWEEPS:
+        improved = False
+        for axis in range(6):
+            step = t_step if axis < 3 else r_step
+            bound = reg._BOUNDS[0] if axis < 3 else reg._BOUNDS[1]
+            best_cand = None
+            best_cand_score = best
+            cands = []
+            for sign in (1.0, -1.0):
+                cand = theta.copy()
+                cand[axis] = float(np.clip(cand[axis] + sign * step, -bound, bound))
+                cands.append(cand)
+            for cand, s in zip(cands, score_fn(cands)):
+                if s > best_cand_score + 1e-12:
+                    best_cand, best_cand_score = cand, s
+            if best_cand is not None:
+                theta, best = best_cand, best_cand_score
+                improved = True
+        trace.append(best)
+        if not improved:
+            t_step *= 0.5
+            r_step *= 0.5
+    return theta, best, trace
+
+
+def reference_register_rigid(fixed, moving, init, cfg):
+    """``register_rigid`` as first written: serial searches, every candidate scored.
+
+    Same schedule and sparse scorer as the package solver, but each restart
+    runs to its end before the next starts, each map and score is computed
+    on its own (``_theta_map``, ``_mi_from_counts``), and a theta asked for
+    again is scored again. Returns (transform, final score, [coarse trace,
+    fine trace]).
     """
     moving_f, support = reg._score_inputs(fixed, moving)
     center = init.apply(centroid(moving))
@@ -241,27 +303,30 @@ def reference_register_rigid(fixed, moving, init, cfg):
 
     def stage_scorer(inits, pad_vox, stride):
         joint_counts = reg._lattice_scorer(fixed, moving_f, support, inits, pad_vox, stride)
-        return lambda thetas: [
-            reg._mi_from_counts(c)
-            for c in joint_counts([reg._theta_map(t, center, init) for t in thetas])
-        ]
+
+        def score(thetas):
+            maps = [_theta_map(t, center, init) for t in thetas]
+            counts = joint_counts(np.array([a for a, _ in maps]), np.array([b for _, b in maps]))
+            return [_mi_from_counts(c) for c in counts]
+
+        return score
 
     rng = np.random.default_rng(cfg.seed)
     scale = np.repeat(reg._BOUNDS, 3)
     starts = [np.zeros(6)] + [rng.uniform(-0.5, 0.5, size=6) * scale for _ in range(reg._RESTARTS)]
     coarse = stage_scorer([init], pad, 2)
     theta_best, _, coarse_trace = max(
-        (reg._pattern_search(coarse, start, (4.0, 3.0)) for start in starts), key=lambda run: run[1]
+        (_pattern_search(coarse, start, (4.0, 3.0)) for start in starts), key=lambda run: run[1]
     )
     fine = stage_scorer(
-        [init, reg._make_transform(theta_best, center, init)], np.minimum(pad, reg._REFINE_PAD), 1
+        [init, RigidTransform3(*_theta_map(theta_best, center, init))], np.minimum(pad, reg._REFINE_PAD), 1
     )
     init_score, best_score = fine([np.zeros(6), theta_best])
     if init_score > best_score:
         theta_best = np.zeros(6)
-    theta_best, _, fine_trace = reg._pattern_search(fine, theta_best, (1.0, 1.0))
+    theta_best, _, fine_trace = _pattern_search(fine, theta_best, (1.0, 1.0))
     (final_score,) = fine([theta_best])
-    return reg._make_transform(theta_best, center, init), final_score, [coarse_trace, fine_trace]
+    return RigidTransform3(*_theta_map(theta_best, center, init)), final_score, [coarse_trace, fine_trace]
 
 
 def _same_grid(a, b):

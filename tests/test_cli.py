@@ -87,6 +87,20 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sweep", "run-trial"])
+def test_unbuildable_phantom_is_a_config_error(tmp_path, capsys, command):
+    # valid keys and types, but the lateral branch's polyline is too coarse
+    # for its radius: no trial could build the phantom
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**SMALL_CFG, "phantom": {"radius_lhv": 1.0}}))
+    out = tmp_path / "reports"
+    extra = ["--out", str(out)] if command == "sweep" else []
+    assert main([command, "--config", str(bad), *extra]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad parameter override") and "exceeds twice the radius" in err
+    assert not out.exists()
+
+
 def test_sweep_rejects_unparseable_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -248,6 +262,15 @@ def test_register_header_of_wrong_type_exits_2(tmp_path, capsys):
         assert main(["register", str(bad_path), str(path)]) == EXIT_CONFIG, name
         err = capsys.readouterr().err
         assert err.startswith("error: malformed volume header") and err.count("\n") == 1, err
+
+
+def test_register_unknown_dtype_exits_2(tmp_path, capsys):
+    vol = Volume3(np.ones((2, 2, 2), dtype=np.uint8), (1, 1, 1), (0, 0, 0), np.eye(3))
+    path = save_volume(vol, tmp_path / "v.vol")
+    path.write_text(json.dumps({**json.loads(path.read_text()), "dtype": "u16"}))
+    assert main(["register", str(path), str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "unsupported dtype 'u16'" in err and "missing" not in err
 
 
 def test_phantom_gen_roundtrip(tmp_path, capsys):

@@ -36,6 +36,20 @@ def test_generation_is_deterministic(scene):
         np.testing.assert_array_equal(getattr(different, name).data, getattr(scene, name).data)
 
 
+def test_geometry_is_built_once_per_params_and_read_only(scene):
+    # scenes of equal params share the cached arrays; JSON-style lists give
+    # equal (hashable) params
+    again = generate_phantom(seed=9, params=PhantomParams(volume_shape=[64, 96, 64]))
+    assert again.seed == 9 and again.params == scene.params
+    for name in ("body", "hv_annotation", "hv_branch_annotation"):
+        data = getattr(again, name).data
+        assert data is getattr(scene, name).data
+        assert not data.flags.writeable
+    assert all(not br.points.flags.writeable for br in again.tree.branches)
+    other = generate_phantom(seed=0, params=PhantomParams(radius_lhv=3.0))
+    assert not np.array_equal(other.hv_annotation.data, scene.hv_annotation.data)
+
+
 def test_annotation_is_exactly_the_tube_set(scene):
     """Marked voxels are within a branch radius of its centerline, and vice versa."""
     sp = scene.params.spacing_mm

@@ -28,19 +28,27 @@ from usreg_sim.imgvol import (
 )
 from usreg_sim.phantom import ct_frame_volume, generate_phantom, place_phantom
 from usreg_sim.pipeline import harmonize
+from usreg_sim import registration
 from usreg_sim.registration import (
     RegistrationConfig,
+    _batch_mi,
     _eval_points,
-    _mi_from_counts,
+    _make_transform,
     _SparseJointCounts,
     _StencilSupport,
-    _theta_map,
+    _theta_maps,
     apply_transform,
     mutual_information,
     register_rigid,
 )
 
-from _oracles import dense_joint_counts, reference_apply_transform, reference_register_rigid
+from _oracles import (
+    _mi_from_counts,
+    _theta_map,
+    dense_joint_counts,
+    reference_apply_transform,
+    reference_register_rigid,
+)
 
 
 def _mi_oracle(n00, n01, n10, n11):
@@ -57,8 +65,14 @@ def _mi_oracle(n00, n01, n10, n11):
     return mi
 
 
+def _mi(counts):
+    """The package's MI of one 2x2 count table."""
+    (mi,) = _batch_mi(np.asarray(counts, dtype=np.float64)[None])
+    return mi
+
+
 def test_mi_matches_hand_joint_counts():
-    got = _mi_from_counts(np.array([[400.0, 40.0], [40.0, 32.0]]))
+    got = _mi([[400.0, 40.0], [40.0, 32.0]])
     assert got == pytest.approx(_mi_oracle(400, 40, 40, 32), abs=1e-12)
     # frozen via the independent identity MI = H(rows) + H(cols) - H(joint)
     assert got == pytest.approx(0.047695803244, abs=1e-9)
@@ -79,11 +93,44 @@ def test_mi_self_is_marginal_entropy():
 
 
 def test_mi_constant_moving_is_zero():
-    assert _mi_from_counts(np.array([[440.0, 0.0], [72.0, 0.0]])) == 0.0
+    assert _mi([[440.0, 0.0], [72.0, 0.0]]) == 0.0
 
 
 def test_mi_empty_overlap_flagged_zero():
-    assert _mi_from_counts(np.zeros((2, 2))) == 0.0
+    assert _mi(np.zeros((2, 2))) == 0.0
+
+
+def _random_count_tables(rng, n):
+    """(n, 2, 2) partial-volume count tables, with empty cells, rows, columns and tables."""
+    counts = rng.integers(0, 2000, (n, 2, 2)) + rng.random((n, 2, 2)) * (rng.random((n, 1, 1)) < 0.7)
+    zero = rng.random((n, 2, 2)) < 0.2
+    zero[rng.random(n) < 0.1] = True  # empty tables
+    zero[rng.random(n) < 0.1, rng.integers(0, 2)] = True  # empty rows
+    zero[rng.random(n) < 0.1, :, rng.integers(0, 2)] = True  # empty columns
+    counts[zero] = 0.0
+    return counts
+
+
+def test_batch_maps_and_mi_match_the_per_map_oracles():
+    # every value the search feeds in: thetas within the bounds, off-grid
+    # steps, exact zeros and the bounds themselves
+    rng = np.random.default_rng(71)
+    init = RigidTransform3(euler_zyx(3.0, -2.0, 1.0), np.array([12.5, -7.25, 3.0]))
+    center = np.array([64.3, 95.1, 59.8])
+    for size in [1] * 200 + [8] * 100 + [2, 3, 5] * 30:
+        thetas = rng.uniform(-1.0, 1.0, (size, 6)) * [20.0, 20.0, 20.0, 10.0, 10.0, 10.0]
+        thetas[rng.random((size, 6)) < 0.2] = 0.0
+        thetas[rng.random((size, 6)) < 0.05] = 20.0
+        a, b = _theta_maps(list(thetas), center, init)
+        for theta, a_t, b_t in zip(thetas, a, b):
+            want_a, want_b = _theta_map(theta, center, init)
+            assert a_t.tobytes() == want_a.tobytes() and b_t.tobytes() == want_b.tobytes()
+        if size == 1:
+            t = _make_transform(thetas[0], center, init)
+            assert t.rotation.tobytes() == a[0].tobytes() and t.translation.tobytes() == b[0].tobytes()
+        counts = _random_count_tables(rng, size)
+        got = _batch_mi(counts)
+        assert [g.tobytes() for g in got] == [np.float64(_mi_from_counts(c)).tobytes() for c in counts]
 
 
 @pytest.fixture(scope="module")
@@ -167,10 +214,9 @@ def test_sparse_joint_counts_match_dense_oracle(annotation, case, stride, pad, t
     thetas = rng.uniform(-1.0, 1.0, (12, 6)) * theta_scale
     if case == "disjoint":
         thetas[:, 0] += 500.0
-    # scored in pairs, as the pattern search does
-    got = np.concatenate([
-        counts([_theta_map(t, center, init) for t in pair]) for pair in thetas.reshape(6, 2, 6)
-    ])
+    # scored in pairs, as the pattern search does, and all in one batch
+    got = np.concatenate([counts(*_theta_maps(pair, center, init)) for pair in thetas.reshape(6, 2, 6)])
+    assert np.array_equal(counts(*_theta_maps(thetas, center, init)), got)
     for theta, sparse in zip(thetas, got):
         a, b = _theta_map(theta, center, init)
         dense = dense_joint_counts(fvals, moving, (pts - b) @ a)
@@ -179,7 +225,28 @@ def test_sparse_joint_counts_match_dense_oracle(annotation, case, stride, pad, t
                 "disjoint": n_inside == 0}[case]
         assert np.array_equal(sparse, dense)
         if case == "disjoint":
-            assert _mi_from_counts(sparse) == 0.0
+            assert _mi(sparse) == 0.0
+
+
+def test_exact_route_gives_each_point_the_whole_lattice_bits(annotation):
+    # batches mixing one-point blocks, empty blocks and one point in all:
+    # every point gets the bits of the whole lattice's matrix-matrix route
+    rng = np.random.default_rng(81)
+    fixed, moving, init, _ = _acceptance_3_case(annotation, 0)
+    center = init.apply(centroid(moving))
+    pts, fvals, shape = _eval_points(fixed, moving, [init], np.full(3, 4), 1)
+    step = fixed.spacing[:, None] * fixed.axes
+    counts = _SparseJointCounts(pts, fvals, shape, step, moving, _StencilSupport.of(moving.data))
+    thetas = rng.uniform(-1.0, 1.0, (4, 6)) * [2.0, 2.0, 2.0, 1.0, 1.0, 1.0]
+    a, b = _theta_maps(thetas, center, init)
+    whole = [(((pts - b_t) @ a_t - moving.origin) @ moving.axes.T) / moving.spacing for a_t, b_t in zip(a, b)]
+    for _ in range(50):
+        sizes = rng.integers(0, 3, 4)
+        sizes[rng.integers(0, 4)] = 1
+        for sizes in (sizes, np.eye(4, dtype=np.int64)[rng.integers(0, 4)]):
+            flat = rng.integers(0, len(pts), sizes.sum())
+            want = np.array([whole[t][i] for t, i in zip(np.repeat(np.arange(4), sizes), flat)])
+            assert counts._exact(a, b, flat, sizes).tobytes() == want.tobytes()
 
 
 def test_mutual_information_is_the_solver_score(annotation):
@@ -267,25 +334,47 @@ def _register_yaw7_case():
 
 
 def test_each_candidate_is_scored_once_with_unchanged_results(annotation, monkeypatch):
-    # per scorer instance, the (a, b) bytes of every map it was asked for
+    # per scorer instance, the (a, b) bytes of the maps of each call
     scored = {}
     call = _SparseJointCounts.__call__
 
-    def recording_call(self, maps):
-        scored.setdefault(self, []).extend(a.tobytes() + b.tobytes() for a, b in maps)
-        return call(self, maps)
+    def recording_call(self, a, b):
+        scored.setdefault(self, []).append([a_t.tobytes() + b_t.tobytes() for a_t, b_t in zip(a, b)])
+        return call(self, a, b)
+
+    # per lockstep run, its number of rounds
+    rounds = []
+    lockstep = registration._lockstep
+
+    def counting_lockstep(score, searches):
+        rounds.append(0)
+
+        def counted(thetas):
+            rounds[-1] += 1
+            return score(thetas)
+
+        return lockstep(counted, searches)
 
     monkeypatch.setattr(_SparseJointCounts, "__call__", recording_call)
+    monkeypatch.setattr(registration, "_lockstep", counting_lockstep)
     cases = [_acceptance_3_case(annotation, k) for k in range(3)] + [_register_yaw7_case()]
     for fixed, moving, init, cfg in cases:
         scored.clear()
+        rounds.clear()
         t, score, traces = register_rigid(fixed, moving, init, cfg, return_trace=True)
-        assert len(scored) == 2  # one scorer per stage
-        assert all(len(set(maps)) == len(maps) for maps in scored.values())
+        assert len(scored) == 2 and len(rounds) == 2  # one scorer and one lockstep run per stage
+        coarse_calls, fine_calls = scored.values()
+        # at most one coarse scorer call per round: the four searches share it
+        assert len(coarse_calls) <= rounds[0]
+        for calls in scored.values():
+            maps = [m for c in calls for m in c]
+            assert len(set(maps)) == len(maps)
 
         scored.clear()
         t_ref, score_ref, traces_ref = reference_register_rigid(fixed, moving, init, cfg)
-        assert any(len(set(maps)) < len(maps) for maps in scored.values())
+        ref_coarse_calls, _ = scored.values()
+        assert len(coarse_calls) <= 0.4 * len(ref_coarse_calls)
+        assert any(len({m for c in calls for m in c}) < sum(map(len, calls)) for calls in scored.values())
         assert t.rotation.tobytes() == t_ref.rotation.tobytes()
         assert t.translation.tobytes() == t_ref.translation.tobytes()
         assert score == score_ref

@@ -58,3 +58,14 @@ def test_vol_header_missing_geometry_key(tmp_path, key):
     path.write_text(json.dumps(header))
     with pytest.raises(ValueError, match=f"malformed volume header .*missing '{key}'"):
         load_volume(path)
+
+
+@pytest.mark.parametrize("tag", ["u16", "f64", ["u8"]])
+def test_vol_header_unknown_dtype_is_named(tmp_path, tag):
+    vol = Volume3(np.zeros((2, 2, 2), dtype=np.uint8), (1, 1, 1), (0, 0, 0), np.eye(3))
+    path = save_volume(vol, tmp_path / "v.vol")
+    header = json.loads(path.read_text())
+    path.write_text(json.dumps({**header, "dtype": tag}))
+    with pytest.raises(ValueError, match=r"unsupported dtype .*accepted: \['f32', 'u8'\]") as err:
+        load_volume(path)
+    assert repr(tag) in str(err.value) and "missing" not in str(err.value)
