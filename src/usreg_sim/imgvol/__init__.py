@@ -16,7 +16,6 @@ from .volume import (
     require_binary,
     resample_crop,
     sample_at_physical,
-    translate_volume,
     voxel_to_physical,
 )
 from .metrics import PreparedTruth, dice, omia, precision, prepare_truth, recall
@@ -27,7 +26,7 @@ __all__ = [
     "rotation_z", "translation",
     "Volume3", "centroid", "largest_connected_component",
     "physical_to_voxel", "require_binary", "resample_crop",
-    "sample_at_physical", "translate_volume", "voxel_to_physical",
+    "sample_at_physical", "voxel_to_physical",
     "PreparedTruth", "dice", "omia", "precision", "prepare_truth", "recall",
     "load_volume", "save_volume",
 ]

@@ -91,14 +91,9 @@ def physical_to_voxel(vol: Volume3, point) -> np.ndarray:
     return ((pts - vol.origin) @ vol.axes.T) / vol.spacing
 
 
-def translate_volume(vol: Volume3, delta) -> Volume3:
-    """Shift a volume's physical placement by ``delta`` mm; data is shared."""
-    return Volume3(vol.data, vol.spacing, vol.origin + np.asarray(delta, dtype=np.float64), vol.axes)
-
-
-def centroid(vol: Volume3) -> np.ndarray:
-    """Physical mm centroid of the nonzero voxels."""
-    idx = np.argwhere(vol.data)
+def centroid(vol: Volume3, fg: np.ndarray | None = None) -> np.ndarray:
+    """Physical mm centroid of the nonzero voxels; ``fg`` is their ``np.argwhere``, if at hand."""
+    idx = np.argwhere(vol.data) if fg is None else fg
     if idx.shape[0] == 0:
         raise ValueError("centroid of an empty mask is undefined")
     mean_idx = idx.mean(axis=0)

@@ -9,17 +9,22 @@ returned transform maps moving-space points into fixed space.
 
 The coarse restarts run in lockstep: each round gathers the pending
 candidates of every live search and scores them as one batch, so the work
-around the per-map products (candidate maps, row runs, the exact index
-route, MI) is done once per round rather than once per map. Each search
-decides from its own scores only, so its result is the one it would get
-alone.
+around the per-map products (candidate maps, candidate scatter, row runs,
+the exact index route, MI) is done once per round rather than once per
+map. Each search decides from its own scores only, so its result is the
+one it would get alone.
 
 The score is the 2x2 partial-volume joint histogram of fixed lattice values
 against the trilinear-sampled moving mask (Maes et al., IEEE TMI 1997). It
-is evaluated sparsely but exactly: samples are taken only where the moving
-mask has foreground within reach and the inside counts come from row runs,
-yet the counts are bit-identical to sampling the whole lattice. A stage
-scores each distinct candidate once and answers repeats from its record.
+is evaluated sparsely but exactly, yet the counts are bit-identical to
+sampling the whole lattice. The moving mask is kept as one ``uint8`` table
+of corner codes (bit c of cell v: is voxel v + c foreground), and each map
+scatters its candidate lattice points from the blocks of that table's
+nonzero cells, so the work follows the moving foreground, not the lattice.
+One table read per candidate gives both the hit test and the trilinear
+sample. The inside counts come from the lattice totals or from row runs.
+Each mask is scanned for its foreground once per call. A stage scores each
+distinct candidate once and answers repeats from its record.
 ``mutual_information`` reports this same score for given transforms; it is
 the package's only MI estimator.
 """
@@ -30,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .imgvol import (
     RigidTransform3,
@@ -67,6 +71,7 @@ class RegistrationConfig:
 
 # Voxels of slack between the exact and the affine-shortcut moving index; the
 # two routes differ by rounding only (~1e-12 voxel), so this never decides.
+# The same margin (in lattice indices) widens each block's candidate box.
 _INDEX_SLACK = 1e-6
 
 
@@ -122,63 +127,99 @@ def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _StencilSupport:
-    """Where a trilinear sample of a binary mask can be nonzero.
+    """The corner codes of a binary mask's trilinear stencils.
 
-    Raveled tables over the voxel box ``lo`` .. ``lo + shape - 1``, read at
-    ``(v - lo) @ strides``: ``exact`` is true iff some voxel of the 2x2x2
-    stencil at ``v`` (``v + {0, 1}^3``) is foreground; ``near`` is ``exact``
-    dilated by one voxel, so a floor that rounding moved by one still lands
-    on it. ``near`` fits in the box.
+    A raveled ``uint8`` table over the cells ``lo`` .. ``lo + shape - 1`` (a
+    cell is named by its floor voxel v), read at ``(v - lo) @ strides``: bit
+    c of ``code`` is set iff voxel ``v + c`` is foreground, for the corners
+    c in ``np.ndindex(2, 2, 2)`` order. So one read tells whether a sample
+    whose floor is v can be nonzero, and gives the sample. Every cell with a
+    nonzero code lies in the box. ``bounds`` (lo/hi, axis, 1) bounds the
+    moving indices that are inside the grid's extent and floor into the box.
     """
 
     lo: np.ndarray
     shape: np.ndarray
     strides: np.ndarray
-    exact: np.ndarray
-    near: np.ndarray
+    code: np.ndarray
+    bounds: np.ndarray
 
     @classmethod
-    def of(cls, mask: np.ndarray) -> "_StencilSupport":
-        fg = np.argwhere(mask)
-        lo = fg.min(axis=0) - 2
-        size = fg.max(axis=0) + 2 - lo + 1
-        padded = np.zeros(size + 1, dtype=bool)
-        padded[tuple((fg - lo).T)] = True
-        exact = np.zeros(size, dtype=bool)
-        for d in np.ndindex(2, 2, 2):
-            exact |= padded[d[0]:d[0] + size[0], d[1]:d[1] + size[1], d[2]:d[2] + size[2]]
-        near = ndimage.binary_dilation(exact, np.ones((3, 3, 3), dtype=bool))
+    def of(cls, fg: np.ndarray, extent) -> "_StencilSupport":
+        """The table of the mask on a grid of shape ``extent`` whose foreground voxels are ``fg`` (N, 3)."""
+        lo = fg.min(axis=0) - 1
+        size = fg.max(axis=0) - lo + 1
+        padded = np.zeros(size + 1, dtype=np.uint8)
+        padded[tuple((fg - lo).T)] = 1
+        code = np.zeros(size, dtype=np.uint8)
+        for bit, d in enumerate(np.ndindex(2, 2, 2)):
+            code |= padded[d[0]:d[0] + size[0], d[1]:d[1] + size[1], d[2]:d[2] + size[2]] << bit
         strides = np.array([size[1] * size[2], size[2], 1])
-        return cls(lo, size, strides, exact.ravel(), near.ravel())
+        bounds = np.array([np.maximum(lo, -0.5), np.minimum(lo + size, np.asarray(extent) - 0.5)])
+        return cls(lo, size, strides, code.ravel(), bounds[:, :, None])
+
+    def block_centers(self, edge: int) -> np.ndarray:
+        """Centres (3, K), in table cells, of the ``edge``^3-cell blocks holding a nonzero code."""
+        cells = np.unravel_index(np.flatnonzero(self.code), tuple(self.shape))
+        blocks = np.zeros(-(-self.shape // edge), dtype=bool)
+        blocks[tuple(c // edge for c in cells)] = True
+        return np.argwhere(blocks).T * float(edge) + edge / 2.0
+
+    def sample(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The points of ``idx`` (3, N), moving indices, whose sample may be nonzero, and their samples.
+
+        A point qualifies iff it is inside the moving extent and its floor
+        cell has a nonzero code; cells outside the table are never read. Its
+        sample is ``map_coordinates(mask, order=1, mode="grid-constant")``'s,
+        bit for bit, from the same arithmetic: per corner, in order,
+        ``(w0 * w1) * w2`` of the axis weights ``1 - t`` (floor voxel) and
+        ``1 - (1 - t)`` (ceiling voxel), summed from 0.0. Returns the
+        qualifying positions, ascending, and their samples.
+        """
+        hit = np.flatnonzero(np.all((idx >= self.bounds[0]) & (idx < self.bounds[1]), axis=0))
+        x = idx.take(hit, axis=1)
+        floor = np.floor(x)
+        code = self.code.take(self.strides @ (floor.astype(np.int64) - self.lo[:, None]))
+        nonzero = np.flatnonzero(code)
+        hit, code = hit.take(nonzero), code.take(nonzero)
+        w_floor = 1.0 - (x - floor).take(nonzero, axis=1)
+        w = (w_floor, 1.0 - w_floor)
+        frac = np.zeros(len(hit))
+        for bit, (i, j, k) in enumerate(np.ndindex(2, 2, 2)):
+            frac += ((code >> bit) & 1) * (w[i][0] * w[j][1] * w[k][2])
+        return hit, frac
 
 
 class _SparseJointCounts:
     """2x2 partial-volume joint histograms of a fixed lattice vs a binary moving mask.
 
-    ``moving`` holds the mask as float64, the sampler's input. Called with
-    candidate maps (``a``, ``b``: fixed point x lies at moving point
-    a^T (x - b)), it returns per map the counts [[n00, n01], [n10, n11]]
-    equal, bit for bit, to trilinear-sampling the moving mask at every
+    Called with candidate maps (``a``, ``b``: fixed point x lies at moving
+    point a^T (x - b)), it returns per map the counts [[n00, n01], [n10,
+    n11]] equal, bit for bit, to trilinear-sampling the moving mask at every
     lattice point inside the moving extent (partial-volume weighting: a
     sample s adds s to column 1 and 1 - s to column 0 of its fixed value's
-    row), without doing so. The lattice is an affine image of its index box,
-    so each lattice row (fixed i, j) crosses a box of moving indices in one
-    run of k:
+    row), without doing so. The lattice is an affine image of its index box
+    (the affine shortcut of the moving index, exact up to ``_INDEX_SLACK``):
 
-    - column 1 sums samples only at points whose 2x2x2 stencil touches
-      foreground, found among the runs through the support's box. Every
-      other sample is an exact zero, and the points kept come in lattice
-      order, so the weighted bincount adds the same terms in the same order;
-    - the inside totals per fixed value are prefix-sum differences over the
-      runs through the moving extent, or the lattice totals when all eight
-      lattice corners are inside.
+    - column 1 sums samples only at points whose exact floor is a cell with
+      a nonzero corner code (``_StencilSupport``); every other sample is an
+      exact zero. The candidates are scattered from the moving stencil: the
+      nonzero cells are grouped in blocks of ``stride``^3 cells, and a
+      block's candidates are the lattice indices in the bounding box of its
+      preimage under the shortcut, widened by the slack. Sorted, they come
+      in lattice order, so the weighted bincount adds the same terms in the
+      same order. One table read per candidate gives both the hit test and
+      the trilinear sample;
+    - the inside totals per fixed value are the lattice totals for a map
+      that puts all eight lattice corners surely inside the moving extent,
+      otherwise prefix-sum differences over the runs of each lattice row
+      (fixed i, j) through the extent, one run of k per row.
 
-    Runs come from an affine shortcut of the moving index, with
-    ``_INDEX_SLACK`` of margin; points within the margin of a face of the
-    extent, and every point whose sample is kept, go through the exact route.
+    Candidates, and points within the slack of a face of the extent, go
+    through the exact route.
     """
 
-    def __init__(self, pts, fvals, shape, step: np.ndarray, moving: Volume3, support: _StencilSupport):
+    def __init__(self, pts, fvals, shape, stride: int, step: np.ndarray, moving: Volume3, support: _StencilSupport):
         self.pts = pts
         self.fvals = fvals
         self.shape = shape
@@ -188,9 +229,10 @@ class _SparseJointCounts:
         n0, n1, n2 = shape
         self.totals = np.bincount(fvals, minlength=2)
         self.corners = np.array(list(np.ndindex(2, 2, 2))).T * (np.array(shape)[:, None] - 1.0)
-        self.ijk = np.indices(shape, dtype=np.float64).reshape(3, -1)
-        self.row_ij = self.ijk[:2, ::n2].copy()
+        self.row_ij = np.indices((n0, n1), dtype=np.float64).reshape(2, -1)
         self.row_start = np.arange(n0 * n1) * n2
+        self.lattice_strides = np.array([n1 * n2, n2, 1])
+        self.last = np.array(shape)[:, None] - 1.0
         # fixed-foreground count of row r before k: prefix[r * (n2 + 1) + k]
         prefix = np.zeros((n0 * n1, n2 + 1), dtype=np.int64)
         np.cumsum(fvals.reshape(n0 * n1, n2), axis=1, dtype=np.int64, out=prefix[:, 1:])
@@ -198,10 +240,11 @@ class _SparseJointCounts:
         self.m_shape = np.array(moving.data.shape)
         # the shortcut counts moving voxels from the support table's corner
         self.frame = (moving.origin @ moving.axes.T) / moving.spacing + support.lo
+        self.blocks = support.block_centers(stride)
+        self.half_block = stride / 2.0
         lo = -0.5 - support.lo
         hi = self.m_shape - 0.5 - support.lo
         self.boxes = np.array([
-            [np.full(3, 0.5), support.shape - 0.5],  # floors in the tables
             [lo + _INDEX_SLACK, hi - _INDEX_SLACK],  # surely inside the extent
             [lo - _INDEX_SLACK, hi + _INDEX_SLACK],  # possibly inside
         ])
@@ -215,17 +258,15 @@ class _SparseJointCounts:
         m = (a @ self.moving.axes.T) / self.moving.spacing
         grad = (self.step @ m).transpose(0, 2, 1)  # shortcut index per lattice index
         origin = ((self.pts[0] - b)[:, None] @ m)[:, 0, :, None] - self.frame[:, None]
-        base = origin + grad[:, :, :2] @ self.row_ij
+        weights = self._foreground_weights(a, b, origin, grad)
         corners = origin + grad @ self.corners
-        sure = self.boxes[1, :, None, :, None]
-        all_inside = np.all(corners >= sure[0]) and np.all(corners <= sure[1])
-        boxes = self.boxes[:1] if all_inside else self.boxes
-        start, stop = _row_spans(base, grad[:, :, 2], boxes, self.shape[2])
-        weights = self._foreground_weights(a, b, origin, grad, start[:, 0], stop[:, 0])
-        if all_inside:
-            n_inside = self.totals
-        else:
-            n_inside = self._inside_counts(a, b, start[:, 1:], stop[:, 1:])
+        sure = self.boxes[0, :, :, None]
+        n_inside = np.tile(self.totals, (len(a), 1))
+        part = np.flatnonzero(~np.all((corners >= sure[0]) & (corners <= sure[1]), axis=(1, 2)))
+        if len(part):
+            base = origin[part] + grad[part, :, :2] @ self.row_ij
+            start, stop = _row_spans(base, grad[part, :, 2], self.boxes, self.shape[2])
+            n_inside[part] = self._inside_counts(a[part], b[part], start, stop)
         counts = np.zeros((len(a), 2, 2), dtype=np.float64)
         counts[:, :, 1] = weights
         counts[:, :, 0] = n_inside - weights
@@ -270,26 +311,36 @@ class _SparseJointCounts:
             counts += np.bincount(2 * which[inside] + fvals[inside], minlength=2 * len(a)).reshape(-1, 2)
         return counts
 
-    def _foreground_weights(self, a, b, origin, grad, start, stop) -> np.ndarray:
-        # per map, the run points whose shortcut index lies half a voxel
-        # inside the support's box: their floors, shortcut and exact, index
-        # the tables. A point whose exact floor is marked in ``exact`` has its
-        # shortcut floor marked in ``near``; only those get the exact route.
-        sup = self.support
-        lengths = stop - start
-        flat = _runs((self.row_start + start).ravel(), lengths.ravel())
-        point_sets = []
-        for t, rows in enumerate(np.split(flat, np.cumsum(lengths.sum(axis=1))[:-1])):
-            rel = grad[t] @ self.ijk.take(rows, axis=1) + origin[t]
-            point_sets.append(rows[sup.near.take(sup.strides @ rel.astype(np.int64))])
-        sizes = np.array([len(p) for p in point_sets])
-        points = np.concatenate(point_sets)
-        idx = self._exact(a, b, points, sizes)
-        hit = _inside(idx, self.m_shape)
-        hit &= sup.exact.take((np.floor(idx).astype(np.int64) - sup.lo) @ sup.strides)
-        frac = ndimage.map_coordinates(
-            self.moving.data, idx[hit].T, order=1, mode="grid-constant", cval=0.0,
-        )
+    def _candidates(self, origin, grad):
+        """Per map, in lattice order, the lattice points that may sample a nonzero cell.
+
+        A point whose exact floor is a nonzero cell has its shortcut index
+        within the slack of that cell, so inside its block's preimage; the
+        preimage's bounding box, widened by the slack, holds the point.
+        Returns the flat lattice indices and the count per map.
+        """
+        n_maps, size = len(grad), self.pts.shape[0]
+        inv = np.linalg.inv(grad)  # lattice index per shortcut index
+        center = inv @ (self.blocks - origin)  # (M, 3, K)
+        reach = np.abs(inv).sum(axis=2)[:, :, None] * self.half_block + _INDEX_SLACK
+        lo = np.maximum(np.ceil(center - reach), 0.0)
+        count = (np.minimum(np.floor(center + reach), self.last) - lo + 1.0).astype(np.int64)
+        first = (lo.astype(np.int64) * self.lattice_strides[:, None]).sum(axis=1)
+        first += np.arange(n_maps)[:, None] * size
+        # every offset within the widest box, each kept where its block's box holds it
+        parts = [np.zeros(0, dtype=np.int64)]
+        for o0, o1, o2 in np.ndindex(*count.max(axis=(0, 2), initial=0)):
+            fits = (count[:, 0] > o0) & (count[:, 1] > o1) & (count[:, 2] > o2)
+            parts.append(first[fits] + (o0 * self.lattice_strides[0] + o1 * self.lattice_strides[1] + o2))
+        flat = np.sort(np.concatenate(parts))
+        flat = flat[np.diff(flat, prepend=-1) != 0]  # a point in several boxes, once
+        which = flat // size
+        return flat - which * size, np.bincount(which, minlength=n_maps)
+
+    def _foreground_weights(self, a, b, origin, grad) -> np.ndarray:
+        points, sizes = self._candidates(origin, grad)
+        idx = np.ascontiguousarray(self._exact(a, b, points, sizes).T)
+        hit, frac = self.support.sample(idx)
         bins = 2 * np.repeat(np.arange(len(a)), sizes) + self.fvals.take(points)
         return np.bincount(bins[hit], weights=frac, minlength=2 * len(a)).reshape(-1, 2)
 
@@ -307,24 +358,47 @@ def _batch_mi(counts: np.ndarray) -> np.ndarray:
     return np.where(p > 0, terms, 0.0).sum(axis=(1, 2))
 
 
-def _content_bbox_in_fixed(vol: Volume3, to_fixed: RigidTransform3, fixed: Volume3):
-    """Index-space bbox (lo, hi inclusive) of vol's content mapped into fixed."""
-    nz = np.argwhere(vol.data > 0)
-    pts = vol.origin + (nz.astype(np.float64) * vol.spacing) @ vol.axes
+def _content_bbox_in_fixed(vol: Volume3, fg: np.ndarray, to_fixed: RigidTransform3, fixed: Volume3):
+    """Index-space bbox (lo, hi inclusive) of vol's content, voxels ``fg``, mapped into fixed."""
+    pts = vol.origin + (fg.astype(np.float64) * vol.spacing) @ vol.axes
     fidx = ((to_fixed.apply(pts) - fixed.origin) @ fixed.axes.T) / fixed.spacing
     return np.floor(fidx.min(axis=0)).astype(int), np.ceil(fidx.max(axis=0)).astype(int)
 
 
-def _eval_points(fixed: Volume3, moving: Volume3, inits, pad_vox: np.ndarray, stride: int):
+@dataclass(frozen=True)
+class _ScoreInputs:
+    """A validated mask pair, the foreground voxel indices of each (scanned once) and the moving table."""
+
+    fixed: Volume3
+    moving: Volume3
+    fixed_fg: np.ndarray
+    moving_fg: np.ndarray
+    support: _StencilSupport
+
+
+def _score_inputs(fixed: Volume3, moving: Volume3) -> _ScoreInputs:
+    """Validate a mask pair for scoring and scan each mask for its foreground once."""
+    fdata = require_binary(fixed.data, "fixed mask")
+    mdata = require_binary(moving.data, "moving mask")
+    fixed_fg, moving_fg = np.argwhere(fdata), np.argwhere(mdata)
+    if len(fixed_fg) == 0 or len(moving_fg) == 0:
+        raise ValueError("cannot register empty masks")
+    if fdata.shape != mdata.shape or not np.allclose(fixed.spacing, moving.spacing):
+        raise ValueError("volumes must be harmonized to the same shape and spacing")
+    return _ScoreInputs(fixed, moving, fixed_fg, moving_fg, _StencilSupport.of(moving_fg, mdata.shape))
+
+
+def _eval_points(masks: _ScoreInputs, inits, pad_vox: np.ndarray, stride: int):
     """Fixed-grid sample lattice covering both contents plus search margin.
 
     ``inits`` lists candidate moving->fixed transforms whose mapped content
     must stay inside the lattice. Returns the lattice points (C order), their
     fixed values and the lattice shape.
     """
-    lo, hi = _content_bbox_in_fixed(fixed, RigidTransform3.identity(), fixed)
+    fixed = masks.fixed
+    lo, hi = _content_bbox_in_fixed(fixed, masks.fixed_fg, RigidTransform3.identity(), fixed)
     for t in inits:
-        lo_m, hi_m = _content_bbox_in_fixed(moving, t, fixed)
+        lo_m, hi_m = _content_bbox_in_fixed(masks.moving, masks.moving_fg, t, fixed)
         lo = np.minimum(lo, lo_m)
         hi = np.maximum(hi, hi_m)
     lo = lo - pad_vox
@@ -345,24 +419,11 @@ def _eval_points(fixed: Volume3, moving: Volume3, inits, pad_vox: np.ndarray, st
 _REFINE_PAD = 4
 
 
-def _score_inputs(fixed: Volume3, moving: Volume3):
-    """Validate a mask pair for scoring; the moving mask as float64 and its support."""
-    fdata = require_binary(fixed.data, "fixed mask")
-    mdata = require_binary(moving.data, "moving mask")
-    if fdata.sum() == 0 or mdata.sum() == 0:
-        raise ValueError("cannot register empty masks")
-    if fdata.shape != mdata.shape or not np.allclose(fixed.spacing, moving.spacing):
-        raise ValueError("volumes must be harmonized to the same shape and spacing")
-    # float view of the moving mask so the score loop skips the cast
-    moving_f = Volume3(mdata.astype(np.float64), moving.spacing, moving.origin, moving.axes)
-    return moving_f, _StencilSupport.of(mdata)
-
-
-def _lattice_scorer(fixed, moving_f, support, inits, pad_vox, stride) -> _SparseJointCounts:
+def _lattice_scorer(masks: _ScoreInputs, inits, pad_vox, stride) -> _SparseJointCounts:
     """The sparse 2x2 joint-count scorer on one stage's fixed lattice (``_eval_points``)."""
-    pts, fvals, shape = _eval_points(fixed, moving_f, inits, pad_vox, stride)
-    step = stride * fixed.spacing[:, None] * fixed.axes
-    return _SparseJointCounts(pts, fvals, shape, step, moving_f, support)
+    pts, fvals, shape = _eval_points(masks, inits, pad_vox, stride)
+    step = stride * masks.fixed.spacing[:, None] * masks.fixed.axes
+    return _SparseJointCounts(pts, fvals, shape, stride, step, masks.moving, masks.support)
 
 
 def mutual_information(
@@ -375,8 +436,7 @@ def mutual_information(
     content and the moving content mapped by each of them, plus the
     refinement stage's margin, so the scores compare with one another.
     """
-    moving_f, support = _score_inputs(fixed, moving)
-    scorer = _lattice_scorer(fixed, moving_f, support, transforms, _REFINE_PAD, 1)
+    scorer = _lattice_scorer(_score_inputs(fixed, moving), transforms, _REFINE_PAD, 1)
     a = np.array([t.rotation for t in transforms])
     b = np.array([t.translation for t in transforms])
     return _batch_mi(scorer(a, b)).tolist()
@@ -502,12 +562,12 @@ def register_rigid(
     """
     cfg = cfg or RegistrationConfig()
     init = init or RigidTransform3.identity()
-    moving_f, support = _score_inputs(fixed, moving)
-    center = init.apply(centroid(moving))
+    masks = _score_inputs(fixed, moving)
+    center = init.apply(centroid(moving, masks.moving_fg))
     pad = np.ceil(_BOUNDS[0] / fixed.spacing).astype(int) + 2
 
     def stage_scorer(inits, pad_vox, stride):
-        joint_counts = _lattice_scorer(fixed, moving_f, support, inits, pad_vox, stride)
+        joint_counts = _lattice_scorer(masks, inits, pad_vox, stride)
         scores: dict[bytes, float] = {}  # theta bytes -> score, per stage
 
         def score(thetas):

@@ -297,12 +297,12 @@ def reference_register_rigid(fixed, moving, init, cfg):
     again is scored again. Returns (transform, final score, [coarse trace,
     fine trace]).
     """
-    moving_f, support = reg._score_inputs(fixed, moving)
+    masks = reg._score_inputs(fixed, moving)
     center = init.apply(centroid(moving))
     pad = np.ceil(reg._BOUNDS[0] / fixed.spacing).astype(int) + 2
 
     def stage_scorer(inits, pad_vox, stride):
-        joint_counts = reg._lattice_scorer(fixed, moving_f, support, inits, pad_vox, stride)
+        joint_counts = reg._lattice_scorer(masks, inits, pad_vox, stride)
 
         def score(thetas):
             maps = [_theta_map(t, center, init) for t in thetas]

@@ -6,11 +6,13 @@ sparse joint counts are checked bit for bit against the dense reference in
 ``_oracles``.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from usreg_sim.imgvol import (
     RigidTransform3,
@@ -22,7 +24,6 @@ from usreg_sim.imgvol import (
     inverse,
     rotation_about,
     rotation_z,
-    translate_volume,
     translation,
     voxel_to_physical,
 )
@@ -33,7 +34,9 @@ from usreg_sim.registration import (
     RegistrationConfig,
     _batch_mi,
     _eval_points,
+    _lattice_scorer,
     _make_transform,
+    _score_inputs,
     _SparseJointCounts,
     _StencilSupport,
     _theta_maps,
@@ -138,6 +141,11 @@ def annotation():
     return generate_phantom(seed=5).hv_annotation
 
 
+def _shifted(vol, delta):
+    """``vol`` with its physical placement moved by ``delta`` mm; the data is shared."""
+    return Volume3(vol.data, vol.spacing, vol.origin + delta, vol.axes)
+
+
 def _rotation_angle_deg(transform):
     tr = np.trace(transform.rotation)
     return math.degrees(math.acos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0)))
@@ -152,7 +160,7 @@ def test_self_registration_returns_identity(annotation):
 
 def test_translation_recovery_with_centroid_init(annotation):
     shift = np.array([5.0, 0.0, 0.0])
-    moving = translate_volume(annotation, shift)
+    moving = _shifted(annotation, shift)
     init = translation(-shift)  # centroid init: contents share shape exactly
     t, _ = register_rigid(annotation, moving, init=init, cfg=RegistrationConfig(seed=2))
     probe_pt = np.array([64.0, 95.0, 60.0]) + shift
@@ -179,6 +187,63 @@ def test_rotation_translation_recovery_resampled(annotation):
     assert abs(_rotation_angle_deg(t) - 4.0) <= 1.0
 
 
+class _RangeCheckedTable(np.ndarray):
+    """A corner-code table that fails any ``take`` outside its bounds and counts its reads.
+
+    ``take`` accepts negative indices, which would read the far end of the
+    table, so a read out of range is caught here rather than by numpy.
+    """
+
+    reads = 0
+
+    def take(self, indices, *args, **kwargs):
+        indices = np.asarray(indices)
+        assert indices.size == 0 or (indices.min() >= 0 and indices.max() < self.size)
+        type(self).reads += indices.size
+        return np.asarray(self).take(indices, *args, **kwargs)
+
+
+def _range_checked(support):
+    return dataclasses.replace(support, code=support.code.view(_RangeCheckedTable))
+
+
+def _face_mask():
+    """A seeded 30% mask whose six faces all hold foreground."""
+    mask = (np.random.default_rng(91).random((14, 16, 12)) < 0.3).astype(np.uint8)
+    for d in range(3):
+        assert mask.take(0, axis=d).any() and mask.take(-1, axis=d).any()
+    return mask
+
+
+def _dense_oracle_case(annotation, case, rng):
+    """(fixed, moving, init) of one case of the sparse-vs-dense check."""
+    # the acceptance-3 misalignment: moved frame, centroid init
+    shift = rng.uniform(-10.0, 10.0, 3)
+    g = centroid(annotation)
+    move = compose(translation(shift), rotation_about(rotation_z(float(rng.uniform(-5.0, 5.0))), g))
+    if case in ("inside", "partial", "disjoint", "stride-3"):
+        moving = Volume3(annotation.data.astype(np.float64), annotation.spacing,
+                         move.apply(annotation.origin), annotation.axes @ move.rotation.T)
+        return annotation, moving, translation(g - centroid(moving))
+    if case == "yaw-pitch-45":
+        moving = Volume3(annotation.data, annotation.spacing, move.apply(annotation.origin),
+                         annotation.axes @ move.rotation.T)
+        return annotation, moving, rotation_about(euler_zyx(45.0, 45.0, 0.0), centroid(moving), g - centroid(moving))
+    if case == "anisotropic":
+        fixed = Volume3(annotation.data, [2.0, 2.0, 3.0], annotation.origin, annotation.axes)
+        moving = Volume3(annotation.data, fixed.spacing, move.apply(fixed.origin), fixed.axes @ move.rotation.T)
+        return fixed, moving, translation(centroid(fixed) - centroid(moving))
+    mask = _face_mask()
+    if case == "ties":
+        fixed = Volume3(mask, np.full(3, 0.7), np.array([0.3, -1.1, 2.9]), np.eye(3))
+        turn = rotation_about(rotation_z(90.0), voxel_to_physical(fixed, [7, 8, 6]))
+        return fixed, Volume3(mask, fixed.spacing, turn.apply(fixed.origin), turn.rotation.T), RigidTransform3.identity()
+    # faces: the same mask, its frame moved by a sub-voxel offset and a yaw
+    fixed = Volume3(mask, np.full(3, 2.0), np.zeros(3), np.eye(3))
+    move = rotation_about(rotation_z(4.0), centroid(fixed), [1.3, -0.7, 0.9])
+    return fixed, Volume3(mask, fixed.spacing, move.apply(fixed.origin), move.rotation.T), RigidTransform3.identity()
+
+
 @pytest.mark.parametrize(
     ("case", "stride", "pad", "theta_scale"),
     [
@@ -188,44 +253,96 @@ def test_rotation_translation_recovery_resampled(annotation):
         ("partial", 2, 12, [20.0, 20.0, 20.0, 10.0, 10.0, 10.0]),
         # translated far past the moving extent: no overlap
         ("disjoint", 2, 12, [0.0, 0.0, 0.0, 10.0, 10.0, 10.0]),
+        # init turned 45 deg in yaw and in pitch: slanted candidate boxes
+        ("yaw-pitch-45", 1, 4, [2.0, 2.0, 2.0, 1.0, 1.0, 1.0]),
+        # a stride-3 lattice scatters from blocks of 27 cells
+        ("stride-3", 3, 12, [20.0, 20.0, 20.0, 10.0, 10.0, 10.0]),
+        # (2, 2, 3) mm voxels and a turned frame: the shortcut is no scaled rotation
+        ("anisotropic", 2, 12, [8.0, 8.0, 8.0, 5.0, 5.0, 5.0]),
+        # foreground on all six faces of the moving grid
+        ("faces", 1, 4, [2.0, 2.0, 2.0, 2.0, 2.0, 2.0]),
+        # turned a quarter about a voxel centre: lattice points on moving voxel centres
+        ("ties", 1, 2, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
     ],
 )
 def test_sparse_joint_counts_match_dense_oracle(annotation, case, stride, pad, theta_scale):
-    # the acceptance-3 misalignment: moved frame, centroid init
     rng = np.random.default_rng(33)
-    shift = rng.uniform(-10.0, 10.0, 3)
-    truth_move = compose(
-        translation(shift),
-        rotation_about(rotation_z(float(rng.uniform(-5.0, 5.0))), centroid(annotation)),
-    )
-    moving = Volume3(
-        annotation.data.astype(np.float64),
-        annotation.spacing,
-        truth_move.apply(annotation.origin),
-        annotation.axes @ truth_move.rotation.T,
-    )
-    init = translation(centroid(annotation) - centroid(moving))
+    fixed, moving, init = _dense_oracle_case(annotation, case, rng)
     center = init.apply(centroid(moving))
-    pts, fvals, shape = _eval_points(annotation, moving, [init], np.full(3, pad), stride)
-    step = stride * annotation.spacing[:, None] * annotation.axes
-    counts = _SparseJointCounts(
-        pts, fvals, shape, step, moving, _StencilSupport.of(moving.data)
-    )
+    counts = _lattice_scorer(_score_inputs(fixed, moving), [init], np.full(3, pad), stride)
+    counts.support = _range_checked(counts.support)
+    _RangeCheckedTable.reads = 0
+    pts, fvals = counts.pts, counts.fvals
     thetas = rng.uniform(-1.0, 1.0, (12, 6)) * theta_scale
     if case == "disjoint":
         thetas[:, 0] += 500.0
     # scored in pairs, as the pattern search does, and all in one batch
     got = np.concatenate([counts(*_theta_maps(pair, center, init)) for pair in thetas.reshape(6, 2, 6)])
     assert np.array_equal(counts(*_theta_maps(thetas, center, init)), got)
+    idx, n_inside = [], []
     for theta, sparse in zip(thetas, got):
         a, b = _theta_map(theta, center, init)
         dense = dense_joint_counts(fvals, moving, (pts - b) @ a)
-        n_inside = dense.sum()
-        assert {"inside": n_inside == len(pts), "partial": 0 < n_inside < len(pts),
-                "disjoint": n_inside == 0}[case]
         assert np.array_equal(sparse, dense)
-        if case == "disjoint":
-            assert _mi(sparse) == 0.0
+        idx.append((((pts - b) @ a - moving.origin) @ moving.axes.T) / moving.spacing)
+        n_inside.append(dense.sum())
+    # each case's precondition: the overlap it is named for, or a partial one
+    n_inside = np.array(n_inside)
+    partial = (0 < n_inside) & (n_inside < len(pts))
+    assert {"inside": n_inside == len(pts), "disjoint": n_inside == 0}.get(case, partial).all()
+    if case == "disjoint":
+        assert all(_mi(sparse) == 0.0 for sparse in got) and _RangeCheckedTable.reads == 0
+        return
+    assert (got[:, :, 1].sum(axis=1) > 0).all() and _RangeCheckedTable.reads > 0
+    # and the edge it is named for is reached
+    idx = np.concatenate(idx)
+    if case == "yaw-pitch-45":
+        assert _rotation_angle_deg(init) > 55.0
+    elif case == "stride-3":
+        assert np.array_equal(pts[1] - pts[0], 3 * fixed.spacing[2] * fixed.axes[2])
+    elif case == "anisotropic":
+        assert len(set(moving.spacing)) == 2 and not np.allclose(moving.axes, fixed.axes)
+    elif case == "faces":
+        # inside points in the outer half voxel at both ends of an axis sample a face cell
+        shape = np.array(moving.shape)
+        inside = np.all((idx >= -0.5) & (idx < shape - 0.5), axis=1)
+        samples = ndimage.map_coordinates(moving.data.astype(np.float64), idx.T, order=1, mode="grid-constant")
+        hit = inside & (samples > 0)
+        assert (hit & np.any(idx < 0.0, axis=1)).any() and (hit & np.any(idx > shape - 1.0, axis=1)).any()
+    elif case == "ties":
+        # on a voxel centre up to rounding, often just below it: floors one apart
+        assert np.abs(idx - np.round(idx)).max() < 1e-9 and (idx < np.round(idx)).sum() > 1000
+
+
+def test_corner_code_samples_match_map_coordinates():
+    # a mask with foreground on every face, read at seeded points from two
+    # voxels below the grid to two above it: random, on voxel centres, on
+    # half-voxel ties (the extent's faces among them) and just off both; a
+    # fifth lie within a voxel of 0, where t keeps the low bits that make
+    # 1 - (1 - t) differ from t
+    rng = np.random.default_rng(93)
+    mask = _face_mask()
+    shape = np.array(mask.shape)
+    support = _range_checked(_StencilSupport.of(np.argwhere(mask), mask.shape))
+    n = 60000
+    idx = -2.0 + (shape[:, None] + 3.0) * rng.random((3, n))
+    idx[:, : n // 5] = rng.uniform(-1.0, 1.0, (3, n // 5))
+    kind = rng.integers(0, 5, (3, n))
+    half = np.round(idx * 2.0) / 2.0
+    idx = np.select([kind == 1, kind == 2, kind == 3], [np.round(idx), half, half + rng.choice([-1e-13, 1e-13], (3, n))], idx)
+    assert np.isin(-0.5, idx[0]) and np.isin(shape[0] - 0.5, idx[0])
+    _RangeCheckedTable.reads = 0
+    hit, frac = support.sample(idx)
+    assert _RangeCheckedTable.reads > 0
+    want = ndimage.map_coordinates(mask.astype(np.float64), idx, order=1, mode="grid-constant", cval=0.0)
+    inside = np.all((idx >= -0.5) & (idx < shape[:, None] - 0.5), axis=0)
+    assert np.all(np.diff(hit) > 0) and inside[hit].all()
+    # every nonzero sample inside the extent is a hit, with map_coordinates' bits
+    assert np.isin(np.flatnonzero(inside & (want != 0)), hit).all()
+    assert frac.tobytes() == want[hit].tobytes()
+    assert (frac > 0).sum() > 1000 and (frac == 0).any() and (frac == 1).any()
+    t = idx - np.floor(idx)
+    assert (1.0 - (1.0 - t) != t).any()
 
 
 def test_exact_route_gives_each_point_the_whole_lattice_bits(annotation):
@@ -234,9 +351,8 @@ def test_exact_route_gives_each_point_the_whole_lattice_bits(annotation):
     rng = np.random.default_rng(81)
     fixed, moving, init, _ = _acceptance_3_case(annotation, 0)
     center = init.apply(centroid(moving))
-    pts, fvals, shape = _eval_points(fixed, moving, [init], np.full(3, 4), 1)
-    step = fixed.spacing[:, None] * fixed.axes
-    counts = _SparseJointCounts(pts, fvals, shape, step, moving, _StencilSupport.of(moving.data))
+    counts = _lattice_scorer(_score_inputs(fixed, moving), [init], np.full(3, 4), 1)
+    pts = counts.pts
     thetas = rng.uniform(-1.0, 1.0, (4, 6)) * [2.0, 2.0, 2.0, 1.0, 1.0, 1.0]
     a, b = _theta_maps(thetas, center, init)
     whole = [(((pts - b_t) @ a_t - moving.origin) @ moving.axes.T) / moving.spacing for a_t, b_t in zip(a, b)]
@@ -264,7 +380,7 @@ def test_mutual_information_is_the_solver_score(annotation):
     transforms = [translation(centroid(annotation) - centroid(moving)), inverse(truth_move)]
     got = mutual_information(annotation, moving, transforms)
     # one lattice for all transforms: the refinement level's, at full resolution
-    pts, fvals, _ = _eval_points(annotation, moving, transforms, 4, 1)
+    pts, fvals, _ = _eval_points(_score_inputs(annotation, moving), transforms, 4, 1)
     want = [
         _mi_from_counts(dense_joint_counts(fvals, moving, (pts - t.translation) @ t.rotation))
         for t in transforms
@@ -280,7 +396,7 @@ def _content_centroid(vol):
 
 
 def test_registration_deterministic(annotation):
-    moving = translate_volume(annotation, np.array([4.0, 3.0, -2.0]))
+    moving = _shifted(annotation, np.array([4.0, 3.0, -2.0]))
     cfg = RegistrationConfig(seed=9)
     t1, s1 = register_rigid(annotation, moving, cfg=cfg)
     t2, s2 = register_rigid(annotation, moving, cfg=cfg)
@@ -290,7 +406,7 @@ def test_registration_deterministic(annotation):
 
 
 def test_score_trace_monotone_per_level(annotation):
-    moving = translate_volume(annotation, np.array([6.0, -4.0, 2.0]))
+    moving = _shifted(annotation, np.array([6.0, -4.0, 2.0]))
     _, _, traces = register_rigid(
         annotation, moving, cfg=RegistrationConfig(seed=4), return_trace=True
     )
@@ -303,7 +419,7 @@ def test_zero_noise_misalignments_always_improve(annotation):
     rng = np.random.default_rng(12)
     for _ in range(5):
         delta = rng.uniform(-8, 8, size=3)
-        moving = translate_volume(annotation, delta)
+        moving = _shifted(annotation, delta)
         init = translation(_content_centroid(annotation) - _content_centroid(moving))
         t, _ = register_rigid(annotation, moving, init=init, cfg=RegistrationConfig(seed=7))
         before = dice(apply_transform(moving, init, annotation).data, annotation.data)

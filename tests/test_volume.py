@@ -10,7 +10,6 @@ from usreg_sim.imgvol import (
     require_binary,
     resample_crop,
     sample_at_physical,
-    translate_volume,
     voxel_to_physical,
 )
 
@@ -77,16 +76,6 @@ def test_volume_validation():
         Volume3(np.zeros((4, 4, 4)), (1, 1, 1), (0, 0, 0), np.eye(3) * 1.5)
     with pytest.raises(ValueError):
         Volume3(np.zeros((4, 4)), (1, 1, 1), (0, 0, 0), IDENT)
-
-
-def test_translate_volume_shifts_every_voxel():
-    vol = make_vol(np.zeros((3, 3, 3)), origin=(1, 2, 3))
-    moved = translate_volume(vol, (0.5, -1.0, 2.0))
-    np.testing.assert_allclose(
-        voxel_to_physical(moved, (2, 2, 2)),
-        voxel_to_physical(vol, (2, 2, 2)) + [0.5, -1.0, 2.0],
-    )
-    assert moved.data is vol.data  # data shared, geometry-only change
 
 
 # ---------------------------------------------------------------- centroid
