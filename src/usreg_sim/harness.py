@@ -64,6 +64,11 @@ class SweepConfig:
     phantom and the search stage; empty dicts mean defaults. ``targets_limit``
     caps how many grid targets each trial evaluates (evenly subsampled); the
     default covers the whole grid.
+
+    Construction also builds the shared phantom and imports ``scipy.fft``
+    and ``scipy.ndimage``, which a trial's search and slice matching use,
+    so a sweep pays for both before its pool forks and every worker
+    inherits them.
     """
 
     trials: int = 5
@@ -108,6 +113,8 @@ class SweepConfig:
             self.search_params()
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad parameter override: {exc}") from exc
+        import scipy.fft  # noqa: F401
+        import scipy.ndimage  # noqa: F401
 
     def phantom_params(self) -> PhantomParams:
         return PhantomParams(**self.phantom)

@@ -4,13 +4,16 @@ Conventions for the ratio metrics, with prediction Y and ground truth G:
 precision = |G & Y| / |Y|, recall = |G & Y| / |G|, dice = 2|G & Y| / (|Y| + |G|).
 If both masks are empty all three are 1.0; if exactly one is empty, a metric
 whose denominator is zero is 0.0.
+
+``prepare_truth`` and ``omia`` import ``scipy.fft`` when first called, so
+code that uses only the ratio metrics (registration among it) never loads
+it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .volume import require_binary
 
@@ -68,6 +71,8 @@ def prepare_truth(truth: np.ndarray) -> PreparedTruth:
     prediction is never larger than the truth frame, so every prediction's
     correlation with the box fits without wrapping.
     """
+    from scipy import fft as sp_fft
+
     truth = require_binary(truth, "truth")
     if truth.ndim != 2:
         raise ValueError("omia expects 2D masks")
@@ -114,6 +119,8 @@ def omia(pred: np.ndarray, truth: np.ndarray | PreparedTruth) -> int:
         raise ValueError(f"pred {pred.shape} exceeds truth {truth.shape}; pad the truth, not the pred")
     if truth.spectrum is None or not pred.any():
         return 0
+    from scipy import fft as sp_fft
+
     spec = sp_fft.rfft2(pred.astype(np.float32), s=truth.fft_shape)
     corr = sp_fft.irfft2(spec * truth.spectrum, s=truth.fft_shape)
     return int(np.rint(corr.max()))

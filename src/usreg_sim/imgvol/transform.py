@@ -14,10 +14,36 @@ import numpy as np
 ORTHO_TOL = 1e-9
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
+def _freeze(value, dtype=None) -> np.ndarray:
+    """``value`` as a read-only C-contiguous array that no other handle can write.
+
+    An array made here (from a list, or by a dtype change or a reordering
+    copy) is frozen in place. An input that is writable, or that views
+    memory something else can write, is copied, so neither the caller's
+    array nor a later write through its base reaches the frozen one. A
+    read-only input over read-only memory is shared.
+    """
+    arr = np.ascontiguousarray(value, dtype=dtype)
+    made_here = arr is not value and arr.base is None
+    if not made_here and _writable_memory(arr):
+        arr = arr.copy()
     arr.flags.writeable = False
     return arr
+
+
+def _writable_memory(arr: np.ndarray) -> bool:
+    """Whether ``arr``, an array it views, or the buffer under them is writable."""
+    base = arr
+    while isinstance(base, np.ndarray):
+        if base.flags.writeable:
+            return True
+        base = base.base
+    if base is None:
+        return False
+    try:
+        return not memoryview(base).readonly
+    except TypeError:  # not a buffer: assume something can write it
+        return True
 
 
 @dataclass(frozen=True)
@@ -28,8 +54,8 @@ class RigidTransform3:
     translation: np.ndarray
 
     def __post_init__(self) -> None:
-        rot = np.asarray(self.rotation, dtype=np.float64)
-        tra = np.asarray(self.translation, dtype=np.float64)
+        rot = _freeze(self.rotation, np.float64)
+        tra = _freeze(self.translation, np.float64)
         if rot.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {rot.shape}")
         if tra.shape != (3,):
@@ -40,8 +66,8 @@ class RigidTransform3:
         det = np.linalg.det(rot)
         if det < 0:
             raise ValueError(f"rotation has negative determinant ({det:.6f}); reflections are not rigid")
-        object.__setattr__(self, "rotation", _freeze(rot))
-        object.__setattr__(self, "translation", _freeze(tra))
+        object.__setattr__(self, "rotation", rot)
+        object.__setattr__(self, "translation", tra)
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Map one point (3,) or a batch (..., 3) of points."""

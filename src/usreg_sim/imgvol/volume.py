@@ -10,20 +10,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .transform import ORTHO_TOL
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    arr.flags.writeable = False
-    return arr
+from .transform import _freeze
 
 
 @dataclass(frozen=True)
 class Volume3:
     """3D image with physical geometry. Immutable after construction.
+
+    Construction copies an input that is writable or views writable memory
+    and shares a read-only one, so writing to the caller's arrays never
+    changes the volume; a producer that freezes a fresh array first
+    (``arr.flags.writeable = False``) hands it over without a copy.
 
     data : ndarray, shape (n0, n1, n2)
     spacing : mm per voxel along each array axis, all > 0
@@ -37,22 +35,22 @@ class Volume3:
     axes: np.ndarray
 
     def __post_init__(self) -> None:
-        data = np.asarray(self.data)
-        if data.ndim != 3:
-            raise ValueError(f"volume data must be 3D, got ndim={data.ndim}")
-        spacing = np.asarray(self.spacing, dtype=np.float64)
-        origin = np.asarray(self.origin, dtype=np.float64)
-        axes = np.asarray(self.axes, dtype=np.float64)
+        if np.ndim(self.data) != 3:
+            raise ValueError(f"volume data must be 3D, got ndim={np.ndim(self.data)}")
+        data = _freeze(self.data)
+        spacing = _freeze(self.spacing, np.float64)
+        origin = _freeze(self.origin, np.float64)
+        axes = _freeze(self.axes, np.float64)
         if spacing.shape != (3,) or origin.shape != (3,) or axes.shape != (3, 3):
             raise ValueError("spacing and origin must be 3-vectors, axes must be 3x3")
         if not np.all(spacing > 0):
             raise ValueError(f"spacing must be strictly positive, got {spacing}")
         if np.abs(axes @ axes.T - np.eye(3)).max() > 1e-7:
             raise ValueError("axis directions must be mutually orthogonal unit vectors")
-        object.__setattr__(self, "data", _freeze(data))
-        object.__setattr__(self, "spacing", _freeze(spacing))
-        object.__setattr__(self, "origin", _freeze(origin))
-        object.__setattr__(self, "axes", _freeze(axes))
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "axes", axes)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -92,11 +90,31 @@ def physical_to_voxel(vol: Volume3, point) -> np.ndarray:
 
 
 def centroid(vol: Volume3, fg: np.ndarray | None = None) -> np.ndarray:
-    """Physical mm centroid of the nonzero voxels; ``fg`` is their ``np.argwhere``, if at hand."""
-    idx = np.argwhere(vol.data) if fg is None else fg
-    if idx.shape[0] == 0:
-        raise ValueError("centroid of an empty mask is undefined")
-    mean_idx = idx.mean(axis=0)
+    """Physical mm centroid of the nonzero voxels; ``fg`` is their ``np.argwhere``, if at hand.
+
+    Without ``fg`` the mean index comes from the per-axis counts of nonzero
+    voxels, not from a list of their indices. The counts are float64 sums
+    of 0/1 values, so they are exact integers whatever order BLAS adds them
+    in; the integer index sums are exact too, and the result carries the
+    same bits as ``np.argwhere(vol.data).mean(axis=0)`` would give.
+    """
+    if fg is not None:
+        if fg.shape[0] == 0:
+            raise ValueError("centroid of an empty mask is undefined")
+        mean_idx = fg.mean(axis=0)
+    else:
+        n0, n1, n2 = vol.shape
+        nz = (vol.data != 0).astype(np.float64).reshape(n0 * n1, n2)
+        per_row = (nz @ np.ones(n2)).astype(np.int64).reshape(n0, n1)
+        counts = (
+            per_row.sum(axis=1),
+            per_row.sum(axis=0),
+            (np.ones(n0 * n1) @ nz).astype(np.int64),
+        )
+        total = counts[0].sum()
+        if total == 0:
+            raise ValueError("centroid of an empty mask is undefined")
+        mean_idx = np.array([c @ np.arange(c.size) for c in counts]) / total
     return vol.origin + (mean_idx * vol.spacing) @ vol.axes
 
 
@@ -106,7 +124,11 @@ def largest_connected_component(mask: np.ndarray) -> np.ndarray:
     Connectivity is 4-neighborhood in 2D and 6-neighborhood in 3D. Ties go
     to the component whose first voxel comes earliest in scan order, i.e.
     the smallest lexicographic seed. An empty mask is returned unchanged.
+    ``scipy.ndimage`` is imported on the first call, so registration alone
+    never loads it.
     """
+    from scipy import ndimage
+
     mask = require_binary(mask)
     labels, n = ndimage.label(mask)
     if n == 0:
@@ -124,6 +146,11 @@ def resample_crop(vol: Volume3, target_spacing, target_shape, center) -> Volume3
     ``center`` (mm): the mid-point of the output voxel-center lattice lands
     exactly on ``center``. Voxels sampled outside the source extent are 0.
     Sampling is nearest-neighbour and the output keeps the source dtype.
+
+    Output axes equal source axes, so the index map is separable: along
+    axis i, output voxel k reads source index ``floor(offset_i + k * ratio_i
+    + 0.5)`` (half-voxel ties round up, as in ``sample_at_physical``), and
+    the output is one gather per axis over the in-bounds run of indices.
     """
     target_spacing = np.asarray(target_spacing, dtype=np.float64)
     target_shape = tuple(int(n) for n in target_shape)
@@ -136,16 +163,22 @@ def resample_crop(vol: Volume3, target_spacing, target_shape, center) -> Volume3
     half = (np.asarray(target_shape, dtype=np.float64) - 1.0) / 2.0
     out_origin = center - (half * target_spacing) @ vol.axes
 
-    # Output axes equal source axes, so the index map is separable per axis:
-    # src_i = offset_i + out_i * (target_spacing_i / spacing_i)
     offset = (vol.axes @ (out_origin - vol.origin)) / vol.spacing
     ratio = target_spacing / vol.spacing
-    grids = [offset[i] + np.arange(target_shape[i], dtype=np.float64) * ratio[i] for i in range(3)]
-    coords = np.meshgrid(*grids, indexing="ij")
-
-    out = ndimage.map_coordinates(
-        vol.data, coords, order=0, mode="grid-constant", cval=0.0, output=vol.data.dtype,
-    )
+    out = np.zeros(target_shape, dtype=vol.data.dtype)
+    src, runs = vol.data, []
+    for i in range(3):
+        grid = offset[i] + np.arange(target_shape[i], dtype=np.float64) * ratio[i]
+        near = np.floor(grid + 0.5).astype(np.int64)
+        # ratio > 0, so near ascends and its in-bounds entries form one run
+        inside = np.flatnonzero((near >= 0) & (near < vol.shape[i]))
+        if inside.size == 0:
+            break  # the grid misses the source: all zeros
+        runs.append(slice(inside[0], inside[-1] + 1))
+        src = src.take(near[runs[-1]], axis=i)
+    else:
+        out[tuple(runs)] = src
+    out.flags.writeable = False
     return Volume3(out, target_spacing, out_origin, vol.axes)
 
 

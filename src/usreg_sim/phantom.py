@@ -301,6 +301,9 @@ def _phantom_geometry(params: PhantomParams) -> PhantomScene:
     if not np.all(vox[:, 2] * sp < tops):
         raise ValueError("vessel annotation reaches the skin surface")
 
+    # frozen here, so the volumes share these arrays instead of copying them
+    for arr in (annotation, branch_annotation, spacing, origin, axes):
+        arr.flags.writeable = False
     return PhantomScene(
         body=Volume3(body, spacing, origin, axes),
         hv_annotation=Volume3(annotation, spacing, origin, axes),

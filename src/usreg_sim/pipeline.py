@@ -257,6 +257,7 @@ def hv_acquire(
 
     origin = waypoints[0] - np.array([0.0, lx * vx / 2.0, 0.0])
     axes = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
+    slices.flags.writeable = False  # handed to the volume without a copy
     volume = Volume3(slices, np.array([pitch, vx, vy]), origin, axes)
     return AcquisitionResult(volume=volume, waypoints=waypoints, branch_pos=branch_pos)
 

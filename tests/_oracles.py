@@ -1,9 +1,10 @@
 """Independent brute-force reference implementations used across tests.
 
 Everything here is deliberately written the slow, obvious way and never
-calls into the package beyond plain numpy (and scipy's trilinear sampler
-and correlation) and the ``imgvol`` containers and transform algebra, so
-that package results can be checked against a second route. The one
+calls into the package beyond plain numpy (and scipy's trilinear and
+nearest samplers and correlation) and the ``imgvol`` containers and
+transform algebra, so that package results can be checked against a
+second route. The one
 exception is ``reference_register_rigid``, which drives the package's own
 sparse scorer through the per-map solver below: it checks the solver's
 bookkeeping, not the scorer's arithmetic.
@@ -180,6 +181,36 @@ def reference_sample_at_physical(vol, points):
     sel = near[inside]
     vals[inside] = vol.data[sel[:, 0], sel[:, 1], sel[:, 2]]
     return vals.reshape(pts.shape[:-1])
+
+
+def reference_resample_crop(vol: Volume3, target_spacing, target_shape, center) -> Volume3:
+    """``resample_crop`` as first written: ``map_coordinates(order=0)`` on a meshgrid.
+
+    scipy's order-0 sampler reads voxel ``floor(index + 0.5)`` and, in
+    ``grid-constant`` mode, 0 for an index that rounds outside the array.
+    """
+    target_spacing = np.asarray(target_spacing, dtype=np.float64)
+    target_shape = tuple(int(n) for n in target_shape)
+    if len(target_shape) != 3 or any(n < 1 for n in target_shape):
+        raise ValueError(f"target_shape must be three positive ints, got {target_shape}")
+    if target_spacing.shape != (3,) or not np.all(target_spacing > 0):
+        raise ValueError("target_spacing must be a positive 3-vector")
+    center = np.asarray(center, dtype=np.float64)
+
+    half = (np.asarray(target_shape, dtype=np.float64) - 1.0) / 2.0
+    out_origin = center - (half * target_spacing) @ vol.axes
+
+    # Output axes equal source axes, so the index map is separable per axis:
+    # src_i = offset_i + out_i * (target_spacing_i / spacing_i)
+    offset = (vol.axes @ (out_origin - vol.origin)) / vol.spacing
+    ratio = target_spacing / vol.spacing
+    grids = [offset[i] + np.arange(target_shape[i], dtype=np.float64) * ratio[i] for i in range(3)]
+    coords = np.meshgrid(*grids, indexing="ij")
+
+    out = ndimage.map_coordinates(
+        vol.data, coords, order=0, mode="grid-constant", cval=0.0, output=vol.data.dtype,
+    )
+    return Volume3(out, target_spacing, out_origin, vol.axes)
 
 
 def reference_apply_transform(moving: Volume3, transform: RigidTransform3, like: Volume3) -> Volume3:

@@ -1,0 +1,72 @@
+"""Which scipy modules each entry point loads, checked in fresh interpreters.
+
+Registration (``register_rigid``, ``coordinate_map`` and ``usreg-sim
+register``) runs on numpy alone; a sweep imports ``scipy.fft`` and
+``scipy.ndimage`` when its ``SweepConfig`` is built, before any pool forks.
+"""
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import usreg_sim
+
+SRC = Path(usreg_sim.__file__).resolve().parent.parent
+
+
+def _run(script: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_registration_path_loads_no_scipy(tmp_path):
+    out = _run(f"""
+        import contextlib, io, json, sys
+
+        import numpy as np
+        import usreg_sim, usreg_sim.cli
+        from usreg_sim import cli
+        from usreg_sim.imgvol import Volume3, save_volume, translation
+        from usreg_sim.phantom import ct_frame_volume, generate_phantom, place_phantom
+        from usreg_sim.pipeline import coordinate_map
+        from usreg_sim.registration import RegistrationConfig, register_rigid
+
+        rng = np.random.default_rng(7)
+        data = np.zeros((14, 14, 14), dtype=np.uint8)
+        data[4:10, 5:9, 3:11] = rng.random((6, 4, 8)) < 0.7
+        fixed = Volume3(data, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), np.eye(3))
+        moving = Volume3(data, fixed.spacing, fixed.origin + [1.0, -1.0, 0.0], fixed.axes)
+        register_rigid(fixed, moving, translation([-1.0, 1.0, 0.0]), RegistrationConfig(seed=0))
+
+        scene = place_phantom(generate_phantom(3), [12.0, -8.0, 0.0], yaw_deg=7.0)
+        ct = ct_frame_volume(scene.hv_annotation, scene.placement)
+        coordinate_map(scene.hv_annotation, ct)
+        save_volume(ct, {str(tmp_path / "fixed.vol")!r})
+        save_volume(scene.hv_annotation, {str(tmp_path / "moving.vol")!r})
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["register", {str(tmp_path / "fixed.vol")!r}, {str(tmp_path / "moving.vol")!r}])
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        print(json.dumps({{"code": code, "scipy": loaded}}))
+    """)
+    assert out == {"code": 0, "scipy": []}
+
+
+def test_sweep_config_loads_the_scipy_modules_a_trial_uses():
+    out = _run("""
+        import json, sys
+
+        from usreg_sim import SweepConfig
+
+        before = [m in sys.modules for m in ("scipy.fft", "scipy.ndimage")]
+        SweepConfig()
+        after = [m in sys.modules for m in ("scipy.fft", "scipy.ndimage")]
+        print(json.dumps({"before": before, "after": after}))
+    """)
+    assert out == {"before": [False, False], "after": [True, True]}

@@ -76,3 +76,32 @@ def test_rotation_about_fixes_center():
 def test_translation_factory():
     t = translation([1.0, 2.0, 3.0])
     np.testing.assert_allclose(t.apply([0.0, 0.0, 0.0]), [1.0, 2.0, 3.0])
+
+
+def test_transform_leaves_the_callers_arrays_writable_and_unshared():
+    rot, tra = rotation_z(30.0), np.array([1.0, 2.0, 3.0])
+    t = RigidTransform3(rot, tra)
+    assert rot.flags.writeable and tra.flags.writeable
+    rot[...] = np.eye(3)
+    tra[0] = 9.0
+    np.testing.assert_array_equal(t.rotation, rotation_z(30.0))
+    np.testing.assert_array_equal(t.translation, [1.0, 2.0, 3.0])
+    assert not t.rotation.flags.writeable and not t.translation.flags.writeable
+
+
+def test_transform_does_not_follow_writes_to_a_viewed_base():
+    base = np.vstack([rotation_z(30.0), [[1.0, 2.0, 3.0]]])
+    t = RigidTransform3(base[:3], base[3])
+    ro = base[3].view()
+    ro.flags.writeable = False
+    t_ro = RigidTransform3(np.eye(3), ro)
+    base[...] = 0.0
+    np.testing.assert_array_equal(t.rotation, rotation_z(30.0))
+    np.testing.assert_array_equal(t.translation, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(t_ro.translation, [1.0, 2.0, 3.0])
+
+
+def test_transform_shares_read_only_inputs():
+    t = rotation_about(rotation_z(12.0), [1.0, 2.0, 3.0])
+    again = RigidTransform3(t.rotation, t.translation)
+    assert again.rotation is t.rotation and again.translation is t.translation

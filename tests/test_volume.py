@@ -13,7 +13,9 @@ from usreg_sim.imgvol import (
     voxel_to_physical,
 )
 
-from _oracles import reference_sample_at_physical
+from usreg_sim.phantom import generate_phantom
+
+from _oracles import reference_resample_crop, reference_sample_at_physical
 
 IDENT = np.eye(3)
 
@@ -78,6 +80,40 @@ def test_volume_validation():
         Volume3(np.zeros((4, 4)), (1, 1, 1), (0, 0, 0), IDENT)
 
 
+def test_volume_leaves_the_callers_arrays_writable_and_unshared():
+    data = np.zeros((3, 4, 5), dtype=np.uint8)
+    sp = np.array([1.0, 2.0, 3.0])
+    vol = Volume3(data, sp, (0, 0, 0), IDENT)
+    assert data.flags.writeable and sp.flags.writeable
+    data[1, 2, 3] = 7
+    sp[0] = 9.0
+    assert vol.data.max() == 0 and vol.spacing[0] == 1.0
+    assert not vol.data.flags.writeable and not vol.spacing.flags.writeable
+
+
+def test_volume_does_not_follow_writes_to_a_viewed_base():
+    base = np.zeros((3, 4, 5), dtype=np.float32)
+    geometry = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+    vol = Volume3(base[:], geometry[0], geometry[1], IDENT)
+    # a read-only view of writable memory is no safer than the memory
+    ro = base.view()
+    ro.flags.writeable = False
+    vol_ro = Volume3(ro, (1, 1, 1), (0, 0, 0), IDENT)
+    base[...] = 1.0
+    geometry[...] = 5.0
+    assert vol.data.max() == 0 and vol_ro.data.max() == 0
+    assert vol.spacing.tolist() == [1.0, 1.0, 1.0] and vol.origin.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_volume_shares_read_only_inputs():
+    data = np.zeros((3, 4, 5), dtype=np.uint8)
+    data.flags.writeable = False
+    vol = Volume3(data, (1, 1, 1), (0, 0, 0), IDENT)
+    assert vol.data is data
+    moved = Volume3(vol.data, vol.spacing, vol.origin + 1.0, vol.axes)
+    assert moved.data is vol.data and moved.spacing is vol.spacing
+
+
 # ---------------------------------------------------------------- centroid
 
 def test_centroid_l_shape_exact():
@@ -97,6 +133,40 @@ def test_centroid_respects_geometry():
 def test_centroid_empty_errors():
     with pytest.raises(ValueError):
         centroid(make_vol(np.zeros((3, 3, 3), dtype=np.uint8)))
+    with pytest.raises(ValueError):
+        centroid(make_vol(np.zeros((3, 0, 3), dtype=np.uint8)))
+
+
+def _centroid_masks():
+    rng = np.random.default_rng(41)
+    single = np.zeros((5, 6, 7), dtype=np.uint8)
+    single[4, 0, 3] = 1
+    yield "single", single
+    yield "full", np.ones((6, 5, 4), dtype=np.uint8)
+    for axis in range(3):
+        line = np.zeros((9, 8, 7), dtype=np.uint8)
+        index = [2, 5, 6]
+        index[axis] = slice(None)
+        line[tuple(index)] = 1
+        yield f"line{axis}", line
+        plane = np.zeros((9, 8, 7), dtype=np.uint8)
+        plane[(slice(None),) * axis + (3,)] = 1
+        yield f"plane{axis}", plane
+    for k, fill in enumerate((0.002, 0.05, 0.5, 0.97)):
+        yield f"random{k}", (rng.random((17, 23, 11)) < fill).astype(np.uint8)
+    yield "float", (rng.random((8, 9, 10)) < 0.3) * rng.uniform(-2.0, 2.0, (8, 9, 10))
+    yield "annotation", generate_phantom(5).hv_annotation.data
+
+
+@pytest.mark.parametrize(
+    "seed, data", [pytest.param(k, data, id=name) for k, (name, data) in enumerate(_centroid_masks())]
+)
+def test_centroid_matches_argwhere_mean_bit_for_bit(seed, data):
+    rng = np.random.default_rng(seed)
+    vol = Volume3(data, rng.uniform(0.3, 3.0, 3), rng.normal(scale=40.0, size=3), random_orthonormal(rng))
+    want = vol.origin + (np.argwhere(vol.data).mean(axis=0) * vol.spacing) @ vol.axes
+    assert np.array_equal(centroid(vol), want)
+    assert np.array_equal(centroid(vol, np.argwhere(vol.data)), want)
 
 
 # ------------------------------------------------- connected components
@@ -230,6 +300,68 @@ def test_resample_output_center_lands_on_request():
     out = resample_crop(vol, (0.7, 0.7, 0.7), (5, 6, 7), center)
     mid = voxel_to_physical(out, (np.array(out.shape) - 1) / 2.0)
     np.testing.assert_allclose(mid, center, atol=1e-12)
+
+
+def _turned_axes():
+    """A frame of signed axis swaps: turned, yet every product stays exact."""
+    return np.array([[0.0, 1.0, 0.0], [0.0, 0.0, -1.0], [-1.0, 0.0, 0.0]])
+
+
+def _resample_cases():
+    rng = np.random.default_rng(43)
+    for case in range(16):
+        dtype = (np.uint8, np.float32)[case % 2]
+        shape = tuple(rng.integers(3, 12, size=3))
+        data = (rng.random(shape) < 0.4).astype(dtype)
+        if dtype == np.float32:
+            data *= rng.normal(size=shape).astype(np.float32)
+        axes = random_orthonormal(rng) if case % 4 < 2 else _turned_axes()
+        vol = Volume3(data, rng.uniform(0.4, 2.5, 3), rng.normal(scale=20.0, size=3), axes)
+        # the output spans from well before the first face to past the last
+        spacing = rng.uniform(0.3, 3.0, 3)
+        out_shape = tuple(rng.integers(2, 30, size=3))
+        extent = np.asarray(shape) * vol.spacing
+        center = vol.origin + (rng.uniform(-0.4, 1.4, 3) * extent) @ axes
+        yield vol, spacing, out_shape, center
+
+
+def _face_cases():
+    """Grids whose samples land on the -0.5 and n - 0.5 faces of every axis."""
+    rng = np.random.default_rng(44)
+    for dtype in (np.uint8, np.float32):
+        for axes in (IDENT, _turned_axes()):
+            shape = (4, 5, 6)
+            data = (rng.random(shape) * 200 + 1).astype(dtype)
+            vol = Volume3(data, (2.0, 0.5, 1.0), (8.0, -3.0, 1.5), axes)
+            for step in (1.0, 0.5):
+                # source index -0.5 + k * step for k = 0 .. (n / step)
+                out_shape = tuple(int(n / step) + 1 for n in shape)
+                spacing = step * vol.spacing
+                mid_index = -0.5 + (np.asarray(out_shape) - 1) / 2.0 * step
+                center = vol.origin + (mid_index * vol.spacing) @ axes
+                yield vol, spacing, out_shape, center
+
+
+@pytest.mark.parametrize("case", list(_resample_cases()) + list(_face_cases()))
+def test_resample_matches_map_coordinates_reference(case):
+    vol, spacing, out_shape, center = case
+    got = resample_crop(vol, spacing, out_shape, center)
+    want = reference_resample_crop(vol, spacing, out_shape, center)
+    assert got.data.dtype == want.data.dtype and got.shape == want.shape
+    assert np.array_equal(got.data, want.data)
+    for name in ("spacing", "origin", "axes"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_resample_reads_the_faces_as_ties_rounding_up():
+    cases = list(_face_cases())
+    for vol, spacing, out_shape, center in cases:
+        out = resample_crop(vol, spacing, out_shape, center)
+        idx = physical_to_voxel(vol, voxel_to_physical(out, (0, 0, 0)))
+        assert np.allclose(idx, -0.5)
+        # -0.5 reads voxel 0; n - 0.5 rounds up to n, one past the end
+        assert out.data[0, 0, 0] == vol.data[0, 0, 0]
+        assert out.data[-1].max() == out.data[:, -1].max() == out.data[:, :, -1].max() == 0
 
 
 # ---------------------------------------------------------------- sampling
