@@ -117,8 +117,8 @@ def _cmd_register(args: argparse.Namespace) -> int:
         "translation": t.translation.tolist(),
         "score_before": score_before,
         "score_after": score_after,
-        "dice_before": cmap.diagnostics["before"]["dice"],
-        "dice_after": cmap.diagnostics["after"]["dice"],
+        "dice_before": cmap.registration["before"]["dice"],
+        "dice_after": cmap.registration["after"]["dice"],
     }
     print(json.dumps(report, indent=2))
     return EXIT_OK

@@ -220,7 +220,7 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialResult:
         )
 
     t = clock()
-    acq = hv_acquire(
+    acquired = hv_acquire(
         scene, probe_params, noise, search.position,
         n_slices=ACQ_SLICES, length_mm=ACQ_LENGTH_MM,
     )
@@ -228,15 +228,8 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialResult:
 
     t = clock()
     ct_veins = ct_frame_volume(scene.hv_annotation, scene.placement)
-    cmap = coordinate_map(acq.volume, ct_veins)
+    cmap = coordinate_map(acquired, ct_veins)
     stage_ms["map"] = (clock() - t) * 1e3
-
-    registration = {
-        "before": dict(cmap.diagnostics["before"]),
-        "after": dict(cmap.diagnostics["after"]),
-        "score": float(cmap.diagnostics["score"]),
-        "converged": bool(cmap.converged),
-    }
 
     t = clock()
     all_targets = target_grid(scene)
@@ -272,7 +265,7 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialResult:
         offset_y_mm=offset_y,
         search_success=True,
         waypoints_visited=search.waypoints_visited,
-        registration=registration,
+        registration=cmap.registration,
         targets=tuple(outcomes),
         stage_ms=stage_ms,
     )

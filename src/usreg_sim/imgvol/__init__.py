@@ -11,6 +11,7 @@ from .transform import (
 from .volume import (
     Volume3,
     centroid,
+    gather_nearest,
     largest_connected_component,
     physical_to_voxel,
     require_binary,
@@ -24,7 +25,7 @@ from .volio import load_volume, save_volume
 __all__ = [
     "RigidTransform3", "compose", "euler_zyx", "inverse", "rotation_about",
     "rotation_z", "translation",
-    "Volume3", "centroid", "largest_connected_component",
+    "Volume3", "centroid", "gather_nearest", "largest_connected_component",
     "physical_to_voxel", "require_binary", "resample_crop",
     "sample_at_physical", "voxel_to_physical",
     "PreparedTruth", "dice", "omia", "precision", "prepare_truth", "recall",

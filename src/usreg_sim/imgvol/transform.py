@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ORTHO_TOL = 1e-9
+ORTHO_TOL = 1e-7
 
 
 def _freeze(value, dtype=None) -> np.ndarray:
@@ -61,7 +61,7 @@ class RigidTransform3:
         if tra.shape != (3,):
             raise ValueError(f"translation must be a 3-vector, got {tra.shape}")
         err = np.abs(rot @ rot.T - np.eye(3)).max()
-        if err > 1e-7:
+        if err > ORTHO_TOL:
             raise ValueError(f"rotation is not orthonormal (max residual {err:.3e})")
         det = np.linalg.det(rot)
         if det < 0:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transform import _freeze
+from .transform import ORTHO_TOL, _freeze
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class Volume3:
             raise ValueError("spacing and origin must be 3-vectors, axes must be 3x3")
         if not np.all(spacing > 0):
             raise ValueError(f"spacing must be strictly positive, got {spacing}")
-        if np.abs(axes @ axes.T - np.eye(3)).max() > 1e-7:
+        if np.abs(axes @ axes.T - np.eye(3)).max() > ORTHO_TOL:
             raise ValueError("axis directions must be mutually orthogonal unit vectors")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "spacing", spacing)
@@ -89,32 +89,27 @@ def physical_to_voxel(vol: Volume3, point) -> np.ndarray:
     return ((pts - vol.origin) @ vol.axes.T) / vol.spacing
 
 
-def centroid(vol: Volume3, fg: np.ndarray | None = None) -> np.ndarray:
-    """Physical mm centroid of the nonzero voxels; ``fg`` is their ``np.argwhere``, if at hand.
+def centroid(vol: Volume3) -> np.ndarray:
+    """Physical mm centroid of the nonzero voxels.
 
-    Without ``fg`` the mean index comes from the per-axis counts of nonzero
-    voxels, not from a list of their indices. The counts are float64 sums
-    of 0/1 values, so they are exact integers whatever order BLAS adds them
-    in; the integer index sums are exact too, and the result carries the
-    same bits as ``np.argwhere(vol.data).mean(axis=0)`` would give.
+    The mean index comes from the per-axis counts of nonzero voxels, not
+    from a list of their indices. The counts are float64 sums of 0/1
+    values, so they are exact integers whatever order BLAS adds them in;
+    the integer index sums are exact too, and the result carries the same
+    bits as ``np.argwhere(vol.data).mean(axis=0)`` would give.
     """
-    if fg is not None:
-        if fg.shape[0] == 0:
-            raise ValueError("centroid of an empty mask is undefined")
-        mean_idx = fg.mean(axis=0)
-    else:
-        n0, n1, n2 = vol.shape
-        nz = (vol.data != 0).astype(np.float64).reshape(n0 * n1, n2)
-        per_row = (nz @ np.ones(n2)).astype(np.int64).reshape(n0, n1)
-        counts = (
-            per_row.sum(axis=1),
-            per_row.sum(axis=0),
-            (np.ones(n0 * n1) @ nz).astype(np.int64),
-        )
-        total = counts[0].sum()
-        if total == 0:
-            raise ValueError("centroid of an empty mask is undefined")
-        mean_idx = np.array([c @ np.arange(c.size) for c in counts]) / total
+    n0, n1, n2 = vol.shape
+    nz = (vol.data != 0).astype(np.float64).reshape(n0 * n1, n2)
+    per_row = (nz @ np.ones(n2)).astype(np.int64).reshape(n0, n1)
+    counts = (
+        per_row.sum(axis=1),
+        per_row.sum(axis=0),
+        (np.ones(n0 * n1) @ nz).astype(np.int64),
+    )
+    total = counts[0].sum()
+    if total == 0:
+        raise ValueError("centroid of an empty mask is undefined")
+    mean_idx = np.array([c @ np.arange(c.size) for c in counts]) / total
     return vol.origin + (mean_idx * vol.spacing) @ vol.axes
 
 
@@ -148,9 +143,8 @@ def resample_crop(vol: Volume3, target_spacing, target_shape, center) -> Volume3
     Sampling is nearest-neighbour and the output keeps the source dtype.
 
     Output axes equal source axes, so the index map is separable: along
-    axis i, output voxel k reads source index ``floor(offset_i + k * ratio_i
-    + 0.5)`` (half-voxel ties round up, as in ``sample_at_physical``), and
-    the output is one gather per axis over the in-bounds run of indices.
+    axis i, output voxel k reads source index ``offset_i + k * ratio_i``
+    through ``gather_nearest``.
     """
     target_spacing = np.asarray(target_spacing, dtype=np.float64)
     target_shape = tuple(int(n) for n in target_shape)
@@ -165,21 +159,37 @@ def resample_crop(vol: Volume3, target_spacing, target_shape, center) -> Volume3
 
     offset = (vol.axes @ (out_origin - vol.origin)) / vol.spacing
     ratio = target_spacing / vol.spacing
-    out = np.zeros(target_shape, dtype=vol.data.dtype)
-    src, runs = vol.data, []
-    for i in range(3):
-        grid = offset[i] + np.arange(target_shape[i], dtype=np.float64) * ratio[i]
-        near = np.floor(grid + 0.5).astype(np.int64)
-        # ratio > 0, so near ascends and its in-bounds entries form one run
-        inside = np.flatnonzero((near >= 0) & (near < vol.shape[i]))
-        if inside.size == 0:
-            break  # the grid misses the source: all zeros
-        runs.append(slice(inside[0], inside[-1] + 1))
-        src = src.take(near[runs[-1]], axis=i)
-    else:
-        out[tuple(runs)] = src
+    out = gather_nearest(vol, *(
+        o + np.arange(n, dtype=np.float64) * r for o, n, r in zip(offset, target_shape, ratio)
+    ))
     out.flags.writeable = False
     return Volume3(out, target_spacing, out_origin, vol.axes)
+
+
+def gather_nearest(vol: Volume3, i0, i1, i2) -> np.ndarray:
+    """Nearest reads of ``vol`` on the lattice of fractional voxel indices ``i0 x i1 x i2``.
+
+    Each argument is a 1-D array of indices along one array axis. Entry
+    ``[a, b, c]`` of the fresh ``(len(i0), len(i1), len(i2))`` result, in
+    the volume's dtype, reads voxel ``floor(index + 0.5)`` on every axis
+    (half-voxel ties round up, as in ``sample_at_physical``), or 0 where
+    any of the three falls outside.
+    """
+    near = [np.floor(np.asarray(i, dtype=np.float64) + 0.5).astype(np.int64) for i in (i0, i1, i2)]
+    if vol.data.size == 0:  # every index is outside; take() cannot read an empty array
+        return np.zeros([len(n) for n in near], dtype=vol.data.dtype)
+    out = vol.data
+    # a take along the last axis reads single elements, one along an outer axis
+    # whole rows: outer axes that shrink the array go first, then the last axis,
+    # then outer axes that grow it (the order does not change the values)
+    for axis in sorted(range(3), key=lambda a: len(near[a]) / vol.shape[a] if a < 2 else 1.0):
+        out = out.take(near[axis], axis=axis, mode="clip")
+    for axis, (n, size) in enumerate(zip(near, vol.shape)):
+        # one unsigned compare tests both bounds: a negative index wraps to a huge one
+        outside = n.view(np.uint64) >= size
+        if np.count_nonzero(outside):
+            out[(slice(None),) * axis + (outside,)] = 0
+    return out
 
 
 def sample_at_physical(vol: Volume3, points: np.ndarray) -> np.ndarray:

@@ -102,26 +102,16 @@ class SearchResult:
 
 
 @dataclass(frozen=True)
-class AcquisitionResult:
-    """Stacked segmentation volume plus the sweep geometry."""
-
-    volume: Volume3
-    waypoints: np.ndarray
-    branch_pos: np.ndarray
-
-
-@dataclass(frozen=True)
 class CoordinateMap:
-    """CT-frame to physical-frame rigid map with registration diagnostics.
+    """CT-frame to physical-frame rigid map and the trial's registration record.
 
-    ``hu``, ``hc`` and ``init`` are what ``harmonize`` returned: the acquired
-    and the CT masks on the common grid, and the centroid init the solver
-    started from.
+    ``registration`` is described in ``coordinate_map``. ``hu``, ``hc`` and
+    ``init`` are what ``harmonize`` returned: the acquired and the CT masks
+    on the common grid, and the centroid init the solver started from.
     """
 
     ct_to_physical: RigidTransform3
-    diagnostics: dict
-    converged: bool
+    registration: dict
     hu: Volume3
     hc: Volume3
     init: RigidTransform3
@@ -146,13 +136,13 @@ def _search_offsets(sp: SearchParams) -> list[tuple[float, float]]:
     return sorted(offs, key=lambda o: (o[0] ** 2 + o[1] ** 2, o[0], o[1]))
 
 
-def _largest_component_stats(mask: np.ndarray):
+def _largest_component_stats(mask: np.ndarray) -> tuple[float, float]:
     comp = largest_connected_component(mask)
     area = float(comp.sum())
     if area == 0:
-        return comp, 0.0, math.nan
+        return 0.0, math.nan
     cols = np.argwhere(comp)[:, 0]
-    return comp, area, float(cols.mean())
+    return area, float(cols.mean())
 
 
 def hv_search(
@@ -182,7 +172,7 @@ def hv_search(
         pos = move_to(scene, p0[0] + dx, p0[1] + dy)
         visited += 1
         mask = segment_branch(capture_us(scene, pos, probe_params), noise)
-        _, area, col = _largest_component_stats(mask)
+        area, col = _largest_component_stats(mask)
         best_area = max(best_area, area)
         if area < sp.detect_area_px:
             continue
@@ -201,7 +191,7 @@ def hv_search(
             step = math.copysign(sp.step_mm, offset)
             pos = move_to(scene, pos[0], pos[1] + step)
             mask = segment_branch(capture_us(scene, pos, probe_params), noise)
-            _, area, col = _largest_component_stats(mask)
+            area, col = _largest_component_stats(mask)
             if area == 0.0:
                 raise RuntimeError(
                     "centralization lost the vessel: empty segmentation while centering"
@@ -227,12 +217,12 @@ def hv_acquire(
     branch_pos: np.ndarray,
     n_slices: int = 16,
     length_mm: float = 60.0,
-) -> AcquisitionResult:
+) -> Volume3:
     """Sweep ``n_slices`` equally spaced axial slices spanning ``length_mm``.
 
     The sweep is centered on the junction position along the
     inferior-superior axis; slice i is the full-vein segmentation of the
-    frame at waypoint i. The stacked volume lives in physical coordinates:
+    frame at waypoint i. The returned stack lives in physical coordinates:
     spacing (pitch, lateral, depth) with pitch = length/(n-1), axis
     directions (+x, +y, -z), and origin at the first waypoint shifted half
     the image width to the -y side. The probe tracks the skin per waypoint;
@@ -258,8 +248,7 @@ def hv_acquire(
     origin = waypoints[0] - np.array([0.0, lx * vx / 2.0, 0.0])
     axes = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
     slices.flags.writeable = False  # handed to the volume without a copy
-    volume = Volume3(slices, np.array([pitch, vx, vy]), origin, axes)
-    return AcquisitionResult(volume=volume, waypoints=waypoints, branch_pos=branch_pos)
+    return Volume3(slices, np.array([pitch, vx, vy]), origin, axes)
 
 
 DEFAULT_HARMONIZE = {"spacing": (2.0, 2.0, 2.0), "shape": (48, 40, 24)}
@@ -294,26 +283,24 @@ def coordinate_map(us_veins: Volume3, ct_veins: Volume3) -> CoordinateMap:
 
     ``harmonize`` puts both inputs on a common grid and aligns their
     centroids; rigid registration with the default ``RegistrationConfig``
-    refines that init. Diagnostics carry precision/recall/dice between the
-    acquired volume and the (centroid-shifted, then registered) CT
-    annotation, the quality numbers of the mapping stage, and the solver's
-    final score.
+    refines that init. The registration record is ``{"before", "after",
+    "score", "converged"}``: precision/recall/dice between the acquired
+    volume and the CT annotation moved by the init and by the result, the
+    solver's final score, and whether the result's Dice is at least the
+    init's.
     """
     hu, hc, init = harmonize(us_veins, ct_veins)
     transform, score = register_rigid(hu, hc, init=init)
 
-    before = apply_transform(hc, init, hu).data
-    after = apply_transform(hc, transform, hu).data
-    diagnostics = {
-        "before": _overlap_metrics(before, hu.data),
-        "after": _overlap_metrics(after, hu.data),
+    before = _overlap_metrics(apply_transform(hc, init, hu).data, hu.data)
+    after = _overlap_metrics(apply_transform(hc, transform, hu).data, hu.data)
+    registration = {
+        "before": before,
+        "after": after,
         "score": score,
+        "converged": bool(after["dice"] + 1e-12 >= before["dice"]),
     }
-    converged = diagnostics["after"]["dice"] + 1e-12 >= diagnostics["before"]["dice"]
-    return CoordinateMap(
-        ct_to_physical=transform, diagnostics=diagnostics, converged=converged,
-        hu=hu, hc=hc, init=init,
-    )
+    return CoordinateMap(transform, registration, hu, hc, init)
 
 
 def _overlap_metrics(pred: np.ndarray, truth: np.ndarray) -> dict:

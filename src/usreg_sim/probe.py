@@ -12,9 +12,9 @@ segmentations) is a read-only ``uint8`` array of ``image_shape``, indexed
 Capture is pure resampling of the scene's vein annotations, done lazily:
 a frame samples each of its fields on first read, so a caller pays only
 for the pixels it consumes. A truth mask whose volume axes are exactly the
-identity (every scene placed without yaw) is read by a separable gather:
-one slab of the volume, indexed by one row per lateral pixel and one
-column per depth pixel, which reads the same values as the general
+identity (every scene placed without yaw) is read by ``gather_nearest``:
+one slab index for the frame, one row index per lateral pixel and one
+column index per depth pixel, which reads the same values as the general
 sampler. The learned segmentation networks of the real system
 are replaced by ground-truth oracles plus a parametric corruption model.
 """
@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .imgvol import Volume3, sample_at_physical
+from .imgvol import Volume3, gather_nearest, sample_at_physical
 from .phantom import PhantomScene
 
 _IDENTITY = np.eye(3)
@@ -85,8 +85,8 @@ class UltrasoundFrame:
     ``capture_grid(capture_position, params)`` the first time it is read
     and cached on the frame, so both share one pixel grid. ``mask_truth``
     samples the full vein annotation and ``branch_truth`` the
-    junction-local annotation, each through ``_axis_aligned_gather`` when
-    that annotation's ``axes`` equal the identity exactly and through
+    junction-local annotation, each through ``gather_nearest`` when that
+    annotation's ``axes`` equal the identity exactly and through
     ``sample_at_physical`` otherwise (a yawed placement). Pixel (0, 0)
     sits at ``capture_position - (fov_width/2) * y_hat`` at surface depth,
     the lateral axis runs along +y and the depth axis straight down.
@@ -112,7 +112,13 @@ class UltrasoundFrame:
 
     def _sample(self, vol: Volume3) -> np.ndarray:
         if np.array_equal(vol.axes, _IDENTITY):
-            vals = _axis_aligned_gather(vol, self.capture_position, self.params)
+            # the product with an exact identity rounds nothing, so these
+            # are sample_at_physical's indices, split per axis
+            ys, zs = _capture_axes(self.capture_position, self.params)
+            vals = gather_nearest(vol, *(
+                (c - o) / s
+                for c, o, s in zip((self.capture_position[:1], ys, zs), vol.origin, vol.spacing)
+            ))[0]
         else:
             vals = sample_at_physical(vol, capture_grid(self.capture_position, self.params))
         return _read_only(vals.astype(np.uint8, copy=False))
@@ -223,30 +229,6 @@ def capture_grid(position: np.ndarray, params: ProbeParams) -> np.ndarray:
     pts[..., 1] = ys[:, None]
     pts[..., 2] = zs[None, :]
     return pts
-
-
-def _axis_aligned_gather(vol: Volume3, position: np.ndarray, params: ProbeParams) -> np.ndarray:
-    """Nearest samples of a volume whose ``axes`` are the identity, on one frame.
-
-    The frame's voxel indices then split per axis: one slab index for the
-    whole frame, one column index per lateral pixel and one per depth pixel,
-    each ``floor((c - origin) / spacing + 0.5)``. That is
-    ``sample_at_physical``'s arithmetic, whose product with an exact identity
-    matrix rounds nothing, so the values are the same; indices outside the
-    volume read 0.
-    """
-    ys, zs = _capture_axes(position, params)
-    i, j, k = (
-        np.floor((c - o) / s + 0.5).astype(np.int64)
-        for c, o, s in zip((position[:1], ys, zs), vol.origin, vol.spacing)
-    )
-    n0, n1, n2 = vol.shape
-    if vol.data.size == 0 or not 0 <= i[0] < n0:  # take() cannot read an empty axis
-        return np.zeros(params.image_shape, dtype=vol.data.dtype)
-    out = vol.data[i[0]].take(j, axis=0, mode="clip").take(k, axis=1, mode="clip")
-    out[(j < 0) | (j >= n1)] = 0
-    out[:, (k < 0) | (k >= n2)] = 0
-    return out
 
 
 def capture_us(scene: PhantomScene, position: np.ndarray, params: ProbeParams) -> UltrasoundFrame:

@@ -563,7 +563,7 @@ def register_rigid(
     cfg = cfg or RegistrationConfig()
     init = init or RigidTransform3.identity()
     masks = _score_inputs(fixed, moving)
-    center = init.apply(centroid(moving, masks.moving_fg))
+    center = init.apply(centroid(moving))
     pad = np.ceil(_BOUNDS[0] / fixed.spacing).astype(int) + 2
 
     def stage_scorer(inits, pad_vox, stride):
@@ -630,4 +630,5 @@ def apply_transform(moving: Volume3, transform: RigidTransform3, like: Volume3) 
         slab[:, 0] = i
         pts = to_moving.apply(voxel_to_physical(like, slab))
         out[i] = sample_at_physical(moving, pts)[: n1 * n2]
+    out.flags.writeable = False  # handed to the volume without a copy
     return Volume3(out.reshape(like.shape), like.spacing, like.origin, like.axes)

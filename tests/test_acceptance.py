@@ -165,9 +165,9 @@ def test_acceptance_4_registration_improves_noisy_alignment():
         scene = place_phantom(generate_phantom(int(rng.integers(2**31))), off)
         noise = NOISE_PRESETS["default"](int(rng.integers(2**31)))
         search = hv_search(scene, params, noise, initial_contact(scene))
-        acq = hv_acquire(scene, params, noise, search.position)
+        acquired = hv_acquire(scene, params, noise, search.position)
         ct_veins = ct_frame_volume(scene.hv_annotation, scene.placement)
-        hu = resample_crop(acq.volume, spacing, shape, centroid(acq.volume))
+        hu = resample_crop(acquired, spacing, shape, centroid(acquired))
         hc = resample_crop(ct_veins, spacing, shape, centroid(ct_veins))
         base = translation(centroid(hu) - centroid(hc))
         err = compose(

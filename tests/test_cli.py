@@ -1,5 +1,6 @@
 """Command line interface tests, run in-process through ``cli.main``."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -120,6 +121,26 @@ def test_run_trial_prints_report(cfg_file, capsys):
     assert set(report["stage_ms"]) == {"setup", "search", "acquire", "map", "targets"}
 
 
+# sha256 of the CLI's JSON outputs, so a refactor that must not change
+# behaviour is checked byte for byte. Like DEFAULT_SWEEP_DIGESTS in
+# test_acceptance.py they hold only for the numpy and scipy versions pinned
+# in .github/workflows/tier1.yml: the outputs print floats whose last bits
+# depend on them.
+RUN_TRIAL_DIGEST = "4bfd9140dd5e16cd03b552e09ef568af5918899081339386ea1ad8b9929ff045"
+REGISTER_DIGESTS = {
+    0.0: "09bec731f4699a2c4e40f8b5c45566ed70c7db85a030f1a0e0beb21ee2c33d88",
+    7.0: "ca812fa0173e73f41353b535538fd6791886c1fb0d0e395d27f5d4d72c9f487e",
+}
+
+
+def test_run_trial_report_is_pinned(capsys):
+    assert main(["run-trial", "--seed", "3", "--index", "1"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    del report["stage_ms"]  # wall-clock times, the one part that varies
+    digest = hashlib.sha256(json.dumps(report, indent=2).encode()).hexdigest()
+    assert digest == RUN_TRIAL_DIGEST
+
+
 @pytest.mark.parametrize("error", [
     RuntimeError("centralization did not settle within 200 iterations"),
     ValueError("(12.0, 190.0) is off the skin surface"),
@@ -209,6 +230,13 @@ def test_register_prints_the_solver_scores(register_pair, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["dice_before"] == report["dice_after"] == 1.0
     assert report["score_before"] == report["score_after"]
+
+
+def test_register_output_is_pinned(register_pair, capsys):
+    fpath, mpath, yaw, _ = register_pair
+    assert main(["register", str(fpath), str(mpath)]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == REGISTER_DIGESTS[yaw]
 
 
 def test_register_crops_each_mask_once(register_pair, capsys, monkeypatch):

@@ -80,7 +80,7 @@ def found(scene, pp, quiet, contact):
 
 
 @pytest.fixture(scope="module")
-def acq(scene, pp, quiet, found):
+def acquired(scene, pp, quiet, found):
     return hv_acquire(scene, pp, quiet, found.position)
 
 
@@ -90,8 +90,8 @@ def ct_veins(scene):
 
 
 @pytest.fixture(scope="module")
-def cmap(acq, ct_veins):
-    return coordinate_map(acq.volume, ct_veins)
+def cmap(acquired, ct_veins):
+    return coordinate_map(acquired, ct_veins)
 
 
 # ----------------------------------------------------------------- search
@@ -185,30 +185,30 @@ def test_search_params_validation():
 # ------------------------------------------------------------ acquisition
 
 
-def test_acquisition_geometry(acq, found, pp):
-    vol = acq.volume
+def test_acquisition_geometry(scene, acquired, found, pp):
+    vol = acquired
     lx = pp.image_shape[0]
     vx, vy = pp.pixel_spacing
     assert vol.data.shape == (16, 216, 100)
     assert np.allclose(vol.spacing, [60.0 / 15, vx, vy])
     assert np.allclose(vol.axes, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])
-    assert np.allclose(vol.origin, acq.waypoints[0] - np.array([0, lx * vx / 2.0, 0]))
-    xs = acq.waypoints[:, 0]
-    assert xs[0] == pytest.approx(found.position[0] - 30.0)
-    assert xs[-1] == pytest.approx(found.position[0] + 30.0)
-    assert np.allclose(acq.waypoints[:, 1], found.position[1])
+    # the sweep starts 30 mm before the junction, half an image to the -y side
+    first = move_to(scene, found.position[0] - 30.0, found.position[1])
+    assert np.array_equal(vol.origin, first - np.array([0, lx * vx / 2.0, 0]))
+    last_x = vol.origin[0] + (vol.shape[0] - 1) * vol.spacing[0]
+    assert last_x == pytest.approx(found.position[0] + 30.0)
 
 
-def test_acquisition_first_slice_is_probe_segmentation(scene, pp, acq):
+def test_acquisition_first_slice_is_probe_segmentation(scene, pp, found):
+    w0 = move_to(scene, found.position[0] - 30.0, found.position[1])
     for noise in (NoiseModel.zero(0), NoiseModel.default(11)):
-        stack = hv_acquire(scene, pp, noise, acq.branch_pos)
-        w0 = stack.waypoints[0]
-        direct = segment_full(capture_us(scene, move_to(scene, w0[0], w0[1]), pp), noise)
-        assert np.array_equal(stack.volume.data[0], direct)
+        stack = hv_acquire(scene, pp, noise, found.position)
+        direct = segment_full(capture_us(scene, w0, pp), noise)
+        assert np.array_equal(stack.data[0], direct)
 
 
-def test_acquisition_matches_annotation_at_zero_noise(scene, acq):
-    vol = acq.volume
+def test_acquisition_matches_annotation_at_zero_noise(scene, acquired):
+    vol = acquired
     idx = np.stack(np.meshgrid(*(np.arange(n) for n in vol.data.shape), indexing="ij"), axis=-1)
     pts = voxel_to_physical(vol, idx.reshape(-1, 3)).reshape(idx.shape)
     truth = sample_at_physical(scene.hv_annotation, pts)
@@ -232,8 +232,9 @@ def test_coordinate_map_recovers_placement(scene, cmap):
     )
     err = cmap.ct_to_physical.apply(bp_ct) - scene.tree.branch_point
     assert np.all(np.abs(err) <= 2.0)  # within one harmonized voxel per axis
-    assert cmap.converged
-    d = cmap.diagnostics
+    d = cmap.registration
+    assert list(d) == ["before", "after", "score", "converged"]
+    assert d["converged"] is True
     assert d["after"]["dice"] >= d["before"]["dice"]
     assert d["after"]["dice"] >= 0.75
     for key in ("precision", "recall", "dice"):
@@ -244,7 +245,7 @@ def test_coordinate_map_identity_when_self_aligned(ct_veins):
     cm = coordinate_map(ct_veins, ct_veins)
     assert np.allclose(cm.ct_to_physical.rotation, np.eye(3), atol=1e-9)
     assert np.allclose(cm.ct_to_physical.translation, 0.0, atol=1e-9)
-    assert cm.diagnostics["after"]["dice"] == pytest.approx(1.0)
+    assert cm.registration["after"]["dice"] == pytest.approx(1.0)
 
 
 def test_coordinate_map_validation(ct_veins):
@@ -421,5 +422,5 @@ def test_search_and_acquisition_deterministic_under_noise(scene, pp, contact):
     assert r1.waypoints_visited == r2.waypoints_visited
     a1 = hv_acquire(scene, pp, noisy, r1.position)
     a2 = hv_acquire(scene, pp, noisy, r2.position)
-    assert np.array_equal(a1.volume.data, a2.volume.data)
-    assert np.array_equal(a1.waypoints, a2.waypoints)
+    assert np.array_equal(a1.data, a2.data)
+    assert np.array_equal(a1.origin, a2.origin)

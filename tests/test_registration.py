@@ -524,6 +524,14 @@ def test_apply_transform_identity_roundtrip(annotation):
     assert np.array_equal(out.data, annotation.data)
 
 
+def test_apply_transform_hands_its_grid_over_without_a_copy(annotation):
+    out = apply_transform(annotation, RigidTransform3.identity(), annotation)
+    # Volume3 copies writable input, so a view of the filled grid means the
+    # output was frozen first and kept
+    assert out.data.base is not None
+    assert not out.data.flags.writeable
+
+
 def _closest_tie_approach(moving, transform, like):
     """Smallest distance, in voxels, of any moving index sampled for ``like``
     from a half-voxel tie, with ``reference_apply_transform``'s arithmetic."""

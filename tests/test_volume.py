@@ -5,6 +5,7 @@ import pytest
 from usreg_sim.imgvol import (
     Volume3,
     centroid,
+    gather_nearest,
     largest_connected_component,
     physical_to_voxel,
     require_binary,
@@ -166,7 +167,6 @@ def test_centroid_matches_argwhere_mean_bit_for_bit(seed, data):
     vol = Volume3(data, rng.uniform(0.3, 3.0, 3), rng.normal(scale=40.0, size=3), random_orthonormal(rng))
     want = vol.origin + (np.argwhere(vol.data).mean(axis=0) * vol.spacing) @ vol.axes
     assert np.array_equal(centroid(vol), want)
-    assert np.array_equal(centroid(vol, np.argwhere(vol.data)), want)
 
 
 # ------------------------------------------------- connected components
@@ -413,3 +413,36 @@ def test_sample_at_physical_nearest_rounds_half_up_at_the_edges():
     empty = make_vol(np.zeros((0, 4, 5), dtype=np.uint8))
     got = sample_at_physical(empty, grid)
     assert np.array_equal(got, reference_sample_at_physical(empty, grid))
+
+
+def _gather_axes(rng, n):
+    """Index runs along an axis of length ``n``: exact ties at -0.5 and
+    n - 0.5 first, then random ascending and descending runs, runs wholly
+    outside on either side, and an empty run."""
+    yield np.array([-0.5, -0.5 - 1e-9, n - 0.5, n - 0.5 - 1e-9, 0.5, n - 1.5])
+    for _ in range(3):
+        yield rng.uniform(-3.0, n + 2.0) + np.arange(rng.integers(1, 12)) * rng.uniform(0.1, 2.5)
+        yield rng.uniform(-3.0, n + 2.0) - np.arange(rng.integers(1, 12)) * rng.uniform(0.1, 2.5)
+    yield np.array([-7.25, -3.0, -0.75])
+    yield np.array([n + 0.5, n - 0.5, n + 4.0])
+    yield np.empty(0)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.float32])
+@pytest.mark.parametrize("shape", [(7, 9, 5), (1, 4, 6), (3, 0, 4)])
+def test_gather_nearest_matches_reference_sampler(dtype, shape):
+    # unit spacing, zero origin and identity axes make a physical point its
+    # own voxel index, so the reference sees exactly the gather's indices
+    rng = np.random.default_rng(sum(shape) + len(np.dtype(dtype).name))
+    vol = make_vol((rng.random(shape) * 5).astype(dtype))
+    runs = [list(_gather_axes(rng, n)) for n in shape]
+    # the ties on every axis at once, then random picks of one run per axis
+    picks = [(0, 0, 0)] + [tuple(rng.integers(len(r)) for r in runs) for _ in range(80)]
+    for pick in picks:
+        i0, i1, i2 = (r[k] for r, k in zip(runs, pick))
+        got = gather_nearest(vol, i0, i1, i2)
+        pts = np.stack(np.meshgrid(i0, i1, i2, indexing="ij"), axis=-1)
+        want = reference_sample_at_physical(vol, pts)
+        assert got.dtype == vol.data.dtype and got.shape == (len(i0), len(i1), len(i2))
+        assert np.array_equal(got, want), f"runs {pick}: {i0}, {i1}, {i2}"
+        assert got.base is None  # fresh: a caller may freeze it in place
