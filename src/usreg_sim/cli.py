@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from pathlib import Path
 
 from .harness import (
     ConfigError,
@@ -44,7 +45,7 @@ def _load_config(args: argparse.Namespace) -> SweepConfig:
         cfg = SweepConfig()
     else:
         try:
-            raw = json.loads(open(args.config).read())
+            raw = json.loads(Path(args.config).read_text())
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:

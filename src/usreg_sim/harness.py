@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -31,29 +32,46 @@ from .phantom import (
     place_phantom,
     target_grid,
 )
+# the scan schedule is pipeline's; summary.json reads JUDGE_TOL_X_MM, and
+# benchmarks read ACQ_SLICES and ACQ_LENGTH_MM from this module
 from .pipeline import (
+    ACQ_LENGTH_MM,
+    ACQ_SLICES,
+    JUDGE_TOL_X_MM,
     SearchParams,
     coordinate_map,
-    frames_for_eps,
     hv_acquire,
     hv_search,
     judge_success,
     slice_match,
     target_imaging,
 )
-from .probe import NOISE_PRESETS, ProbeParams, initial_contact
+from .probe import NOISE_PRESETS, initial_contact
 
 CONFIG_VERSION = 1
-
-# acquisition sweep used by every trial; the judging tolerance is half the
-# resulting slice pitch, the finest x resolution the acquired volume has
-ACQ_SLICES = 16
-ACQ_LENGTH_MM = 60.0
-JUDGE_TOL_X_MM = ACQ_LENGTH_MM / (ACQ_SLICES - 1) / 2.0
 
 
 class ConfigError(ValueError):
     """A sweep config that cannot be run."""
+
+
+def _is_finite_real(v) -> bool:
+    # NaN, the infinities and an int too large for a float all fail the bound
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+# the JSON value each config field takes; a value is checked, never coerced,
+# so a string, bool or NaN where a number belongs is a config error rather
+# than a trial that fails later
+_FIELD_KINDS = (
+    (("config_version", "trials", "targets_limit", "seed"), "an integer",
+     lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    (("placement_x_mm", "placement_y_mm"), "a finite number", _is_finite_real),
+    (("epsilons",), "a list of finite numbers",
+     lambda v: isinstance(v, (list, tuple)) and all(map(_is_finite_real, v))),
+    (("noise",), "a preset name", lambda v: isinstance(v, str)),
+    (("phantom", "search"), "an object", lambda v: isinstance(v, dict)),
+)
 
 
 @dataclass(frozen=True)
@@ -83,6 +101,10 @@ class SweepConfig:
     config_version: int = CONFIG_VERSION
 
     def __post_init__(self) -> None:
+        for names, kind, admits in _FIELD_KINDS:
+            for name in names:
+                if not admits(getattr(self, name)):
+                    raise ConfigError(f"{name} must be {kind}, got {getattr(self, name)!r}")
         if self.config_version != CONFIG_VERSION:
             raise ConfigError(
                 f"config version {self.config_version} not supported (expected {CONFIG_VERSION})"
@@ -105,6 +127,8 @@ class SweepConfig:
             raise ConfigError("placement bounds must be nonnegative")
         if self.targets_limit < 1:
             raise ConfigError("targets_limit must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         # the phantom's geometry depends on its params alone: building it
         # (once per process, so a sweep's pool workers inherit it) rejects
         # params that no trial could run
@@ -133,10 +157,7 @@ class SweepConfig:
         extra = set(d) - known
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        kwargs = dict(d)
-        if "epsilons" in kwargs:
-            kwargs["epsilons"] = tuple(kwargs["epsilons"])
-        return cls(**kwargs)
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -199,12 +220,11 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialResult:
     scene = place_phantom(
         generate_phantom(phantom_seed, cfg.phantom_params()), [offset_x, offset_y, 0.0]
     )
-    probe_params = ProbeParams()
     contact = initial_contact(scene)
     stage_ms["setup"] = (clock() - t) * 1e3
 
     t = clock()
-    search = hv_search(scene, probe_params, noise, contact, cfg.search_params())
+    search = hv_search(scene, noise, contact, cfg.search_params())
     stage_ms["search"] = (clock() - t) * 1e3
     if not search.success:
         return TrialResult(
@@ -220,10 +240,7 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialResult:
         )
 
     t = clock()
-    acquired = hv_acquire(
-        scene, probe_params, noise, search.position,
-        n_slices=ACQ_SLICES, length_mm=ACQ_LENGTH_MM,
-    )
+    acquired = hv_acquire(scene, noise, search.position)
     stage_ms["acquire"] = (clock() - t) * 1e3
 
     t = clock()
@@ -237,15 +254,7 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialResult:
     for ti in _pick_targets(len(all_targets), cfg.targets_limit):
         target_ct = all_targets[ti]
         truth = scene.placement.apply(target_ct)
-        sm = slice_match(
-            scene, probe_params, noise, target_ct,
-            cmap.ct_to_physical, search.position, ct_veins,
-        )
-        successes = []
-        for eps in cfg.epsilons:
-            n_frames = frames_for_eps(eps, JUDGE_TOL_X_MM)
-            positions = target_imaging(scene, sm.corrected, eps, n_frames)
-            successes.append(judge_success(positions, probe_params, truth, JUDGE_TOL_X_MM))
+        sm = slice_match(scene, noise, target_ct, cmap.ct_to_physical, search.position, ct_veins)
         outcomes.append(
             TargetOutcome(
                 target_index=int(ti),
@@ -253,7 +262,10 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialResult:
                 corrected=tuple(float(v) for v in sm.corrected),
                 x_err_mm=float(abs(sm.corrected[0] - truth[0])),
                 mapped_err_mm=float(abs(sm.mapped[0] - truth[0])),
-                successes=tuple(successes),
+                successes=tuple(
+                    judge_success(target_imaging(scene, sm.corrected, eps), truth)
+                    for eps in cfg.epsilons
+                ),
             )
         )
     stage_ms["targets"] = (clock() - t) * 1e3

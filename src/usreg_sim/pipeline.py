@@ -54,6 +54,15 @@ from .probe import (
 )
 from .registration import apply_transform, register_rigid
 
+# the one scan schedule every trial runs; the judging tolerance is half the
+# acquisition's slice pitch, the finest x resolution the acquired volume has
+ACQ_SLICES = 16
+ACQ_LENGTH_MM = 60.0
+JUDGE_TOL_X_MM = ACQ_LENGTH_MM / (ACQ_SLICES - 1) / 2.0
+MATCH_SPAN_MM = 20.0
+MATCH_WAYPOINTS = 21
+MIN_FRAMES = 8
+
 
 @dataclass(frozen=True)
 class SearchParams:
@@ -147,7 +156,6 @@ def _largest_component_stats(mask: np.ndarray) -> tuple[float, float]:
 
 def hv_search(
     scene: PhantomScene,
-    probe_params: ProbeParams,
     noise: NoiseModel,
     p0: np.ndarray,
     sp: SearchParams | None = None,
@@ -163,15 +171,14 @@ def hv_search(
     """
     sp = sp or SearchParams()
     p0 = np.asarray(p0, dtype=np.float64)
-    lx = probe_params.image_shape[0]
-    center_px = lx / 2.0
+    center_px = ProbeParams.image_shape[0] / 2.0
 
     visited = 0
     best_area = 0.0
     for dx, dy in _search_offsets(sp):
         pos = move_to(scene, p0[0] + dx, p0[1] + dy)
         visited += 1
-        mask = segment_branch(capture_us(scene, pos, probe_params), noise)
+        mask = segment_branch(capture_us(scene, pos), noise)
         area, col = _largest_component_stats(mask)
         best_area = max(best_area, area)
         if area < sp.detect_area_px:
@@ -190,7 +197,7 @@ def hv_search(
                 )
             step = math.copysign(sp.step_mm, offset)
             pos = move_to(scene, pos[0], pos[1] + step)
-            mask = segment_branch(capture_us(scene, pos, probe_params), noise)
+            mask = segment_branch(capture_us(scene, pos), noise)
             area, col = _largest_component_stats(mask)
             if area == 0.0:
                 raise RuntimeError(
@@ -210,40 +217,29 @@ def hv_search(
     )
 
 
-def hv_acquire(
-    scene: PhantomScene,
-    probe_params: ProbeParams,
-    noise: NoiseModel,
-    branch_pos: np.ndarray,
-    n_slices: int = 16,
-    length_mm: float = 60.0,
-) -> Volume3:
-    """Sweep ``n_slices`` equally spaced axial slices spanning ``length_mm``.
+def hv_acquire(scene: PhantomScene, noise: NoiseModel, branch_pos: np.ndarray) -> Volume3:
+    """Sweep ``ACQ_SLICES`` equally spaced axial slices spanning ``ACQ_LENGTH_MM``.
 
     The sweep is centered on the junction position along the
     inferior-superior axis; slice i is the full-vein segmentation of the
     frame at waypoint i. The returned stack lives in physical coordinates:
-    spacing (pitch, lateral, depth) with pitch = length/(n-1), axis
+    spacing (pitch, lateral, depth) with pitch = length/(slices-1), axis
     directions (+x, +y, -z), and origin at the first waypoint shifted half
     the image width to the -y side. The probe tracks the skin per waypoint;
     the volume grid uses the first waypoint's height (the skin is flat
     along the sweep direction by construction).
     """
-    if n_slices < 2:
-        raise ValueError(f"need at least 2 slices, got {n_slices}")
-    if length_mm <= 0:
-        raise ValueError("sweep length must be positive")
     branch_pos = np.asarray(branch_pos, dtype=np.float64)
-    pitch = length_mm / (n_slices - 1)
-    lx, ly = probe_params.image_shape
-    vx, vy = probe_params.pixel_spacing
+    pitch = ACQ_LENGTH_MM / (ACQ_SLICES - 1)
+    lx, ly = ProbeParams.image_shape
+    vx, vy = ProbeParams.pixel_spacing
 
-    waypoints = np.empty((n_slices, 3))
-    slices = np.empty((n_slices, lx, ly), dtype=np.uint8)
-    for i in range(n_slices):
-        x = branch_pos[0] - length_mm / 2.0 + i * pitch
+    waypoints = np.empty((ACQ_SLICES, 3))
+    slices = np.empty((ACQ_SLICES, lx, ly), dtype=np.uint8)
+    for i in range(ACQ_SLICES):
+        x = branch_pos[0] - ACQ_LENGTH_MM / 2.0 + i * pitch
         waypoints[i] = move_to(scene, x, branch_pos[1])
-        slices[i] = segment_full(capture_us(scene, waypoints[i], probe_params), noise)
+        slices[i] = segment_full(capture_us(scene, waypoints[i]), noise)
 
     origin = waypoints[0] - np.array([0.0, lx * vx / 2.0, 0.0])
     axes = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
@@ -313,7 +309,6 @@ def _overlap_metrics(pred: np.ndarray, truth: np.ndarray) -> dict:
 
 def _target_template(
     scene: PhantomScene,
-    probe_params: ProbeParams,
     target_ct: np.ndarray,
     ct_to_physical: RigidTransform3,
     branch_pos: np.ndarray,
@@ -331,7 +326,7 @@ def _target_template(
     if not np.allclose(ct_veins.axes, np.eye(3)):
         raise ValueError("CT annotation must be in its intrinsic frame")
     mapped = ct_to_physical.apply(target_ct)
-    pts = capture_grid(move_to(scene, mapped[0], branch_pos[1]), probe_params)
+    pts = capture_grid(move_to(scene, mapped[0], branch_pos[1]))
     pts_ct = inverse(ct_to_physical).apply(pts.reshape(-1, 3)).reshape(pts.shape)
     pts_ct[..., 0] = target_ct[0]
     return sample_at_physical(ct_veins, pts_ct).astype(np.uint8)
@@ -339,45 +334,39 @@ def _target_template(
 
 def slice_match(
     scene: PhantomScene,
-    probe_params: ProbeParams,
     noise: NoiseModel,
     target_ct: np.ndarray,
     ct_to_physical: RigidTransform3,
     branch_pos: np.ndarray,
     ct_veins: Volume3,
-    span_mm: float = 20.0,
-    n_wp: int = 21,
 ) -> SliceMatchResult:
     """Correct the mapped target's inferior-superior coordinate.
 
     Maps the CT target into physical space, then scans waypoints across
-    ``span_mm`` around the estimate (the lattice plus the estimate itself),
-    scoring each captured segmentation against the target's CT slice by
-    maximum overlap under integer translation (``omia``, with the slice
-    prepared once per target). The best-scoring waypoint wins; ties prefer
-    the smallest deviation from the estimate, then the smaller coordinate.
+    ``MATCH_SPAN_MM`` around the estimate (the lattice plus the estimate
+    itself), scoring each captured segmentation against the target's CT
+    slice by maximum overlap under integer translation (``omia``, with the
+    slice prepared once per target). The best-scoring waypoint wins; ties
+    prefer the smallest deviation from the estimate, then the smaller
+    coordinate.
     """
-    if n_wp < 1:
-        raise ValueError("n_wp must be at least 1")
-    if span_mm <= 0:
-        raise ValueError("span_mm must be positive")
     target_ct = np.asarray(target_ct, dtype=np.float64)
     branch_pos = np.asarray(branch_pos, dtype=np.float64)
     mapped = ct_to_physical.apply(target_ct)
 
-    lattice = [mapped[0] - span_mm / 2.0 + i * span_mm / n_wp for i in range(n_wp + 1)]
-    xs = list(lattice)
+    span, n_wp = MATCH_SPAN_MM, MATCH_WAYPOINTS
+    xs = [mapped[0] - span / 2.0 + i * span / n_wp for i in range(n_wp + 1)]
     if not any(abs(x - mapped[0]) < 1e-9 for x in xs):
         xs.append(mapped[0])
     xs = np.array(sorted(xs))
 
     template = prepare_truth(
-        _target_template(scene, probe_params, target_ct, ct_to_physical, branch_pos, ct_veins)
+        _target_template(scene, target_ct, ct_to_physical, branch_pos, ct_veins)
     )
     scores = np.empty(len(xs))
     for i, x in enumerate(xs):
         pos = move_to(scene, float(x), branch_pos[1])
-        scores[i] = omia(segment_full(capture_us(scene, pos, probe_params), noise), template)
+        scores[i] = omia(segment_full(capture_us(scene, pos), noise), template)
 
     best = 0
     for i in range(1, len(xs)):
@@ -393,56 +382,50 @@ def slice_match(
     return SliceMatchResult(corrected=corrected, mapped=mapped, waypoint_xs=xs, scores=scores)
 
 
-def target_imaging(
-    scene: PhantomScene,
-    target_phys: np.ndarray,
-    eps_mm: float,
-    n_frames: int,
-) -> np.ndarray:
-    """Positions of ``n_frames`` waypoints sweeping target.x - eps .. target.x + eps.
+def target_imaging(scene: PhantomScene, target_phys: np.ndarray, eps_mm: float) -> np.ndarray:
+    """Positions of the waypoints sweeping target.x - eps .. target.x + eps.
 
-    Waypoint i sits at x = target.x - eps + 2*eps*i/n_frames; the probe
-    rides the skin, so frame depth starts at the surface, not at the
-    target depth. Returns the ``(n_frames, 3)`` probe positions: whether a
-    frame images the target follows from its position and field of view
-    alone (``judge_success``), so no frame is built.
+    There are n = ``frames_for_eps(eps)`` of them, and waypoint i sits at
+    x = target.x - eps + 2*eps*i/n; the probe rides the skin, so frame
+    depth starts at the surface, not at the target depth. Returns the
+    ``(n, 3)`` probe positions: whether a frame images the target follows
+    from its position and field of view alone (``judge_success``), so no
+    frame is built.
     """
     if eps_mm < 0:
         raise ValueError("eps_mm must be nonnegative")
-    if n_frames < 1:
-        raise ValueError("n_frames must be at least 1")
+    n_frames = frames_for_eps(eps_mm)
     target_phys = np.asarray(target_phys, dtype=np.float64)
     xs = (target_phys[0] - eps_mm + 2.0 * eps_mm * i / n_frames for i in range(n_frames))
     return np.array([move_to(scene, float(x), target_phys[1]) for x in xs])
 
 
-def judge_success(positions, params: ProbeParams, true_target_physical, tol_x: float) -> bool:
+def judge_success(positions, true_target_physical) -> bool:
     """Did a frame captured at one of ``positions`` image the true target?
 
-    True iff a position's slice coordinate is within ``tol_x`` of the
-    target's and the target's lateral/depth position falls inside the
+    True iff a position's slice coordinate is within ``JUDGE_TOL_X_MM`` of
+    the target's and the target's lateral/depth position falls inside the
     field of view of a frame captured there; every bound is inclusive.
     Replaces the original protocol's human visual judgement.
     """
     t = np.asarray(true_target_physical, dtype=np.float64)
     for pos in positions:
-        if abs(pos[0] - t[0]) > tol_x:
+        if abs(pos[0] - t[0]) > JUDGE_TOL_X_MM:
             continue
-        if abs(t[1] - pos[1]) > params.fov_width / 2.0:
+        if abs(t[1] - pos[1]) > ProbeParams.fov_width / 2.0:
             continue
         depth = pos[2] - t[2]
-        if 0.0 <= depth <= params.fov_depth:
+        if 0.0 <= depth <= ProbeParams.fov_depth:
             return True
     return False
 
 
-def frames_for_eps(eps_mm: float, tol_x: float, min_frames: int = 8) -> int:
+def frames_for_eps(eps_mm: float) -> int:
     """Frame count keeping the sweep pitch at or below the judging tolerance.
 
-    2*eps/n <= tol_x guarantees gap-free coverage, which makes per-target
-    success monotone in the scan range (covered intervals nest as eps
-    grows) rather than statistically likely.
+    2*eps/n <= ``JUDGE_TOL_X_MM`` guarantees gap-free coverage, which makes
+    per-target success monotone in the scan range (covered intervals nest
+    as eps grows) rather than statistically likely; a sweep has at least
+    ``MIN_FRAMES`` frames.
     """
-    if tol_x <= 0:
-        raise ValueError("tol_x must be positive")
-    return max(min_frames, int(math.ceil(2.0 * eps_mm / tol_x)))
+    return max(MIN_FRAMES, int(math.ceil(2.0 * eps_mm / JUDGE_TOL_X_MM)))

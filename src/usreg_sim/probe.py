@@ -3,11 +3,11 @@
 The probe is a point transducer that rides on the phantom's skin surface
 with a fixed orientation: the image plane is always perpendicular to the
 inferior-superior (x) axis, so every captured frame is an axial view. The
-probe's state is therefore just its position: ``initial_contact`` and
-``move_to`` return it as a ``(3,)`` array and ``capture_us`` takes it.
-Every mask this module hands out (a frame's truth masks and the
-segmentations) is a read-only ``uint8`` array of ``image_shape``, indexed
-(lateral, depth).
+geometry is fixed (``ProbeParams``), so the probe's state is just its
+position: ``initial_contact`` and ``move_to`` return it as a ``(3,)`` array
+and ``capture_us`` takes it. Every mask this module hands out (a frame's
+truth masks and the segmentations) is a read-only ``uint8`` array of
+``ProbeParams.image_shape``, indexed (lateral, depth).
 
 Capture is pure resampling of the scene's vein annotations, done lazily:
 a frame samples each of its fields on first read, so a caller pays only
@@ -40,49 +40,28 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
 class ProbeParams:
-    """Transducer geometry.
+    """Geometry of the one transducer; callers read the class attributes.
 
     ``image_shape`` is (lateral pixels, depth pixels) and ``pixel_spacing``
-    is (lateral, depth) mm per pixel. Lateral coverage must match the
-    field-of-view width to within one pixel.
+    is (lateral, depth) mm per pixel; the pixels cover the field of view to
+    within one pixel on both axes.
     """
 
-    fov_width: float = 80.0
-    fov_depth: float = 80.0
-    image_shape: tuple[int, int] = (216, 100)
-    pixel_spacing: tuple[float, float] = (80.0 / 216.0, 0.8)
-
-    def __post_init__(self) -> None:
-        lx, ly = self.image_shape
-        vx, vy = self.pixel_spacing
-        if lx < 2 or ly < 2:
-            raise ValueError(f"image_shape must be at least 2x2, got {self.image_shape}")
-        if vx <= 0 or vy <= 0:
-            raise ValueError("pixel_spacing must be positive")
-        if self.fov_width <= 0 or self.fov_depth <= 0:
-            raise ValueError("field of view must be positive")
-        if abs(lx * vx - self.fov_width) > vx:
-            raise ValueError(
-                f"lateral pixels x spacing ({lx * vx:.3f} mm) must cover "
-                f"fov_width ({self.fov_width} mm) to within one pixel"
-            )
-        if abs(ly * vy - self.fov_depth) > vy:
-            raise ValueError(
-                f"depth pixels x spacing ({ly * vy:.3f} mm) must cover "
-                f"fov_depth ({self.fov_depth} mm) to within one pixel"
-            )
+    fov_width = 80.0
+    fov_depth = 80.0
+    image_shape = (216, 100)
+    pixel_spacing = (80.0 / 216.0, 0.8)
 
 
 @dataclass(frozen=True)
 class UltrasoundFrame:
     """One axial capture: the two hidden truth masks of the imaged plane.
 
-    The frame holds only the scene, the capture position and the probe
-    geometry. Each of ``mask_truth`` and ``branch_truth``, a read-only
-    ``uint8`` array of ``params.image_shape``, is sampled on
-    ``capture_grid(capture_position, params)`` the first time it is read
+    The frame holds only the scene and the capture position. Each of
+    ``mask_truth`` and ``branch_truth``, a read-only ``uint8`` array of
+    ``ProbeParams.image_shape``, is sampled on
+    ``capture_grid(capture_position)`` the first time it is read
     and cached on the frame, so both share one pixel grid. ``mask_truth``
     samples the full vein annotation and ``branch_truth`` the
     junction-local annotation, each through ``gather_nearest`` when that
@@ -94,7 +73,6 @@ class UltrasoundFrame:
 
     scene: PhantomScene = field(repr=False)
     capture_position: np.ndarray
-    params: ProbeParams
 
     def __post_init__(self) -> None:
         pos = np.array(self.capture_position, dtype=np.float64)
@@ -114,13 +92,13 @@ class UltrasoundFrame:
         if np.array_equal(vol.axes, _IDENTITY):
             # the product with an exact identity rounds nothing, so these
             # are sample_at_physical's indices, split per axis
-            ys, zs = _capture_axes(self.capture_position, self.params)
+            ys, zs = _capture_axes(self.capture_position)
             vals = gather_nearest(vol, *(
                 (c - o) / s
                 for c, o, s in zip((self.capture_position[:1], ys, zs), vol.origin, vol.spacing)
             ))[0]
         else:
-            vals = sample_at_physical(vol, capture_grid(self.capture_position, self.params))
+            vals = sample_at_physical(vol, capture_grid(self.capture_position))
         return _read_only(vals.astype(np.uint8, copy=False))
 
 
@@ -211,19 +189,19 @@ def move_to(scene: PhantomScene, x: float, y: float) -> np.ndarray:
     return np.array([float(x), float(y), z])
 
 
-def _capture_axes(position: np.ndarray, params: ProbeParams) -> tuple[np.ndarray, np.ndarray]:
+def _capture_axes(position: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The y coordinate of every lateral pixel and the z of every depth pixel."""
-    lx, ly = params.image_shape
-    vx, vy = params.pixel_spacing
-    ys = position[1] - params.fov_width / 2.0 + np.arange(lx) * vx
+    lx, ly = ProbeParams.image_shape
+    vx, vy = ProbeParams.pixel_spacing
+    ys = position[1] - ProbeParams.fov_width / 2.0 + np.arange(lx) * vx
     zs = position[2] - np.arange(ly) * vy
     return ys, zs
 
 
-def capture_grid(position: np.ndarray, params: ProbeParams) -> np.ndarray:
-    """Physical positions of every pixel of a frame captured at ``position``."""
-    lx, ly = params.image_shape
-    ys, zs = _capture_axes(position, params)
+def capture_grid(position: np.ndarray) -> np.ndarray:
+    """Physical positions of the fixed probe's pixels in a frame captured at ``position``."""
+    lx, ly = ProbeParams.image_shape
+    ys, zs = _capture_axes(position)
     pts = np.empty((lx, ly, 3), dtype=np.float64)
     pts[..., 0] = position[0]
     pts[..., 1] = ys[:, None]
@@ -231,14 +209,14 @@ def capture_grid(position: np.ndarray, params: ProbeParams) -> np.ndarray:
     return pts
 
 
-def capture_us(scene: PhantomScene, position: np.ndarray, params: ProbeParams) -> UltrasoundFrame:
+def capture_us(scene: PhantomScene, position: np.ndarray) -> UltrasoundFrame:
     """Image the axial plane through the probe ``position`` (a 3-vector).
 
     Nothing is sampled here: the frame samples each truth mask on first
     read, a nearest-neighbour sample of its annotation. Points outside the
     volume read 0.
     """
-    return UltrasoundFrame(scene, position, params)
+    return UltrasoundFrame(scene, position)
 
 
 def _frame_rng(noise: NoiseModel, frame: UltrasoundFrame, tag: str) -> np.random.Generator:
@@ -246,15 +224,15 @@ def _frame_rng(noise: NoiseModel, frame: UltrasoundFrame, tag: str) -> np.random
 
     Re-segmenting the same frame with the same model reproduces the output
     bit for bit, independent of call order, which keeps concurrent trials
-    deterministic. The shape comes from the probe geometry, so keying
-    samples no field of the frame.
+    deterministic. The shape is the fixed probe's, so keying samples no
+    field of the frame.
     """
     h = hashlib.blake2b(digest_size=16)
     h.update(struct.pack("<q", int(noise.seed)))
     h.update(tag.encode("ascii"))
     quantized = np.round(frame.capture_position * 1000.0).astype(np.int64)
     h.update(quantized.tobytes())
-    h.update(struct.pack("<qq", *frame.params.image_shape))
+    h.update(struct.pack("<qq", *ProbeParams.image_shape))
     return np.random.default_rng(int.from_bytes(h.digest(), "little"))
 
 

@@ -17,6 +17,7 @@ from scipy import ndimage, signal
 
 from usreg_sim import registration as reg
 from usreg_sim.imgvol import RigidTransform3, Volume3, centroid, euler_zyx, inverse
+from usreg_sim.probe import ProbeParams
 
 
 def brute_force_lcc(mask):
@@ -369,7 +370,7 @@ def _same_grid(a, b):
     )
 
 
-def eager_capture(scene, position, params, shared_grid):
+def eager_capture(scene, position, shared_grid):
     """(mask, branch) of an axial frame, both sampled up front.
 
     Both routes of the first capture model: ``shared_grid`` computes one
@@ -377,9 +378,9 @@ def eager_capture(scene, position, params, shared_grid):
     requires that they share a grid), otherwise each annotation goes
     through the reference sampler.
     """
-    lx, ly = params.image_shape
-    vx, vy = params.pixel_spacing
-    ys = position[1] - params.fov_width / 2.0 + np.arange(lx) * vx
+    lx, ly = ProbeParams.image_shape
+    vx, vy = ProbeParams.pixel_spacing
+    ys = position[1] - ProbeParams.fov_width / 2.0 + np.arange(lx) * vx
     zs = position[2] - np.arange(ly) * vy
     pts = np.empty((lx, ly, 3), dtype=np.float64)
     pts[..., 0] = position[0]

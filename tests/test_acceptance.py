@@ -52,7 +52,7 @@ from usreg_sim.imgvol import (
 )
 from usreg_sim.phantom import ct_frame_volume, generate_phantom, place_phantom
 from usreg_sim.pipeline import DEFAULT_HARMONIZE, hv_acquire, hv_search
-from usreg_sim.probe import NOISE_PRESETS, NoiseModel, ProbeParams, capture_us, initial_contact, move_to, segment_full
+from usreg_sim.probe import NOISE_PRESETS, NoiseModel, capture_us, initial_contact, move_to, segment_full
 from usreg_sim.registration import RegistrationConfig, apply_transform, register_rigid
 
 from _oracles import brute_force_omia, brute_ratio_metrics
@@ -156,7 +156,6 @@ def test_acceptance_3_registration_recovers_seeded_misalignments():
 
 def test_acceptance_4_registration_improves_noisy_alignment():
     rng = np.random.default_rng(2024)
-    params = ProbeParams()
     spacing, shape = DEFAULT_HARMONIZE["spacing"], DEFAULT_HARMONIZE["shape"]
     improved = 0
     deltas = []
@@ -164,8 +163,8 @@ def test_acceptance_4_registration_improves_noisy_alignment():
         off = [float(rng.uniform(-40, 40)), float(rng.uniform(-25, 25)), 0.0]
         scene = place_phantom(generate_phantom(int(rng.integers(2**31))), off)
         noise = NOISE_PRESETS["default"](int(rng.integers(2**31)))
-        search = hv_search(scene, params, noise, initial_contact(scene))
-        acquired = hv_acquire(scene, params, noise, search.position)
+        search = hv_search(scene, noise, initial_contact(scene))
+        acquired = hv_acquire(scene, noise, search.position)
         ct_veins = ct_frame_volume(scene.hv_annotation, scene.placement)
         hu = resample_crop(acquired, spacing, shape, centroid(acquired))
         hc = resample_crop(ct_veins, spacing, shape, centroid(ct_veins))
@@ -228,10 +227,9 @@ def test_acceptance_7_segmentation_oracle_dice_band():
     scene = place_phantom(generate_phantom(seed=3), (10.0, -5.0, 0.0))
     bp = scene.placement.apply(np.asarray(scene.params.branch_point, dtype=float))
     noise = NoiseModel.default(seed=7)
-    params = ProbeParams()
     scores = []
     for x in np.linspace(bp[0] - 30.0, bp[0] + 30.0, 64):
-        frame = capture_us(scene, move_to(scene, float(x), bp[1]), params)
+        frame = capture_us(scene, move_to(scene, float(x), bp[1]))
         scores.append(dice(segment_full(frame, noise), frame.mask_truth))
     mean = float(np.mean(scores))
     ok = 0.75 <= mean <= 0.95

@@ -88,6 +88,14 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ['{"trials": "5"}', '{"seed": "a"}', '{"placement_x_mm": NaN}'])
+def test_run_trial_rejects_value_of_wrong_type(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["run-trial", "--config", str(bad)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 @pytest.mark.parametrize("command", ["sweep", "run-trial"])
 def test_unbuildable_phantom_is_a_config_error(tmp_path, capsys, command):
     # valid keys and types, but the lateral branch's polyline is too coarse

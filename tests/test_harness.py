@@ -78,6 +78,25 @@ def test_config_json_roundtrip():
         dict(phantom={"noise_texture_level": 0.02}),
         dict(phantom={"body_intensity": 0.6}),
         dict(phantom={"vessel_intensity": 0.2}),
+        # a value of the wrong JSON type is rejected, never coerced
+        dict(trials="5"),
+        dict(trials=True),
+        dict(trials=2.0),
+        dict(seed="a"),
+        dict(seed=-1),
+        dict(targets_limit=None),
+        dict(config_version=True),
+        dict(noise=["x"]),
+        dict(epsilons=5),
+        dict(epsilons="13"),
+        dict(epsilons=["1", "3"]),
+        dict(epsilons=(0.5, True)),
+        dict(epsilons=(1.0, float("inf"))),
+        dict(epsilons=(1.0, 10**400)),
+        dict(placement_x_mm=None),
+        dict(placement_x_mm=float("nan")),
+        dict(placement_y_mm="25"),
+        dict(phantom=[]),
     ],
 )
 def test_config_rejects(kwargs):

@@ -27,6 +27,7 @@ from usreg_sim.phantom import (
     target_grid,
 )
 from usreg_sim.pipeline import (
+    JUDGE_TOL_X_MM,
     SearchParams,
     _target_template,
     coordinate_map,
@@ -58,11 +59,6 @@ def scene():
 
 
 @pytest.fixture(scope="module")
-def pp():
-    return ProbeParams()
-
-
-@pytest.fixture(scope="module")
 def quiet():
     return NoiseModel.zero(0)
 
@@ -73,15 +69,15 @@ def contact(scene):
 
 
 @pytest.fixture(scope="module")
-def found(scene, pp, quiet, contact):
-    result = hv_search(scene, pp, quiet, contact)
+def found(scene, quiet, contact):
+    result = hv_search(scene, quiet, contact)
     assert result.success
     return result
 
 
 @pytest.fixture(scope="module")
-def acquired(scene, pp, quiet, found):
-    return hv_acquire(scene, pp, quiet, found.position)
+def acquired(scene, quiet, found):
+    return hv_acquire(scene, quiet, found.position)
 
 
 @pytest.fixture(scope="module")
@@ -97,27 +93,28 @@ def cmap(acquired, ct_veins):
 # ----------------------------------------------------------------- search
 
 
-def test_search_detects_and_centers_from_offset_start(scene, pp, quiet, contact):
+def test_search_detects_and_centers_from_offset_start(scene, quiet, contact):
     start = contact + np.array([0.0, 7.0, 0.0])
-    result = hv_search(scene, pp, quiet, start)
+    result = hv_search(scene, quiet, start)
     assert result.success
     # verify the exit condition independently of the result's bookkeeping
     pos = move_to(scene, result.position[0], result.position[1])
-    mask = segment_branch(capture_us(scene, pos, pp), quiet)
+    mask = segment_branch(capture_us(scene, pos), quiet)
     comp = largest_connected_component(mask)
     area = comp.sum()
     col = np.argwhere(comp)[:, 0].mean()
     assert area >= SearchParams().detect_area_px
-    assert abs(col - pp.image_shape[0] / 2.0) <= SearchParams().center_tol_px
+    offset = abs(col - ProbeParams.image_shape[0] / 2.0)
+    assert offset <= SearchParams().center_tol_px
     assert result.final_area == area
-    assert result.final_center_offset_px == pytest.approx(abs(col - pp.image_shape[0] / 2.0))
+    assert result.final_center_offset_px == pytest.approx(offset)
 
 
-def test_search_failure_when_annotation_empty(scene, pp, quiet, contact):
+def test_search_failure_when_annotation_empty(scene, quiet, contact):
     old = scene.hv_branch_annotation
     empty = Volume3(np.zeros_like(old.data), old.spacing, old.origin, old.axes)
     bare = dataclasses.replace(scene, hv_branch_annotation=empty)
-    result = hv_search(bare, pp, quiet, contact)
+    result = hv_search(bare, quiet, contact)
     assert not result.success
     assert result.position is None
     assert result.waypoints_visited == 9  # line pattern, +-20 mm at 5 mm pitch
@@ -125,17 +122,17 @@ def test_search_failure_when_annotation_empty(scene, pp, quiet, contact):
     assert math.isnan(result.final_center_offset_px)
 
 
-def test_search_failure_when_threshold_unreachable(scene, pp, quiet, contact):
+def test_search_failure_when_threshold_unreachable(scene, quiet, contact):
     sp = SearchParams(detect_area_px=1e9)
-    result = hv_search(scene, pp, quiet, contact, sp)
+    result = hv_search(scene, quiet, contact, sp)
     assert not result.success
     assert result.waypoints_visited == 9
     assert result.final_area > 0  # it saw the vessel, just never enough of it
 
 
-def test_search_grid_pattern(scene, pp, quiet, contact):
+def test_search_grid_pattern(scene, quiet, contact):
     sp = SearchParams(pattern="grid", extent_mm=20.0, spacing_mm=5.0)
-    result = hv_search(scene, pp, quiet, contact, sp)
+    result = hv_search(scene, quiet, contact, sp)
     assert result.success
     assert result.waypoints_visited >= 1
 
@@ -151,20 +148,20 @@ def _blob_scene(scene, offset_mm):
     return dataclasses.replace(scene, hv_branch_annotation=blob)
 
 
-def test_search_centering_raises_when_vessel_lost(scene, pp, quiet, contact):
+def test_search_centering_raises_when_vessel_lost(scene, quiet, contact):
     # a 60 mm bang-bang step flies clean past the 12 mm blob and off it
     tiny = _blob_scene(scene, [0.0, 7.0, -25.0])
     sp = SearchParams(step_mm=60.0)
     with pytest.raises(RuntimeError, match="lost the vessel"):
-        hv_search(tiny, pp, quiet, contact, sp)
+        hv_search(tiny, quiet, contact, sp)
 
 
-def test_search_centering_raises_when_oscillating(scene, pp, quiet, contact):
+def test_search_centering_raises_when_oscillating(scene, quiet, contact):
     # a 20 mm step overshoots back and forth without ever settling
     tiny = _blob_scene(scene, [0.0, 7.0, -25.0])
     sp = SearchParams(step_mm=20.0, max_center_iterations=6)
     with pytest.raises(RuntimeError, match="did not settle"):
-        hv_search(tiny, pp, quiet, contact, sp)
+        hv_search(tiny, quiet, contact, sp)
 
 
 def test_search_params_validation():
@@ -185,10 +182,10 @@ def test_search_params_validation():
 # ------------------------------------------------------------ acquisition
 
 
-def test_acquisition_geometry(scene, acquired, found, pp):
+def test_acquisition_geometry(scene, acquired, found):
     vol = acquired
-    lx = pp.image_shape[0]
-    vx, vy = pp.pixel_spacing
+    lx = ProbeParams.image_shape[0]
+    vx, vy = ProbeParams.pixel_spacing
     assert vol.data.shape == (16, 216, 100)
     assert np.allclose(vol.spacing, [60.0 / 15, vx, vy])
     assert np.allclose(vol.axes, [[1, 0, 0], [0, 1, 0], [0, 0, -1]])
@@ -199,11 +196,11 @@ def test_acquisition_geometry(scene, acquired, found, pp):
     assert last_x == pytest.approx(found.position[0] + 30.0)
 
 
-def test_acquisition_first_slice_is_probe_segmentation(scene, pp, found):
+def test_acquisition_first_slice_is_probe_segmentation(scene, found):
     w0 = move_to(scene, found.position[0] - 30.0, found.position[1])
     for noise in (NoiseModel.zero(0), NoiseModel.default(11)):
-        stack = hv_acquire(scene, pp, noise, found.position)
-        direct = segment_full(capture_us(scene, w0, pp), noise)
+        stack = hv_acquire(scene, noise, found.position)
+        direct = segment_full(capture_us(scene, w0), noise)
         assert np.array_equal(stack.data[0], direct)
 
 
@@ -214,13 +211,6 @@ def test_acquisition_matches_annotation_at_zero_noise(scene, acquired):
     truth = sample_at_physical(scene.hv_annotation, pts)
     assert np.array_equal(vol.data, truth.astype(vol.data.dtype))
     assert vol.data.sum() > 0
-
-
-def test_acquire_validation(scene, pp, quiet, found):
-    with pytest.raises(ValueError):
-        hv_acquire(scene, pp, quiet, found.position, n_slices=1)
-    with pytest.raises(ValueError):
-        hv_acquire(scene, pp, quiet, found.position, length_mm=0.0)
 
 
 # --------------------------------------------------------- coordinate map
@@ -266,13 +256,13 @@ def test_coordinate_map_validation(ct_veins):
 # ------------------------------------------------------------ slice match
 
 
-def test_slice_match_exact_map_keeps_estimate(scene, pp, quiet, found, ct_veins):
+def test_slice_match_exact_map_keeps_estimate(scene, quiet, found, ct_veins):
     targets = target_grid(scene)
     lattice_pitch = 20.0 / 21
     for ti in (10, 50, 90):
         truth = scene.placement.apply(targets[ti])
         sm = slice_match(
-            scene, pp, quiet, targets[ti], scene.placement, found.position, ct_veins
+            scene, quiet, targets[ti], scene.placement, found.position, ct_veins
         )
         assert np.allclose(sm.mapped, truth)
         assert abs(sm.corrected[0] - truth[0]) <= lattice_pitch
@@ -282,54 +272,41 @@ def test_slice_match_exact_map_keeps_estimate(scene, pp, quiet, found, ct_veins)
         assert np.all(np.diff(sm.waypoint_xs) > 0)
 
 
-def test_slice_match_corrects_offset_map(scene, pp, quiet, found, ct_veins):
+def test_slice_match_corrects_offset_map(scene, quiet, found, ct_veins):
     targets = target_grid(scene)
     bad = compose(translation([3.0, 0.0, 0.0]), scene.placement)
     target = targets[40]  # near the junction, where slices are distinctive
     truth = scene.placement.apply(target)
-    sm = slice_match(scene, pp, quiet, target, bad, found.position, ct_veins)
+    sm = slice_match(scene, quiet, target, bad, found.position, ct_veins)
     assert abs(sm.mapped[0] - truth[0]) == pytest.approx(3.0)
     assert abs(sm.corrected[0] - truth[0]) < 1.0
 
 
 def test_slice_match_empty_template_falls_back_to_estimate(
-    scene, pp, quiet, found, ct_veins
+    scene, quiet, found, ct_veins
 ):
     # a slice far inferior of the vein tree: nothing to match against
     xs = np.nonzero(ct_veins.data.any(axis=(1, 2)))[0]
     x_lo = ct_veins.origin[0] + ct_veins.spacing[0] * xs.min()
     target = np.array([x_lo - 10.0, 95.0, 58.0])
-    sm = slice_match(scene, pp, quiet, target, scene.placement, found.position, ct_veins)
+    sm = slice_match(scene, quiet, target, scene.placement, found.position, ct_veins)
     assert np.all(sm.scores == 0)
     assert np.array_equal(sm.corrected, sm.mapped)
 
 
-def test_slice_match_scores_equal_per_frame_omia(scene, pp, found, ct_veins):
+def test_slice_match_scores_equal_per_frame_omia(scene, found, ct_veins):
     noise = NoiseModel.default(seed=12)
     targets = target_grid(scene)
     bad = compose(translation([2.0, 0.0, 0.0]), scene.placement)
     for ti in (40, 55):
-        sm = slice_match(scene, pp, noise, targets[ti], bad, found.position, ct_veins)
-        template = _target_template(scene, pp, targets[ti], bad, found.position, ct_veins)
+        sm = slice_match(scene, noise, targets[ti], bad, found.position, ct_veins)
+        template = _target_template(scene, targets[ti], bad, found.position, ct_veins)
         assert template.any()
         for x, score in zip(sm.waypoint_xs, sm.scores):
             pos = move_to(scene, float(x), found.position[1])
-            pred = segment_full(capture_us(scene, pos, pp), noise)
+            pred = segment_full(capture_us(scene, pos), noise)
             assert score == omia(pred, template) == reference_omia(pred, template)
         assert sm.scores.max() > 0
-
-
-def test_slice_match_validation(scene, pp, quiet, found, ct_veins):
-    target = np.array([60.0, 95.0, 58.0])
-    with pytest.raises(ValueError):
-        slice_match(
-            scene, pp, quiet, target, scene.placement, found.position, ct_veins, n_wp=0
-        )
-    with pytest.raises(ValueError):
-        slice_match(
-            scene, pp, quiet, target, scene.placement, found.position, ct_veins,
-            span_mm=0.0,
-        )
 
 
 # ------------------------------------------- target imaging and judgement
@@ -337,69 +314,80 @@ def test_slice_match_validation(scene, pp, quiet, found, ct_veins):
 
 def test_target_imaging_waypoint_positions(scene):
     at = np.array([82.0, 83.0, 0.0])
-    positions = target_imaging(scene, at, eps_mm=1.0, n_frames=4)
-    assert positions.shape == (4, 3)
-    assert positions[:, 0].tolist() == pytest.approx([81.0, 81.5, 82.0, 82.5])
+    positions = target_imaging(scene, at, eps_mm=1.0)
+    assert positions.shape == (8, 3)
+    assert positions[:, 0].tolist() == pytest.approx(81.0 + np.arange(8) * 0.25)
     assert np.allclose(positions[:, 1], 83.0)
     # the probe rides the skin
     assert positions[:, 2].tolist() == [scene.surface_height(x, y) for x, y, _ in positions]
 
-    still = target_imaging(scene, at, eps_mm=0.0, n_frames=3)
+    still = target_imaging(scene, at, eps_mm=0.0)
+    assert still.shape == (8, 3)
     assert np.allclose(still[:, 0], 82.0)
+
+
+def test_target_imaging_takes_frames_for_eps(scene):
+    # the default scan ranges take 8, 8, 8 and 9 frames: 33 per target
+    at = np.array([82.0, 83.0, 0.0])
+    sweeps = [target_imaging(scene, at, eps) for eps in (1.0, 3.0, 5.0, 9.0)]
+    assert [len(s) for s in sweeps] == [frames_for_eps(e) for e in (1.0, 3.0, 5.0, 9.0)]
+    assert [len(s) for s in sweeps] == [8, 8, 8, 9]
+    for eps, s in zip((1.0, 3.0, 5.0, 9.0), sweeps):
+        assert s[0, 0] == 82.0 - eps and s[-1, 0] < 82.0 + eps
 
 
 def test_target_imaging_validation(scene):
     at = np.array([82.0, 83.0, 0.0])
     with pytest.raises(ValueError):
-        target_imaging(scene, at, eps_mm=-0.1, n_frames=4)
-    with pytest.raises(ValueError):
-        target_imaging(scene, at, eps_mm=1.0, n_frames=0)
+        target_imaging(scene, at, eps_mm=-0.1)
 
 
-def test_judge_success_frame_and_fov_conditions(scene, pp):
+def test_judge_success_frame_and_fov_conditions(scene):
+    assert JUDGE_TOL_X_MM == 2.0
     at = np.array([82.0, 83.0, 0.0])
-    positions = target_imaging(scene, at, eps_mm=2.0, n_frames=8)
+    positions = target_imaging(scene, at, eps_mm=2.0)
+    assert len(positions) == 8
     pos = positions[3]
     inside = pos + np.array([0.5, 3.0, -10.0])
-    assert judge_success(positions, pp, inside, tol_x=2.0)
-    assert not judge_success(positions, pp, inside + [50.0, 0, 0], tol_x=2.0)  # wrong slice
-    assert not judge_success(positions, pp, pos + [0, 45.0, -10.0], tol_x=2.0)  # outside fov laterally
-    assert not judge_success(positions, pp, pos + [0, 0, 5.0], tol_x=2.0)  # above the skin
-    assert not judge_success(positions, pp, pos + [0, 0, -100.0], tol_x=2.0)  # below imaging depth
-    assert not judge_success(np.empty((0, 3)), pp, inside, tol_x=2.0)
+    assert judge_success(positions, inside)
+    assert not judge_success(positions, inside + [50.0, 0, 0])  # wrong slice
+    assert not judge_success(positions, pos + [0, 45.0, -10.0])  # outside fov laterally
+    assert not judge_success(positions, pos + [0, 0, 5.0])  # above the skin
+    assert not judge_success(positions, pos + [0, 0, -100.0])  # below imaging depth
+    assert not judge_success(np.empty((0, 3)), inside)
 
 
-def test_judge_success_bounds_are_inclusive(pp):
+def test_judge_success_bounds_are_inclusive():
     """A target on a bound counts as imaged; one ulp past it does not.
 
     With the probe at the origin each judged quantity (|dx|, lateral
     offset, depth) is a target coordinate itself, so one ulp of the
     coordinate is one ulp of the quantity.
     """
-    tol_x = 2.0
+    tol_x = JUDGE_TOL_X_MM
     at_origin = np.zeros((1, 3))
-    half = pp.fov_width / 2.0
-    for axis, edge in ((0, tol_x), (0, -tol_x), (1, half), (1, -half), (2, 0.0), (2, -pp.fov_depth)):
-        on = np.array([0.0, 0.0, -pp.fov_depth / 2.0])
+    half = ProbeParams.fov_width / 2.0
+    depth = ProbeParams.fov_depth
+    for axis, edge in ((0, tol_x), (0, -tol_x), (1, half), (1, -half), (2, 0.0), (2, -depth)):
+        on = np.array([0.0, 0.0, -depth / 2.0])
         on[axis] = edge
         past = on.copy()
         past[axis] = np.nextafter(edge, np.copysign(np.inf, edge))  # out of the box
-        assert judge_success(at_origin, pp, on, tol_x), (axis, edge)
-        assert not judge_success(at_origin, pp, past, tol_x), (axis, edge)
+        assert judge_success(at_origin, on), (axis, edge)
+        assert not judge_success(at_origin, past), (axis, edge)
 
 
 def test_frames_for_eps_covers_judging_tolerance():
-    assert frames_for_eps(1.0, 2.0) == 8
-    assert frames_for_eps(9.0, 2.0) == 9
-    assert frames_for_eps(20.0, 2.0) == 20
-    counts = [frames_for_eps(e, 2.0) for e in np.linspace(0.5, 24, 40)]
+    assert JUDGE_TOL_X_MM == 2.0
+    assert frames_for_eps(1.0) == 8
+    assert frames_for_eps(9.0) == 9
+    assert frames_for_eps(20.0) == 20
+    counts = [frames_for_eps(e) for e in np.linspace(0.5, 24, 40)]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
     # pitch never exceeds the tolerance, so coverage has no gaps
     for eps in (0.5, 3.0, 9.0, 24.0):
-        n = frames_for_eps(eps, 2.0)
+        n = frames_for_eps(eps)
         assert 2.0 * eps / n <= 2.0
-    with pytest.raises(ValueError):
-        frames_for_eps(1.0, 0.0)
 
 
 # ----------------------------------------------------------- housekeeping
@@ -413,14 +401,14 @@ def test_ct_frame_volume_undoes_placement(scene):
     assert np.array_equal(recovered.data, intrinsic.data)
 
 
-def test_search_and_acquisition_deterministic_under_noise(scene, pp, contact):
+def test_search_and_acquisition_deterministic_under_noise(scene, contact):
     noisy = NoiseModel.default(21)
-    r1 = hv_search(scene, pp, noisy, contact)
-    r2 = hv_search(scene, pp, noisy, contact)
+    r1 = hv_search(scene, noisy, contact)
+    r2 = hv_search(scene, noisy, contact)
     assert r1.success and r2.success
     assert np.array_equal(r1.position, r2.position)
     assert r1.waypoints_visited == r2.waypoints_visited
-    a1 = hv_acquire(scene, pp, noisy, r1.position)
-    a2 = hv_acquire(scene, pp, noisy, r2.position)
+    a1 = hv_acquire(scene, noisy, r1.position)
+    a2 = hv_acquire(scene, noisy, r2.position)
     assert np.array_equal(a1.data, a2.data)
     assert np.array_equal(a1.origin, a2.origin)
