@@ -25,20 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .phantom import (
-    PhantomParams,
-    ct_frame_volume,
-    generate_phantom,
-    place_phantom,
-    target_grid,
-)
+from .phantom import ct_frame_volume, generate_phantom, place_phantom, target_grid
 # the scan schedule is pipeline's; summary.json reads JUDGE_TOL_X_MM, and
 # benchmarks read ACQ_SLICES and ACQ_LENGTH_MM from this module
 from .pipeline import (
     ACQ_LENGTH_MM,
     ACQ_SLICES,
     JUDGE_TOL_X_MM,
-    SearchParams,
     coordinate_map,
     hv_acquire,
     hv_search,
@@ -70,7 +63,6 @@ _FIELD_KINDS = (
     (("epsilons",), "a list of finite numbers",
      lambda v: isinstance(v, (list, tuple)) and all(map(_is_finite_real, v))),
     (("noise",), "a preset name", lambda v: isinstance(v, str)),
-    (("phantom", "search"), "an object", lambda v: isinstance(v, dict)),
 )
 
 
@@ -78,10 +70,8 @@ _FIELD_KINDS = (
 class SweepConfig:
     """Everything a sweep needs; serializable and validated on construction.
 
-    ``phantom`` and ``search`` hold keyword overrides for the generated
-    phantom and the search stage; empty dicts mean defaults. ``targets_limit``
-    caps how many grid targets each trial evaluates (evenly subsampled); the
-    default covers the whole grid.
+    ``targets_limit`` caps how many grid targets each trial evaluates
+    (evenly subsampled); the default covers the whole grid.
 
     Construction also builds the shared phantom and imports ``scipy.fft``
     and ``scipy.ndimage``, which a trial's search and slice matching use,
@@ -96,8 +86,6 @@ class SweepConfig:
     placement_y_mm: float = 25.0
     targets_limit: int = 100
     seed: int = 0
-    phantom: dict = field(default_factory=dict)
-    search: dict = field(default_factory=dict)
     config_version: int = CONFIG_VERSION
 
     def __post_init__(self) -> None:
@@ -129,22 +117,9 @@ class SweepConfig:
             raise ConfigError("targets_limit must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        # the phantom's geometry depends on its params alone: building it
-        # (once per process, so a sweep's pool workers inherit it) rejects
-        # params that no trial could run
-        try:
-            generate_phantom(0, self.phantom_params())
-            self.search_params()
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad parameter override: {exc}") from exc
+        generate_phantom(0)
         import scipy.fft  # noqa: F401
         import scipy.ndimage  # noqa: F401
-
-    def phantom_params(self) -> PhantomParams:
-        return PhantomParams(**self.phantom)
-
-    def search_params(self) -> SearchParams:
-        return SearchParams(**self.search)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -209,7 +184,7 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialResult:
     offset_x = float(rng.uniform(-cfg.placement_x_mm, cfg.placement_x_mm))
     offset_y = float(rng.uniform(-cfg.placement_y_mm, cfg.placement_y_mm))
     # the phantom's geometry ignores its seed, but the draw stays: it sets
-    # the stream position of noise_seed and trials.csv reports it
+    # the stream position of noise_seed and registration.csv reports it
     phantom_seed = int(rng.integers(2**31))
     noise_seed = int(rng.integers(2**31))
     noise = NOISE_PRESETS[cfg.noise](noise_seed)
@@ -217,14 +192,12 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialResult:
     clock = time.perf_counter
 
     t = clock()
-    scene = place_phantom(
-        generate_phantom(phantom_seed, cfg.phantom_params()), [offset_x, offset_y, 0.0]
-    )
+    scene = place_phantom(generate_phantom(phantom_seed), [offset_x, offset_y, 0.0])
     contact = initial_contact(scene)
     stage_ms["setup"] = (clock() - t) * 1e3
 
     t = clock()
-    search = hv_search(scene, noise, contact, cfg.search_params())
+    search = hv_search(scene, noise, contact)
     stage_ms["search"] = (clock() - t) * 1e3
     if not search.success:
         return TrialResult(

@@ -63,40 +63,18 @@ MATCH_SPAN_MM = 20.0
 MATCH_WAYPOINTS = 21
 MIN_FRAMES = 8
 
-
-@dataclass(frozen=True)
-class SearchParams:
-    """Detection and centralization knobs.
-
-    ``detect_area_px`` is the component-area threshold at this image scale
-    (the full-resolution threshold of 4000 px scaled by the area ratio
-    216*100 / (1080*500) = 0.04). ``center_tol_px`` is the lateral
-    centering tolerance, ``step_mm`` the bang-bang step, and the waypoint
-    pattern covers ``extent_mm`` around the start at ``spacing_mm`` pitch,
-    visited center-out.
-    """
-
-    detect_area_px: float = 160.0
-    center_tol_px: float = 4.32
-    step_mm: float = 1.0
-    pattern: str = "line"
-    extent_mm: float = 40.0
-    spacing_mm: float = 5.0
-    max_center_iterations: int = 200
-
-    def __post_init__(self) -> None:
-        if self.detect_area_px <= 0:
-            raise ValueError("detect_area_px must be positive")
-        if self.center_tol_px < 1:
-            raise ValueError("center_tol_px must be at least one pixel")
-        if self.step_mm <= 0 or self.spacing_mm <= 0:
-            raise ValueError("step_mm and spacing_mm must be positive")
-        if self.extent_mm < 0:
-            raise ValueError("extent_mm must be nonnegative")
-        if self.pattern not in ("line", "grid"):
-            raise ValueError(f"pattern must be 'line' or 'grid', got {self.pattern!r}")
-        if self.max_center_iterations < 1:
-            raise ValueError("max_center_iterations must be at least 1")
+# the one vein search every trial runs. The detection threshold is the
+# component area at this image scale: the full-resolution threshold of
+# 4000 px scaled by the area ratio 216*100 / (1080*500) = 0.04. Centering
+# stops within SEARCH_CENTER_TOL_PX of the image center, stepping
+# SEARCH_STEP_MM per bang-bang move; the waypoints cover SEARCH_EXTENT_MM
+# along x around the start at SEARCH_SPACING_MM pitch, visited center-out.
+SEARCH_DETECT_AREA_PX = 160.0
+SEARCH_CENTER_TOL_PX = 4.32
+SEARCH_STEP_MM = 1.0
+SEARCH_EXTENT_MM = 40.0
+SEARCH_SPACING_MM = 5.0
+SEARCH_MAX_CENTER_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -134,13 +112,10 @@ class SliceMatchResult:
     scores: np.ndarray
 
 
-def _search_offsets(sp: SearchParams) -> list[tuple[float, float]]:
-    steps = int(math.floor(sp.extent_mm / 2.0 / sp.spacing_mm))
-    ticks = [k * sp.spacing_mm for k in range(-steps, steps + 1)]
-    if sp.pattern == "line":
-        offs = [(t, 0.0) for t in ticks]
-    else:
-        offs = [(tx, ty) for tx in ticks for ty in ticks]
+def _search_offsets() -> list[tuple[float, float]]:
+    steps = int(math.floor(SEARCH_EXTENT_MM / 2.0 / SEARCH_SPACING_MM))
+    ticks = [k * SEARCH_SPACING_MM for k in range(-steps, steps + 1)]
+    offs = [(t, 0.0) for t in ticks]
     # visit center-out so the nearest detection wins, deterministically
     return sorted(offs, key=lambda o: (o[0] ** 2 + o[1] ** 2, o[0], o[1]))
 
@@ -154,12 +129,7 @@ def _largest_component_stats(mask: np.ndarray) -> tuple[float, float]:
     return area, float(cols.mean())
 
 
-def hv_search(
-    scene: PhantomScene,
-    noise: NoiseModel,
-    p0: np.ndarray,
-    sp: SearchParams | None = None,
-) -> SearchResult:
+def hv_search(scene: PhantomScene, noise: NoiseModel, p0: np.ndarray) -> SearchResult:
     """Find and laterally center the vein junction near the contact point.
 
     Steps the waypoint pattern around ``p0``; detection fires when the
@@ -169,25 +139,24 @@ def hv_search(
     image center. Exhausting the waypoints returns a failure value; a
     centralization loop that cannot settle raises a non-convergence error.
     """
-    sp = sp or SearchParams()
     p0 = np.asarray(p0, dtype=np.float64)
     center_px = ProbeParams.image_shape[0] / 2.0
 
     visited = 0
     best_area = 0.0
-    for dx, dy in _search_offsets(sp):
+    for dx, dy in _search_offsets():
         pos = move_to(scene, p0[0] + dx, p0[1] + dy)
         visited += 1
         mask = segment_branch(capture_us(scene, pos), noise)
         area, col = _largest_component_stats(mask)
         best_area = max(best_area, area)
-        if area < sp.detect_area_px:
+        if area < SEARCH_DETECT_AREA_PX:
             continue
 
         # detected: center the component laterally
         offset = col - center_px
-        for _ in range(sp.max_center_iterations):
-            if abs(offset) <= sp.center_tol_px:
+        for _ in range(SEARCH_MAX_CENTER_ITERATIONS):
+            if abs(offset) <= SEARCH_CENTER_TOL_PX:
                 return SearchResult(
                     success=True,
                     position=pos,
@@ -195,7 +164,7 @@ def hv_search(
                     final_area=area,
                     final_center_offset_px=abs(offset),
                 )
-            step = math.copysign(sp.step_mm, offset)
+            step = math.copysign(SEARCH_STEP_MM, offset)
             pos = move_to(scene, pos[0], pos[1] + step)
             mask = segment_branch(capture_us(scene, pos), noise)
             area, col = _largest_component_stats(mask)
@@ -205,7 +174,7 @@ def hv_search(
                 )
             offset = col - center_px
         raise RuntimeError(
-            f"centralization did not settle within {sp.max_center_iterations} iterations"
+            f"centralization did not settle within {SEARCH_MAX_CENTER_ITERATIONS} iterations"
         )
 
     return SearchResult(

@@ -206,7 +206,7 @@ def test_acceptance_5_zero_noise_trial_lands_targets():
 DEFAULT_SWEEP_DIGESTS = {
     "trials": "f616487e1fe236b57a132378320d0964de62aa3dcd68c30d868a047027623891",
     "registration": "4a5e023125ae08da2df378a72d8805e9a47760e5b3a47961a2e986b9f6668ea5",
-    "summary": "6c951d30af8c8742ace1e6c04fb930f9e523a7934bd072633d7fd5626d24b4d2",
+    "summary": "b1c0b0eea0b475dd9f73aaf59479fac5315c0b120acd22e628f53cf056d66585",
     "curve": "f40b24ef245dd7b6b59a93077a3b649926c07ec935415159b2cb6ebcb11faa87",
 }
 

@@ -96,18 +96,19 @@ def test_run_trial_rejects_value_of_wrong_type(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
-@pytest.mark.parametrize("command", ["sweep", "run-trial"])
-def test_unbuildable_phantom_is_a_config_error(tmp_path, capsys, command):
-    # valid keys and types, but the lateral branch's polyline is too coarse
-    # for its radius: no trial could build the phantom
+# a config that sets phantom or search, which are not config keys, is a
+# config error before any trial runs: never a traceback (exit 1) from a
+# value of the wrong type, nor a trial run with a NaN threshold
+@pytest.mark.parametrize("text", [
+    '{"search": {"max_center_iterations": 2.5}}',
+    '{"phantom": {"targets_along": 2.5}}',
+    '{"search": {"detect_area_px": NaN}}',
+])
+def test_run_trial_rejects_phantom_and_search_overrides(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({**SMALL_CFG, "phantom": {"radius_lhv": 1.0}}))
-    out = tmp_path / "reports"
-    extra = ["--out", str(out)] if command == "sweep" else []
-    assert main([command, "--config", str(bad), *extra]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error: bad parameter override") and "exceeds twice the radius" in err
-    assert not out.exists()
+    bad.write_text(text)
+    assert main(["run-trial", "--config", str(bad)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: unknown config keys")
 
 
 def test_sweep_rejects_unparseable_config(tmp_path, capsys):
@@ -176,12 +177,10 @@ def test_run_trial_pipeline_failure_exits_3(capsys, monkeypatch):
     assert captured.err.count("\n") == 1 and "off the skin surface" in captured.err
 
 
-def test_run_trial_search_failure_exits_3(tmp_path, capsys):
+def test_run_trial_search_failure_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pipeline, "SEARCH_DETECT_AREA_PX", 1e9)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "trials": 1, "noise": "zero", "epsilons": [2.0],
-        "search": {"detect_area_px": 1e9},
-    }))
+    cfg.write_text(json.dumps({"trials": 1, "noise": "zero", "epsilons": [2.0]}))
     assert main(["run-trial", "--config", str(cfg)]) == EXIT_PIPELINE
     captured = capsys.readouterr()
     assert json.loads(captured.out)["search_success"] is False

@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from usreg_sim import harness
+from usreg_sim import harness, pipeline
 from usreg_sim.harness import (
     ACQ_LENGTH_MM,
     ACQ_SLICES,
@@ -47,7 +47,7 @@ def small_reports(small_sweep, tmp_path_factory):
 
 
 def test_config_roundtrip():
-    cfg = SweepConfig(trials=3, epsilons=(1.0, 4.0), seed=9, phantom={"targets_along": 10})
+    cfg = SweepConfig(trials=3, epsilons=(1.0, 4.0), seed=9)
     again = SweepConfig.from_dict(cfg.to_dict())
     assert again == cfg
     assert isinstance(again.epsilons, tuple)
@@ -72,12 +72,6 @@ def test_config_json_roundtrip():
         dict(placement_x_mm=-1.0),
         dict(targets_limit=0),
         dict(config_version=99),
-        dict(phantom={"no_such_param": 1}),
-        dict(search={"step_mm": -2.0}),
-        # the phantom is masks only: it has no intensity knobs
-        dict(phantom={"noise_texture_level": 0.02}),
-        dict(phantom={"body_intensity": 0.6}),
-        dict(phantom={"vessel_intensity": 0.2}),
         # a value of the wrong JSON type is rejected, never coerced
         dict(trials="5"),
         dict(trials=True),
@@ -96,7 +90,12 @@ def test_config_json_roundtrip():
         dict(placement_x_mm=None),
         dict(placement_x_mm=float("nan")),
         dict(placement_y_mm="25"),
-        dict(phantom=[]),
+        dict(placement_y_mm=-1.0),
+        dict(placement_y_mm=float("-inf")),
+        dict(targets_limit=2.5),
+        dict(seed=True),
+        dict(config_version=1.0),
+        dict(epsilons=(float("nan"),)),
     ],
 )
 def test_config_rejects(kwargs):
@@ -105,8 +104,11 @@ def test_config_rejects(kwargs):
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError, match="unknown config keys"):
-        SweepConfig.from_dict({"trials": 2, "typo_field": 1})
+    # phantom and search are not config keys: the phantom and the vein
+    # search take no overrides
+    for extra in ({"typo_field": 1}, {"phantom": {}}, {"search": {}}):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            SweepConfig.from_dict({"trials": 2, **extra})
 
 
 def test_judge_tolerance_is_half_slice_pitch():
@@ -145,9 +147,9 @@ def test_trial_records_structure(small_sweep):
             assert t.corrected[1:] == t.mapped[1:]
 
 
-def test_search_failure_recorded_not_raised():
-    cfg = SweepConfig(trials=1, noise="zero", epsilons=(2.0,),
-                      search={"detect_area_px": 1e9})
+def test_search_failure_recorded_not_raised(monkeypatch):
+    monkeypatch.setattr(pipeline, "SEARCH_DETECT_AREA_PX", 1e9)
+    cfg = SweepConfig(trials=1, noise="zero", epsilons=(2.0,))
     trial = run_trial(cfg, 0)
     assert not trial.search_success
     assert trial.registration is None
@@ -155,9 +157,9 @@ def test_search_failure_recorded_not_raised():
     assert trial.waypoints_visited > 0
 
 
-def test_success_rates_count_failed_search_as_zero():
-    cfg = SweepConfig(trials=1, noise="zero", epsilons=(2.0, 6.0),
-                      search={"detect_area_px": 1e9})
+def test_success_rates_count_failed_search_as_zero(monkeypatch):
+    monkeypatch.setattr(pipeline, "SEARCH_DETECT_AREA_PX", 1e9)
+    cfg = SweepConfig(trials=1, noise="zero", epsilons=(2.0, 6.0))
     rows = success_rates(run_sweep(cfg))
     assert [r["mean"] for r in rows] == [0.0, 0.0]
 
@@ -184,7 +186,7 @@ def test_rerun_reports_byte_identical(small_reports, tmp_path):
 SERIAL_DIGESTS = {
     "trials": "624a4dd8d60de3679c16748781b14f534edd0db93efa3d4938a7507c8a65a506",
     "registration": "115afdf23a6d93b2ed206c95fef2e6978618bf5a4274547c47ec26e862c6ab12",
-    "summary": "adbde1e3861aeedb74ac0b4e3701fe4b8c26d024d2d90b001c36f493961d4de2",
+    "summary": "e1fc6250acee471b4b53fde8b0941c7a3b69875f16b852863c1f89d0dc158ac4",
 }
 
 

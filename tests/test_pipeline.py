@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from usreg_sim import pipeline
 from usreg_sim.imgvol import (
     Volume3,
     compose,
@@ -28,7 +29,8 @@ from usreg_sim.phantom import (
 )
 from usreg_sim.pipeline import (
     JUDGE_TOL_X_MM,
-    SearchParams,
+    SEARCH_CENTER_TOL_PX,
+    SEARCH_DETECT_AREA_PX,
     _target_template,
     coordinate_map,
     frames_for_eps,
@@ -103,9 +105,9 @@ def test_search_detects_and_centers_from_offset_start(scene, quiet, contact):
     comp = largest_connected_component(mask)
     area = comp.sum()
     col = np.argwhere(comp)[:, 0].mean()
-    assert area >= SearchParams().detect_area_px
+    assert area >= SEARCH_DETECT_AREA_PX
     offset = abs(col - ProbeParams.image_shape[0] / 2.0)
-    assert offset <= SearchParams().center_tol_px
+    assert offset <= SEARCH_CENTER_TOL_PX
     assert result.final_area == area
     assert result.final_center_offset_px == pytest.approx(offset)
 
@@ -122,19 +124,12 @@ def test_search_failure_when_annotation_empty(scene, quiet, contact):
     assert math.isnan(result.final_center_offset_px)
 
 
-def test_search_failure_when_threshold_unreachable(scene, quiet, contact):
-    sp = SearchParams(detect_area_px=1e9)
-    result = hv_search(scene, quiet, contact, sp)
+def test_search_failure_when_threshold_unreachable(scene, quiet, contact, monkeypatch):
+    monkeypatch.setattr(pipeline, "SEARCH_DETECT_AREA_PX", 1e9)
+    result = hv_search(scene, quiet, contact)
     assert not result.success
     assert result.waypoints_visited == 9
     assert result.final_area > 0  # it saw the vessel, just never enough of it
-
-
-def test_search_grid_pattern(scene, quiet, contact):
-    sp = SearchParams(pattern="grid", extent_mm=20.0, spacing_mm=5.0)
-    result = hv_search(scene, quiet, contact, sp)
-    assert result.success
-    assert result.waypoints_visited >= 1
 
 
 def _blob_scene(scene, offset_mm):
@@ -148,35 +143,21 @@ def _blob_scene(scene, offset_mm):
     return dataclasses.replace(scene, hv_branch_annotation=blob)
 
 
-def test_search_centering_raises_when_vessel_lost(scene, quiet, contact):
+def test_search_centering_raises_when_vessel_lost(scene, quiet, contact, monkeypatch):
     # a 60 mm bang-bang step flies clean past the 12 mm blob and off it
     tiny = _blob_scene(scene, [0.0, 7.0, -25.0])
-    sp = SearchParams(step_mm=60.0)
+    monkeypatch.setattr(pipeline, "SEARCH_STEP_MM", 60.0)
     with pytest.raises(RuntimeError, match="lost the vessel"):
-        hv_search(tiny, quiet, contact, sp)
+        hv_search(tiny, quiet, contact)
 
 
-def test_search_centering_raises_when_oscillating(scene, quiet, contact):
+def test_search_centering_raises_when_oscillating(scene, quiet, contact, monkeypatch):
     # a 20 mm step overshoots back and forth without ever settling
     tiny = _blob_scene(scene, [0.0, 7.0, -25.0])
-    sp = SearchParams(step_mm=20.0, max_center_iterations=6)
-    with pytest.raises(RuntimeError, match="did not settle"):
-        hv_search(tiny, quiet, contact, sp)
-
-
-def test_search_params_validation():
-    with pytest.raises(ValueError):
-        SearchParams(detect_area_px=0)
-    with pytest.raises(ValueError):
-        SearchParams(center_tol_px=0.5)
-    with pytest.raises(ValueError):
-        SearchParams(step_mm=0)
-    with pytest.raises(ValueError):
-        SearchParams(pattern="spiral")
-    with pytest.raises(ValueError):
-        SearchParams(extent_mm=-1)
-    with pytest.raises(ValueError):
-        SearchParams(max_center_iterations=0)
+    monkeypatch.setattr(pipeline, "SEARCH_STEP_MM", 20.0)
+    monkeypatch.setattr(pipeline, "SEARCH_MAX_CENTER_ITERATIONS", 6)
+    with pytest.raises(RuntimeError, match="did not settle within 6 iterations"):
+        hv_search(tiny, quiet, contact)
 
 
 # ------------------------------------------------------------ acquisition
