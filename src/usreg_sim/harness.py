@@ -1,9 +1,9 @@
 """Monte Carlo evaluation harness.
 
-A sweep runs ``trials`` independent end-to-end follow-up scans, each on a
-freshly generated phantom at a randomly sampled placement, and judges
+A sweep runs ``trials`` independent end-to-end follow-up scans, each on the
+one shared phantom placed at a randomly sampled offset, and judges
 per-target success for every scan range in ``epsilons``. Everything is
-deterministic given the config: placements and seeds derive from ``seed``
+deterministic given the config: offsets and seeds derive from ``seed``
 and the trial index, the noise model keys its corruption off the capture
 position, and report files are emitted with fixed ordering and formatting
 so a rerun reproduces them byte for byte. Per-stage wall-clock timings ride
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .phantom import ct_frame_volume, generate_phantom, place_phantom, target_grid
+from .phantom import PhantomParams, ct_frame_volume, generate_phantom, place_phantom, target_grid
 # the scan schedule is pipeline's; summary.json reads JUDGE_TOL_X_MM, and
 # benchmarks read ACQ_SLICES and ACQ_LENGTH_MM from this module
 from .pipeline import (
@@ -43,6 +43,13 @@ from .probe import NOISE_PRESETS, initial_contact
 
 CONFIG_VERSION = 1
 
+# a trial offsets the phantom by up to these distances from the table
+# origin, uniformly in x and then in y
+PLACEMENT_X_MM = 40.0
+PLACEMENT_Y_MM = 25.0
+# a scan range longer than the phantom along x images nothing more
+MAX_EPS_MM = PhantomParams.volume_shape[0] * PhantomParams.spacing_mm
+
 
 class ConfigError(ValueError):
     """A sweep config that cannot be run."""
@@ -59,7 +66,6 @@ def _is_finite_real(v) -> bool:
 _FIELD_KINDS = (
     (("config_version", "trials", "targets_limit", "seed"), "an integer",
      lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    (("placement_x_mm", "placement_y_mm"), "a finite number", _is_finite_real),
     (("epsilons",), "a list of finite numbers",
      lambda v: isinstance(v, (list, tuple)) and all(map(_is_finite_real, v))),
     (("noise",), "a preset name", lambda v: isinstance(v, str)),
@@ -70,6 +76,7 @@ _FIELD_KINDS = (
 class SweepConfig:
     """Everything a sweep needs; serializable and validated on construction.
 
+    ``epsilons`` are the scan ranges in mm, each at most ``MAX_EPS_MM``.
     ``targets_limit`` caps how many grid targets each trial evaluates
     (evenly subsampled); the default covers the whole grid.
 
@@ -82,8 +89,6 @@ class SweepConfig:
     trials: int = 5
     noise: str = "default"
     epsilons: tuple[float, ...] = (1.0, 3.0, 5.0, 9.0)
-    placement_x_mm: float = 40.0
-    placement_y_mm: float = 25.0
     targets_limit: int = 100
     seed: int = 0
     config_version: int = CONFIG_VERSION
@@ -110,9 +115,9 @@ class SweepConfig:
             raise ConfigError("epsilons must be positive")
         if any(b <= a for a, b in zip(eps, eps[1:])):
             raise ConfigError("epsilons must be strictly ascending")
+        if eps[-1] > MAX_EPS_MM:
+            raise ConfigError(f"epsilons must be at most {MAX_EPS_MM:g} mm, the phantom's length")
         object.__setattr__(self, "epsilons", eps)
-        if self.placement_x_mm < 0 or self.placement_y_mm < 0:
-            raise ConfigError("placement bounds must be nonnegative")
         if self.targets_limit < 1:
             raise ConfigError("targets_limit must be at least 1")
         if self.seed < 0:
@@ -181,8 +186,8 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialResult:
     zero targets attempted, not raised.
     """
     rng = np.random.default_rng([cfg.seed, index])
-    offset_x = float(rng.uniform(-cfg.placement_x_mm, cfg.placement_x_mm))
-    offset_y = float(rng.uniform(-cfg.placement_y_mm, cfg.placement_y_mm))
+    offset_x = float(rng.uniform(-PLACEMENT_X_MM, PLACEMENT_X_MM))
+    offset_y = float(rng.uniform(-PLACEMENT_Y_MM, PLACEMENT_Y_MM))
     # the phantom's geometry ignores its seed, but the draw stays: it sets
     # the stream position of noise_seed and registration.csv reports it
     phantom_seed = int(rng.integers(2**31))

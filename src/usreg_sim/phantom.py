@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,45 +29,42 @@ from .imgvol import (
 )
 
 
-@dataclass(frozen=True)
 class PhantomParams:
-    """Geometry of the generated phantom (mm units); it is masks only."""
+    """Geometry of the one phantom (mm units); callers read the class attributes.
 
-    volume_shape: tuple[int, int, int] = (64, 96, 64)
-    spacing_mm: float = 2.0
+    The phantom is masks only, and the tree lies inside the body and below
+    its skin.
+    """
+
+    volume_shape = (64, 96, 64)
+    spacing_mm = 2.0
     # elliptic body cross-section in the (y, z) plane, extruded along x
-    body_center_y: float = 95.0
-    body_center_z: float = 55.0
-    body_semi_y: float = 80.0
-    body_semi_z: float = 45.0
+    body_center_y = 95.0
+    body_center_z = 55.0
+    body_semi_y = 80.0
+    body_semi_z = 45.0
     # vein tree: a trunk running superior from the first branching point,
     # the middle vein running inferior, and two curved lateral branches
-    branch_point: tuple[float, float, float] = (64.0, 95.0, 60.0)
-    trunk_length: float = 34.0
-    mhv_length: float = 38.0
-    lhv_angle_deg: float = 48.0
-    rhv_angle_deg: float = 46.0
-    lhv_curve_length: float = 40.0
-    rhv_curve_length: float = 42.0
-    radius_trunk: float = 5.0
-    radius_mhv: float = 4.5
-    radius_lhv: float = 3.5
-    radius_rhv: float = 4.0
+    branch_point = (64.0, 95.0, 60.0)
+    trunk_length = 34.0
+    mhv_length = 38.0
+    lhv_angle_deg = 48.0
+    rhv_angle_deg = 46.0
+    lhv_curve_length = 40.0
+    rhv_curve_length = 42.0
+    radius_trunk = 5.0
+    radius_mhv = 4.5
+    radius_lhv = 3.5
+    radius_rhv = 4.0
     # arc-length window of the trunk/middle-vein oracle used by branch-aware
     # segmentation, measured along the centerline from the branching point
-    branch_window_mm: float = 25.0
+    branch_window_mm = 25.0
     # follow-up target lattice, centered on the branching point
-    target_span_x: float = 60.0
-    target_span_y: float = 12.0
-    target_depth_offset: float = -2.0
-    targets_along: int = 50
-    targets_across: int = 2
-
-    def __post_init__(self):
-        # JSON gives lists; tuples keep the params hashable, the key of
-        # generate_phantom's per-process geometry cache
-        for name in ("volume_shape", "branch_point"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+    target_span_x = 60.0
+    target_span_y = 12.0
+    target_depth_offset = -2.0
+    targets_along = 50
+    targets_across = 2
 
 
 @dataclass(frozen=True)
@@ -111,17 +108,14 @@ class VesselTree:
 
 @dataclass(frozen=True)
 class EllipticSurface:
-    """Skin heightfield of the extruded elliptic body.
+    """Skin heightfield of the phantom's extruded elliptic body.
 
-    ``frame`` maps intrinsic phantom coordinates to scene coordinates and
-    must keep z vertical (yaw about z plus translation), so the surface
-    stays a heightfield after placement. Returns NaN off the body.
+    The ellipse is the ``PhantomParams`` body. ``frame`` maps intrinsic
+    phantom coordinates to scene coordinates and must keep z vertical (yaw
+    about z plus translation), so the surface stays a heightfield after
+    placement. Returns NaN off the body.
     """
 
-    center_y: float
-    center_z: float
-    semi_y: float
-    semi_z: float
     frame: RigidTransform3 = RigidTransform3.identity()
 
     def __post_init__(self):
@@ -132,10 +126,11 @@ class EllipticSurface:
 
     def __call__(self, x: float, y: float) -> float:
         q = self._to_intrinsic.apply([float(x), float(y), 0.0])
-        rel = (q[1] - self.center_y) / self.semi_y
+        rel = (q[1] - PhantomParams.body_center_y) / PhantomParams.body_semi_y
         if abs(rel) >= 1.0:
             return math.nan
-        z_intrinsic = self.center_z + self.semi_z * math.sqrt(1.0 - rel * rel)
+        z_intrinsic = (PhantomParams.body_center_z
+                       + PhantomParams.body_semi_z * math.sqrt(1.0 - rel * rel))
         return z_intrinsic + float(self.frame.translation[2])
 
 
@@ -153,7 +148,6 @@ class PhantomScene:
     surface_height: EllipticSurface
     placement: RigidTransform3
     tree: VesselTree
-    params: PhantomParams
     seed: int
 
 
@@ -163,7 +157,8 @@ def _sample_curve(fn, length_hint: float) -> np.ndarray:
     return np.stack([fn(v) for v in t])
 
 
-def _build_tree(params: PhantomParams) -> VesselTree:
+def _build_tree() -> VesselTree:
+    params = PhantomParams
     bp = np.asarray(params.branch_point, dtype=np.float64)
 
     trunk = _sample_curve(lambda t: bp + t * np.array([params.trunk_length, 2.0, 4.0]), params.trunk_length)
@@ -245,35 +240,26 @@ def _rasterize_tubes(branches, shape, spacing: float) -> np.ndarray:
     return out
 
 
-def generate_phantom(seed: int, params: PhantomParams | None = None) -> PhantomScene:
-    """The phantom scene in its intrinsic frame (placement = identity).
+def generate_phantom(seed: int) -> PhantomScene:
+    """The one phantom scene, in its intrinsic frame (placement = identity).
 
-    Bit-for-bit deterministic for given params. The geometry does not
-    depend on ``seed``, which is only recorded on the scene: it is built
-    once per process for each ``PhantomParams`` and shared, read-only, by
-    every scene generated from them. Raises ``ValueError`` for params that
-    cannot be built.
+    The geometry is ``PhantomParams`` and does not depend on ``seed``,
+    which is only recorded on the scene: it is built once per process and
+    shared, read-only, by every scene generated.
     """
-    return replace(_phantom_geometry(params or PhantomParams()), seed=seed)
+    return replace(_phantom_geometry(), seed=seed)
 
 
-@functools.lru_cache(maxsize=8)
-def _phantom_geometry(params: PhantomParams) -> PhantomScene:
-    shape = tuple(int(n) for n in params.volume_shape)
-    if min(shape) < 16:
-        raise ValueError(f"volume_shape too small {shape}; need at least 16 voxels per axis")
-    for name in ("radius_trunk", "radius_mhv", "radius_lhv", "radius_rhv"):
-        if getattr(params, name) <= 0:
-            raise ValueError(f"{name} must be positive")
-    if params.spacing_mm <= 0:
-        raise ValueError("spacing_mm must be positive")
-
+@functools.cache
+def _phantom_geometry() -> PhantomScene:
+    params = PhantomParams
+    shape = params.volume_shape
     sp = params.spacing_mm
     spacing = np.array([sp, sp, sp])
     origin = np.zeros(3)
     axes = np.eye(3)
 
-    tree = _build_tree(params)
+    tree = _build_tree()
     annotation = _rasterize_tubes(tree.branches, shape, sp)
 
     window = params.branch_window_mm
@@ -290,17 +276,6 @@ def _phantom_geometry(params: PhantomParams) -> PhantomScene:
     body_yz = (rel_y[:, None] ** 2 + rel_z[None, :] ** 2) <= 1.0
     body = np.broadcast_to(body_yz[None, :, :].astype(np.uint8), shape)
 
-    surface = EllipticSurface(params.body_center_y, params.body_center_z,
-                              params.body_semi_y, params.body_semi_z)
-
-    if not (annotation <= body).all():
-        raise ValueError("vessel tree pokes outside the body; shrink it or grow the body")
-    vox = np.argwhere(annotation)
-    rel = (vox[:, 1] * sp - params.body_center_y) / params.body_semi_y
-    tops = params.body_center_z + params.body_semi_z * np.sqrt(np.maximum(0.0, 1.0 - rel**2))
-    if not np.all(vox[:, 2] * sp < tops):
-        raise ValueError("vessel annotation reaches the skin surface")
-
     # frozen here, so the volumes share these arrays instead of copying them
     for arr in (annotation, branch_annotation, spacing, origin, axes):
         arr.flags.writeable = False
@@ -308,10 +283,9 @@ def _phantom_geometry(params: PhantomParams) -> PhantomScene:
         body=Volume3(body, spacing, origin, axes),
         hv_annotation=Volume3(annotation, spacing, origin, axes),
         hv_branch_annotation=Volume3(branch_annotation, spacing, origin, axes),
-        surface_height=surface,
+        surface_height=EllipticSurface(),
         placement=RigidTransform3.identity(),
         tree=tree,
-        params=params,
         seed=0,
     )
 
@@ -335,7 +309,6 @@ def place_phantom(scene: PhantomScene, offset, yaw_deg: float = 0.0) -> PhantomS
         surface_height=replace(scene.surface_height, frame=compose(motion, scene.surface_height.frame)),
         placement=compose(motion, scene.placement),
         tree=VesselTree(moved_branches, motion.apply(scene.tree.branch_point)),
-        params=scene.params,
         seed=scene.seed,
     )
 
@@ -349,11 +322,12 @@ def ct_frame_volume(vol: Volume3, placement: RigidTransform3) -> Volume3:
 def target_grid(scene: PhantomScene) -> np.ndarray:
     """Follow-up target lattice in CT (intrinsic) coordinates, shape (n, 3).
 
-    The lattice is centered on the branching point, spans the configured
-    extent along the body axis and laterally, and shares one depth. Raises
-    if any target leaves the CT volume or the body interior.
+    The lattice is centered on the branching point, spans the
+    ``PhantomParams`` extent along the body axis and laterally, and shares
+    one depth. Raises if any target leaves the CT volume or the body
+    interior.
     """
-    p = scene.params
+    p = PhantomParams
     bp_ct = inverse(scene.placement).apply(scene.tree.branch_point)
     xs = np.linspace(bp_ct[0] - p.target_span_x / 2, bp_ct[0] + p.target_span_x / 2, p.targets_along)
     ys = np.linspace(bp_ct[1] - p.target_span_y / 2, bp_ct[1] + p.target_span_y / 2, p.targets_across)
@@ -374,7 +348,7 @@ def target_grid(scene: PhantomScene) -> np.ndarray:
 
 # ------------------------------------------------------------- serialization
 
-SCENE_FORMAT_VERSION = 2
+SCENE_FORMAT_VERSION = 3
 
 
 def save_scene(scene: PhantomScene, out_dir: str | Path) -> Path:
@@ -387,7 +361,6 @@ def save_scene(scene: PhantomScene, out_dir: str | Path) -> Path:
     desc = {
         "format_version": SCENE_FORMAT_VERSION,
         "seed": scene.seed,
-        "params": asdict(scene.params),
         "placement": {
             "rotation": scene.placement.rotation.tolist(),
             "translation": scene.placement.translation.tolist(),
@@ -395,10 +368,6 @@ def save_scene(scene: PhantomScene, out_dir: str | Path) -> Path:
         "branch_point": scene.tree.branch_point.tolist(),
         "targets": target_grid(scene).tolist(),
         "surface": {
-            "center_y": scene.surface_height.center_y,
-            "center_z": scene.surface_height.center_z,
-            "semi_y": scene.surface_height.semi_y,
-            "semi_z": scene.surface_height.semi_z,
             "frame": {
                 "rotation": scene.surface_height.frame.rotation.tolist(),
                 "translation": scene.surface_height.frame.translation.tolist(),
@@ -431,18 +400,13 @@ def load_scene(path: str | Path) -> PhantomScene:
     if desc.get("format_version") != SCENE_FORMAT_VERSION:
         raise ValueError(f"unsupported scene format {desc.get('format_version')}")
     base = path.parent
-    params = PhantomParams(**desc["params"])
     tree = VesselTree(
         branches=tuple(
             VesselBranch(b["label"], b["radius"], np.asarray(b["points"])) for b in desc["tree"]
         ),
         branch_point=np.asarray(desc["branch_point"]),
     )
-    surf = desc["surface"]
-    surface = EllipticSurface(
-        surf["center_y"], surf["center_z"], surf["semi_y"], surf["semi_z"],
-        frame=_transform_from(surf["frame"]),
-    )
+    surface = EllipticSurface(_transform_from(desc["surface"]["frame"]))
     return PhantomScene(
         body=load_volume(base / desc["files"]["body"]),
         hv_annotation=load_volume(base / desc["files"]["hv_annotation"]),
@@ -450,6 +414,5 @@ def load_scene(path: str | Path) -> PhantomScene:
         surface_height=surface,
         placement=_transform_from(desc["placement"]),
         tree=tree,
-        params=params,
         seed=desc["seed"],
     )

@@ -50,7 +50,7 @@ from usreg_sim.imgvol import (
     translation,
     voxel_to_physical,
 )
-from usreg_sim.phantom import ct_frame_volume, generate_phantom, place_phantom
+from usreg_sim.phantom import PhantomParams, ct_frame_volume, generate_phantom, place_phantom
 from usreg_sim.pipeline import DEFAULT_HARMONIZE, hv_acquire, hv_search
 from usreg_sim.probe import NOISE_PRESETS, NoiseModel, capture_us, initial_contact, move_to, segment_full
 from usreg_sim.registration import RegistrationConfig, apply_transform, register_rigid
@@ -206,7 +206,7 @@ def test_acceptance_5_zero_noise_trial_lands_targets():
 DEFAULT_SWEEP_DIGESTS = {
     "trials": "f616487e1fe236b57a132378320d0964de62aa3dcd68c30d868a047027623891",
     "registration": "4a5e023125ae08da2df378a72d8805e9a47760e5b3a47961a2e986b9f6668ea5",
-    "summary": "b1c0b0eea0b475dd9f73aaf59479fac5315c0b120acd22e628f53cf056d66585",
+    "summary": "11156d6a0577dbbef6f5df137e1445aa237643f670ca3cd51a5da052ffc06876",
     "curve": "f40b24ef245dd7b6b59a93077a3b649926c07ec935415159b2cb6ebcb11faa87",
 }
 
@@ -225,7 +225,7 @@ def test_acceptance_6_noisy_success_curve_grows_with_scan_range(tmp_path):
 
 def test_acceptance_7_segmentation_oracle_dice_band():
     scene = place_phantom(generate_phantom(seed=3), (10.0, -5.0, 0.0))
-    bp = scene.placement.apply(np.asarray(scene.params.branch_point, dtype=float))
+    bp = scene.placement.apply(np.asarray(PhantomParams.branch_point, dtype=float))
     noise = NoiseModel.default(seed=7)
     scores = []
     for x in np.linspace(bp[0] - 30.0, bp[0] + 30.0, 64):

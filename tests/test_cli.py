@@ -88,7 +88,7 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ['{"trials": "5"}', '{"seed": "a"}', '{"placement_x_mm": NaN}'])
+@pytest.mark.parametrize("text", ['{"trials": "5"}', '{"seed": "a"}', '{"epsilons": [NaN]}'])
 def test_run_trial_rejects_value_of_wrong_type(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -96,19 +96,30 @@ def test_run_trial_rejects_value_of_wrong_type(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
-# a config that sets phantom or search, which are not config keys, is a
-# config error before any trial runs: never a traceback (exit 1) from a
-# value of the wrong type, nor a trial run with a NaN threshold
+# a config that sets phantom, search or a placement bound, which are not
+# config keys, is a config error before any trial runs: never a traceback
+# (exit 1) from a value of the wrong type, nor a trial run with a NaN
+# threshold
 @pytest.mark.parametrize("text", [
     '{"search": {"max_center_iterations": 2.5}}',
     '{"phantom": {"targets_along": 2.5}}',
     '{"search": {"detect_area_px": NaN}}',
+    '{"placement_x_mm": 10.0}',
 ])
 def test_run_trial_rejects_phantom_and_search_overrides(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_text(text)
     assert main(["run-trial", "--config", str(bad)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: unknown config keys")
+
+
+def test_run_trial_rejects_epsilon_longer_than_phantom(tmp_path, capsys):
+    # a finite scan range past the phantom's length is a config error, not an
+    # overflow in the targets stage after the trial has run its map stage
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"epsilons": [1e308]}')
+    assert main(["run-trial", "--config", str(bad)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_sweep_rejects_unparseable_config(tmp_path, capsys):

@@ -17,6 +17,9 @@ from usreg_sim.harness import (
     ACQ_LENGTH_MM,
     ACQ_SLICES,
     JUDGE_TOL_X_MM,
+    MAX_EPS_MM,
+    PLACEMENT_X_MM,
+    PLACEMENT_Y_MM,
     ConfigError,
     SweepConfig,
     _pick_targets,
@@ -25,6 +28,8 @@ from usreg_sim.harness import (
     run_trial,
     success_rates,
 )
+from usreg_sim.pipeline import frames_for_eps
+from usreg_sim.probe import initial_contact, move_to
 
 SMALL = dict(trials=2, noise="zero", epsilons=(2.0, 6.0), targets_limit=3, seed=5)
 # the byte-identical report set; the timings.json sidecar is not in it
@@ -59,6 +64,8 @@ def test_config_json_roundtrip():
     assert SweepConfig.from_dict(json.loads(text)) == cfg
 
 
+# The ids are positional (kwargs0, kwargs1, ...). A case that goes is
+# replaced in its own slot, so every other id keeps naming the same input.
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -69,7 +76,7 @@ def test_config_json_roundtrip():
         dict(epsilons=(-1.0,)),
         dict(epsilons=(3.0, 1.0)),
         dict(epsilons=(2.0, 2.0)),
-        dict(placement_x_mm=-1.0),
+        dict(epsilons=(1e308,)),  # finite, but longer than the phantom
         dict(targets_limit=0),
         dict(config_version=99),
         # a value of the wrong JSON type is rejected, never coerced
@@ -87,11 +94,11 @@ def test_config_json_roundtrip():
         dict(epsilons=(0.5, True)),
         dict(epsilons=(1.0, float("inf"))),
         dict(epsilons=(1.0, 10**400)),
-        dict(placement_x_mm=None),
-        dict(placement_x_mm=float("nan")),
-        dict(placement_y_mm="25"),
-        dict(placement_y_mm=-1.0),
-        dict(placement_y_mm=float("-inf")),
+        dict(epsilons=(1.0, 129.0)),
+        dict(epsilons=(1e9,)),
+        dict(noise=None),
+        dict(epsilons=None),
+        dict(trials=None),
         dict(targets_limit=2.5),
         dict(seed=True),
         dict(config_version=1.0),
@@ -103,10 +110,18 @@ def test_config_rejects(kwargs):
         SweepConfig(**kwargs)
 
 
+def test_config_epsilon_cap_is_the_phantom_length():
+    # the longest scan range covers the phantom along x in 128 frames
+    assert MAX_EPS_MM == 128.0
+    assert SweepConfig(epsilons=(1.0, MAX_EPS_MM)).epsilons[-1] == MAX_EPS_MM
+    assert frames_for_eps(MAX_EPS_MM) == 128
+
+
 def test_config_rejects_unknown_keys():
-    # phantom and search are not config keys: the phantom and the vein
-    # search take no overrides
-    for extra in ({"typo_field": 1}, {"phantom": {}}, {"search": {}}):
+    # phantom, search and the placement bounds are not config keys: the
+    # phantom, the vein search and the placement range take no overrides
+    for extra in ({"typo_field": 1}, {"phantom": {}}, {"search": {}},
+                  {"placement_x_mm": 40.0}, {"placement_y_mm": 25.0}):
         with pytest.raises(ConfigError, match="unknown config keys"):
             SweepConfig.from_dict({"trials": 2, **extra})
 
@@ -137,8 +152,8 @@ def test_trial_records_structure(small_sweep):
         assert trial.search_success
         assert trial.registration is not None
         assert len(trial.targets) == cfg.targets_limit
-        assert abs(trial.offset_x_mm) <= cfg.placement_x_mm
-        assert abs(trial.offset_y_mm) <= cfg.placement_y_mm
+        assert abs(trial.offset_x_mm) <= PLACEMENT_X_MM
+        assert abs(trial.offset_y_mm) <= PLACEMENT_Y_MM
         assert set(trial.stage_ms) == {"setup", "search", "acquire", "map", "targets"}
         for t in trial.targets:
             assert len(t.successes) == len(cfg.epsilons)
@@ -164,6 +179,47 @@ def test_success_rates_count_failed_search_as_zero(monkeypatch):
     assert [r["mean"] for r in rows] == [0.0, 0.0]
 
 
+def test_search_walks_centres_and_fails_in_a_sweep(monkeypatch, tmp_path):
+    """Trials that make contact off the junction walk the waypoint pattern.
+
+    Trial 0 lands 40 mm along x and 6 mm across from the usual contact
+    point: the search detects at its 6th waypoint (15 mm back along x) and
+    centring steps 3 mm back across. Trial 1 lands 70 mm along x, out of
+    every waypoint's reach: the search fails after all 9 and the trial is
+    recorded with rate 0, not raised.
+    """
+    shifts = iter([(40.0, 6.0), (70.0, 0.0)])
+    contacts, searches = [], []
+
+    def shifted_contact(scene):
+        c = initial_contact(scene)
+        dx, dy = next(shifts)
+        contacts.append(move_to(scene, c[0] + dx, c[1] + dy))
+        return contacts[-1]
+
+    def recorded_search(scene, noise, p0):
+        searches.append(pipeline.hv_search(scene, noise, p0))
+        return searches[-1]
+
+    monkeypatch.setattr(harness, "initial_contact", shifted_contact)
+    monkeypatch.setattr(harness, "hv_search", recorded_search)
+    cfg = SweepConfig(trials=2, epsilons=(1.0, 9.0), targets_limit=3)
+    result = run_sweep(cfg, workers=1)
+    walked, failed = result.trials
+
+    assert walked.search_success and walked.waypoints_visited == 6
+    np.testing.assert_allclose(searches[0].position[:2] - contacts[0][:2], [-15.0, -3.0], atol=1e-9)
+    assert walked.registration is not None and len(walked.targets) == cfg.targets_limit
+
+    assert not failed.search_success and failed.waypoints_visited == 9
+    assert searches[1].position is None and failed.targets == ()
+    for k, row in enumerate(success_rates(result)):
+        walked_rate = sum(t.successes[k] for t in walked.targets) / len(walked.targets)
+        assert row["min"] == 0.0 and row["mean"] == walked_rate / 2
+    summary = json.loads(emit_reports(result, tmp_path)["summary"].read_text())
+    assert summary["n_search_failures"] == 1
+
+
 # ---------------------------------------------------------------- reports
 
 
@@ -186,7 +242,7 @@ def test_rerun_reports_byte_identical(small_reports, tmp_path):
 SERIAL_DIGESTS = {
     "trials": "624a4dd8d60de3679c16748781b14f534edd0db93efa3d4938a7507c8a65a506",
     "registration": "115afdf23a6d93b2ed206c95fef2e6978618bf5a4274547c47ec26e862c6ab12",
-    "summary": "e1fc6250acee471b4b53fde8b0941c7a3b69875f16b852863c1f89d0dc158ac4",
+    "summary": "573a7d8345da52699b809b4ab2b5f93ac1ffcb4e1a5e081fa06284c3dbe1afa3",
 }
 
 

@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import math
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -36,23 +38,39 @@ def test_generation_is_deterministic(scene):
         np.testing.assert_array_equal(getattr(different, name).data, getattr(scene, name).data)
 
 
-def test_geometry_is_built_once_per_params_and_read_only(scene):
-    # scenes of equal params share the cached arrays; JSON-style lists give
-    # equal (hashable) params
-    again = generate_phantom(seed=9, params=PhantomParams(volume_shape=[64, 96, 64]))
-    assert again.seed == 9 and again.params == scene.params
+def test_geometry_is_built_once_and_read_only(scene):
+    # every scene shares the cached arrays, whatever its seed
+    again = generate_phantom(seed=9)
+    assert again.seed == 9
     for name in ("body", "hv_annotation", "hv_branch_annotation"):
         data = getattr(again, name).data
         assert data is getattr(scene, name).data
         assert not data.flags.writeable
     assert all(not br.points.flags.writeable for br in again.tree.branches)
-    other = generate_phantom(seed=0, params=PhantomParams(radius_lhv=3.0))
-    assert not np.array_equal(other.hv_annotation.data, scene.hv_annotation.data)
+    # the geometry is fixed: the parameters are class attributes, not fields
+    with pytest.raises(TypeError):
+        PhantomParams(radius_lhv=3.0)
+
+
+# sha256 of the phantom's three masks and its tree (each branch's points,
+# then its radius as a little-endian float64), so a refactor of the
+# generator is checked voxel for voxel
+PHANTOM_GEOMETRY_DIGEST = "201ecdcf4de274e48ceab8c8b35db5913d120063c53ac694d19072c84411dd48"
+
+
+def test_phantom_geometry_is_pinned(scene):
+    h = hashlib.sha256()
+    for vol in (scene.body, scene.hv_annotation, scene.hv_branch_annotation):
+        h.update(vol.data.tobytes())
+    for br in scene.tree.branches:
+        h.update(br.points.tobytes())
+        h.update(struct.pack("<d", br.radius))
+    assert h.hexdigest() == PHANTOM_GEOMETRY_DIGEST
 
 
 def test_annotation_is_exactly_the_tube_set(scene):
     """Marked voxels are within a branch radius of its centerline, and vice versa."""
-    sp = scene.params.spacing_mm
+    sp = PhantomParams.spacing_mm
     ann = scene.hv_annotation.data
     rng = np.random.default_rng(3)
 
@@ -85,16 +103,16 @@ def test_branch_oracle_is_subset_within_window(scene):
     assert branch.sum() > 0
     # restricted to the trunk/middle-vein window: extent along x stays within
     # branch_window + radius of the branching point
-    sp = scene.params.spacing_mm
+    sp = PhantomParams.spacing_mm
     xs = np.argwhere(branch)[:, 0] * sp
     bp_x = scene.tree.branch_point[0]
-    limit = scene.params.branch_window_mm + max(scene.params.radius_trunk, scene.params.radius_mhv)
+    limit = PhantomParams.branch_window_mm + max(PhantomParams.radius_trunk, PhantomParams.radius_mhv)
     assert xs.min() >= bp_x - limit - sp and xs.max() <= bp_x + limit + sp
 
 
 def test_two_lobe_cross_section_near_branch_point(scene):
     """Within two slices of the branching point some axial slice shows >= 2 lobes."""
-    sp = scene.params.spacing_mm
+    sp = PhantomParams.spacing_mm
     slice_idx = int(round(scene.tree.branch_point[0] / sp))
     found = max(
         count_components(scene.hv_annotation.data[slice_idx + d])
@@ -104,21 +122,21 @@ def test_two_lobe_cross_section_near_branch_point(scene):
 
 
 def test_vessels_stay_below_surface(scene):
-    sp = scene.params.spacing_mm
-    for vox in np.argwhere(scene.hv_annotation.data)[::17]:
+    sp = PhantomParams.spacing_mm
+    for vox in np.argwhere(scene.hv_annotation.data):
         x, y, z = vox * sp
         top = scene.surface_height(x, y)
         assert z < top
 
 
 def test_surface_height_values(scene):
-    p = scene.params
+    p = PhantomParams
     assert scene.surface_height(10.0, p.body_center_y) == pytest.approx(p.body_center_z + p.body_semi_z)
     assert np.isnan(scene.surface_height(10.0, p.body_center_y + p.body_semi_y + 1))
 
 
 def test_body_mask_is_the_extruded_ellipse(scene):
-    p = scene.params
+    p = PhantomParams
     body = scene.body.data
     assert body.dtype == np.uint8 and set(np.unique(body)) == {0, 1}
     # every voxel center inside the (y, z) ellipse, on every x slab
@@ -160,7 +178,7 @@ def test_placement_yaw_limit():
 
 def test_target_grid_layout(scene):
     targets = target_grid(scene)
-    p = scene.params
+    p = PhantomParams
     assert targets.shape == (p.targets_along * p.targets_across, 3)
     assert len(np.unique(targets[:, 2])) == 1  # single depth
     xs = np.unique(targets[:, 0])
@@ -177,18 +195,10 @@ def test_target_grid_is_in_ct_frame_after_placement():
     np.testing.assert_allclose(target_grid(moved), target_grid(base), atol=1e-9)
 
 
-def test_target_grid_rejects_overrun():
-    params = PhantomParams(target_span_x=400.0)
-    scene = generate_phantom(seed=0, params=params)
-    with pytest.raises(ValueError):
+def test_target_grid_rejects_overrun(scene, monkeypatch):
+    monkeypatch.setattr(PhantomParams, "target_span_x", 400.0)
+    with pytest.raises(ValueError, match="outside the CT volume"):
         target_grid(scene)
-
-
-def test_generate_rejects_degenerate_params():
-    with pytest.raises(ValueError):
-        generate_phantom(seed=0, params=PhantomParams(radius_mhv=0.0))
-    with pytest.raises(ValueError):
-        generate_phantom(seed=0, params=PhantomParams(volume_shape=(8, 8, 8)))
 
 
 def test_branch_polyline_step_limit():
@@ -200,6 +210,10 @@ def test_branch_polyline_step_limit():
 def test_scene_round_trip(tmp_path, scene):
     moved = place_phantom(scene, offset=(5.0, 2.0, 0.0), yaw_deg=-3.0)
     path = save_scene(moved, tmp_path / "scene")
+    desc = json.loads(path.read_text())
+    # the geometry is fixed, so the descriptor holds only what placement moves
+    assert desc["format_version"] == 3 and "params" not in desc
+    assert set(desc["surface"]) == {"frame"}
     back = load_scene(path)
     assert back.body.data.dtype == np.uint8
     np.testing.assert_array_equal(back.body.data, moved.body.data)
@@ -213,12 +227,13 @@ def test_scene_round_trip(tmp_path, scene):
     assert back.surface_height(100.0, 95.0) == pytest.approx(moved.surface_height(100.0, 95.0), abs=1e-9)
 
 
-def test_load_scene_rejects_format_1(tmp_path, scene):
+@pytest.mark.parametrize("version", [1, 2])
+def test_load_scene_rejects_old_formats(tmp_path, scene, version):
     path = save_scene(scene, tmp_path / "scene")
     desc = json.loads(path.read_text())
-    desc["format_version"] = 1
+    desc["format_version"] = version
     path.write_text(json.dumps(desc))
-    with pytest.raises(ValueError, match="unsupported scene format 1"):
+    with pytest.raises(ValueError, match=f"unsupported scene format {version}"):
         load_scene(path)
 
 
@@ -232,10 +247,11 @@ def test_branch_point_index_consistency(scene):
 def _per_call_height(surface, x, y):
     """The skin height with the surface frame inverted on every call."""
     q = inverse(surface.frame).apply([float(x), float(y), 0.0])
-    rel = (q[1] - surface.center_y) / surface.semi_y
+    p = PhantomParams
+    rel = (q[1] - p.body_center_y) / p.body_semi_y
     if abs(rel) >= 1.0:
         return math.nan
-    z_intrinsic = surface.center_z + surface.semi_z * math.sqrt(1.0 - rel * rel)
+    z_intrinsic = p.body_center_z + p.body_semi_z * math.sqrt(1.0 - rel * rel)
     return z_intrinsic + float(surface.frame.translation[2])
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from usreg_sim import pipeline, probe
 from usreg_sim.imgvol import Volume3, dice, physical_to_voxel, sample_at_physical
-from usreg_sim.phantom import generate_phantom, place_phantom
+from usreg_sim.phantom import PhantomParams, generate_phantom, place_phantom
 from usreg_sim.pipeline import judge_success, target_imaging
 from usreg_sim.probe import (
     NoiseModel,
@@ -52,8 +52,8 @@ def test_pixel_origin_geometry(scene):
 
 def test_two_lobe_mask_one_slice_from_branch_point():
     scene = place_phantom(generate_phantom(seed=3), (18.0, -12.0, 0.0))
-    bp = scene.placement.apply(np.asarray(scene.params.branch_point, dtype=float))
-    slice_mm = scene.params.spacing_mm
+    bp = scene.placement.apply(np.asarray(PhantomParams.branch_point, dtype=float))
+    slice_mm = PhantomParams.spacing_mm
     for dx in (-slice_mm, slice_mm):
         frame = capture_us(scene, move_to(scene, bp[0] + dx, bp[1]))
         comps = count_components(frame.mask_truth)
@@ -194,7 +194,7 @@ def _label_sizes(mask):
 
 def test_default_noise_dice_band():
     scene = place_phantom(generate_phantom(seed=3), (10.0, -5.0, 0.0))
-    bp = scene.placement.apply(np.asarray(scene.params.branch_point, dtype=float))
+    bp = scene.placement.apply(np.asarray(PhantomParams.branch_point, dtype=float))
     noise = NoiseModel.default(seed=7)
     scores = []
     for x in np.linspace(bp[0] - 30.0, bp[0] + 30.0, 64):
@@ -206,7 +206,7 @@ def test_default_noise_dice_band():
 
 def test_initial_contact_lands_near_branch_point(scene):
     contact = initial_contact(scene)
-    bp = np.asarray(scene.params.branch_point, dtype=float)
+    bp = np.asarray(PhantomParams.branch_point, dtype=float)
     assert abs(contact[0] - bp[0]) <= 10.0
     assert abs(contact[1] - bp[1]) <= 10.0
     assert contact[2] == pytest.approx(scene.surface_height(contact[0], contact[1]))
