@@ -32,6 +32,7 @@ from .harness import (
 from .imgvol import load_volume
 from .phantom import generate_phantom, place_phantom, save_scene
 from .pipeline import coordinate_map
+from .probe import NOISE_PRESETS
 from .registration import mutual_information
 
 EXIT_OK = 0
@@ -95,6 +96,8 @@ def _cmd_run_trial(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     try:
         trial = run_trial(cfg, args.index)
+    except ConfigError as exc:
+        raise ConfigError(f"--index: {exc}") from exc
     except (RuntimeError, ValueError) as exc:
         print(f"trial {args.index} failed: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
@@ -139,7 +142,7 @@ def _add_config_options(p: argparse.ArgumentParser) -> None:
                    help="sweep config file (defaults apply when omitted)")
     p.add_argument("--trials", type=int, metavar="N", help="override trial count")
     p.add_argument("--seed", type=int, metavar="S", help="override master seed")
-    p.add_argument("--noise-preset", choices=["zero", "default"],
+    p.add_argument("--noise-preset", choices=sorted(NOISE_PRESETS),
                    help="override noise preset")
 
 

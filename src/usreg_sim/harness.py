@@ -183,8 +183,11 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialResult:
     """One end-to-end follow-up scan; fully determined by (cfg, index).
 
     A search that exhausts its waypoints is recorded as a failed trial with
-    zero targets attempted, not raised.
+    zero targets attempted, not raised. A negative or non-integer ``index``
+    is a ConfigError.
     """
+    if not isinstance(index, (int, np.integer)) or index < 0:
+        raise ConfigError(f"trial index must be a nonnegative integer, got {index!r}")
     rng = np.random.default_rng([cfg.seed, index])
     offset_x = float(rng.uniform(-PLACEMENT_X_MM, PLACEMENT_X_MM))
     offset_y = float(rng.uniform(-PLACEMENT_Y_MM, PLACEMENT_Y_MM))

@@ -291,8 +291,15 @@ def _phantom_geometry() -> PhantomScene:
 
 
 def place_phantom(scene: PhantomScene, offset, yaw_deg: float = 0.0) -> PhantomScene:
-    """Move the phantom: yaw about z first, then translate by ``offset`` mm."""
-    if abs(yaw_deg) > 10.0:
+    """Move the phantom: yaw about z first, then translate by ``offset`` mm.
+
+    ``offset`` must be 3 finite numbers and ``yaw_deg`` finite with
+    magnitude at most 10; anything else is a ValueError.
+    """
+    offset = np.asarray(offset, dtype=np.float64)
+    if offset.shape != (3,) or not np.isfinite(offset).all():
+        raise ValueError(f"offset must be 3 finite numbers, got {offset.tolist()}")
+    if not abs(yaw_deg) <= 10.0:
         raise ValueError(f"|yaw| must be at most 10 degrees, got {yaw_deg}")
     motion = compose(translation(offset), RigidTransform3(rotation_z(yaw_deg), np.zeros(3)))
 

@@ -129,7 +129,7 @@ def _largest_component_stats(mask: np.ndarray) -> tuple[float, float]:
     return area, float(cols.mean())
 
 
-def hv_search(scene: PhantomScene, noise: NoiseModel, p0: np.ndarray) -> SearchResult:
+def hv_search(scene: PhantomScene, noise: NoiseModel | None, p0: np.ndarray) -> SearchResult:
     """Find and laterally center the vein junction near the contact point.
 
     Steps the waypoint pattern around ``p0``; detection fires when the
@@ -186,7 +186,7 @@ def hv_search(scene: PhantomScene, noise: NoiseModel, p0: np.ndarray) -> SearchR
     )
 
 
-def hv_acquire(scene: PhantomScene, noise: NoiseModel, branch_pos: np.ndarray) -> Volume3:
+def hv_acquire(scene: PhantomScene, noise: NoiseModel | None, branch_pos: np.ndarray) -> Volume3:
     """Sweep ``ACQ_SLICES`` equally spaced axial slices spanning ``ACQ_LENGTH_MM``.
 
     The sweep is centered on the junction position along the
@@ -303,7 +303,7 @@ def _target_template(
 
 def slice_match(
     scene: PhantomScene,
-    noise: NoiseModel,
+    noise: NoiseModel | None,
     target_ct: np.ndarray,
     ct_to_physical: RigidTransform3,
     branch_pos: np.ndarray,

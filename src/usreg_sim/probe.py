@@ -16,7 +16,7 @@ identity (every scene placed without yaw) is read by ``gather_nearest``:
 one slab index for the frame, one row index per lateral pixel and one
 column index per depth pixel, which reads the same values as the general
 sampler. The learned segmentation networks of the real system
-are replaced by ground-truth oracles plus a parametric corruption model.
+are replaced by ground-truth oracles plus one fixed corruption model.
 """
 
 from __future__ import annotations
@@ -104,59 +104,30 @@ class UltrasoundFrame:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Parametric corruption standing in for network segmentation errors.
+    """The one corruption standing in for network segmentation errors.
 
-    ``pixel_flip_rate`` is a per-pixel XOR probability, ``spurious_blob_rate``
-    the expected count of small false-positive discs per frame with areas
-    drawn from ``blob_size`` (pixels), and ``morph_jitter`` the half-range of
-    a per-frame dilation/erosion draw. Output is deterministic given the
-    seed and the frame being segmented.
+    The corruption is fixed; callers read the class attributes.
+    ``pixel_flip_rate`` is a per-pixel XOR probability,
+    ``spurious_blob_rate`` the expected count of small false-positive discs
+    per frame with areas drawn from ``blob_size`` (pixels), and
+    ``morph_jitter`` the half-range of a per-frame dilation/erosion draw.
+    They are calibrated so the oracle's mean Dice lands in the low 0.8s. An
+    instance holds only the seed: output is deterministic given the seed and
+    the frame being segmented. No corruption is no model (``None``).
     """
 
-    pixel_flip_rate: float = 0.0
-    spurious_blob_rate: float = 0.0
-    blob_size: tuple[int, int] = (10, 40)
-    morph_jitter: int = 0
+    pixel_flip_rate = 0.003
+    spurious_blob_rate = 1.5
+    blob_size = (10, 30)
+    morph_jitter = 1
+
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.pixel_flip_rate <= 1.0:
-            raise ValueError("pixel_flip_rate must be in [0, 1]")
-        if self.spurious_blob_rate < 0:
-            raise ValueError("spurious_blob_rate must be nonnegative")
-        lo, hi = self.blob_size
-        if lo < 1 or hi < lo:
-            raise ValueError(f"blob_size must satisfy 1 <= lo <= hi, got {self.blob_size}")
-        if self.morph_jitter < 0:
-            raise ValueError("morph_jitter must be nonnegative")
 
-    @classmethod
-    def zero(cls, seed: int = 0) -> "NoiseModel":
-        """No corruption: segmentation equals the oracle exactly."""
-        return cls(seed=seed)
-
-    @classmethod
-    def default(cls, seed: int = 0) -> "NoiseModel":
-        """Calibrated preset: oracle Dice lands in the low-0.8s band."""
-        return cls(
-            pixel_flip_rate=0.003,
-            spurious_blob_rate=1.5,
-            blob_size=(10, 30),
-            morph_jitter=1,
-            seed=seed,
-        )
-
-    def is_zero(self) -> bool:
-        return (
-            self.pixel_flip_rate == 0.0
-            and self.spurious_blob_rate == 0.0
-            and self.morph_jitter == 0
-        )
-
-
+# a trial's segmentation noise by preset name, built from the trial's seed
 NOISE_PRESETS = {
-    "zero": NoiseModel.zero,
-    "default": NoiseModel.default,
+    "zero": lambda seed: None,
+    "default": NoiseModel,
 }
 
 
@@ -255,7 +226,7 @@ def _cross_step(mask: np.ndarray, grow: bool) -> np.ndarray:
     return out
 
 
-def _corrupt(mask: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> np.ndarray:
+def _corrupt(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Segmentation corruption: morphological jitter, spurious blobs, pixel flips.
 
     A jitter draw j dilates (j > 0) or erodes (j < 0) the mask by |j| steps
@@ -264,44 +235,42 @@ def _corrupt(mask: np.ndarray, noise: NoiseModel, rng: np.random.Generator) -> n
     dilation/erosion with the default structure and a zero border.
     """
     out = mask.astype(bool)
-    if noise.morph_jitter > 0:
-        j = int(rng.integers(-noise.morph_jitter, noise.morph_jitter + 1))
-        for _ in range(abs(j)):
-            out = _cross_step(out, grow=j > 0)
-    if noise.spurious_blob_rate > 0:
-        lo, hi = noise.blob_size
-        n_blobs = int(rng.poisson(noise.spurious_blob_rate))
-        lx, ly = out.shape
-        for _ in range(n_blobs):
-            area = int(rng.integers(lo, hi + 1))
-            cj = int(rng.integers(0, lx))
-            ck = int(rng.integers(0, ly))
-            r = math.sqrt(area / math.pi)
-            # the disc's clipped bounding window; every pixel outside it is
-            # farther than r from the center
-            w = math.ceil(r)
-            j0, j1 = max(cj - w, 0), min(cj + w + 1, lx)
-            k0, k1 = max(ck - w, 0), min(ck + w + 1, ly)
-            jj, kk = np.ogrid[j0:j1, k0:k1]
-            out[j0:j1, k0:k1] |= (jj - cj) ** 2 + (kk - ck) ** 2 <= r * r
-    if noise.pixel_flip_rate > 0:
-        flips = rng.random(out.shape) < noise.pixel_flip_rate
-        out ^= flips
+    jitter = NoiseModel.morph_jitter
+    j = int(rng.integers(-jitter, jitter + 1))
+    for _ in range(abs(j)):
+        out = _cross_step(out, grow=j > 0)
+    lo, hi = NoiseModel.blob_size
+    n_blobs = int(rng.poisson(NoiseModel.spurious_blob_rate))
+    lx, ly = out.shape
+    for _ in range(n_blobs):
+        area = int(rng.integers(lo, hi + 1))
+        cj = int(rng.integers(0, lx))
+        ck = int(rng.integers(0, ly))
+        r = math.sqrt(area / math.pi)
+        # the disc's clipped bounding window; every pixel outside it is
+        # farther than r from the center
+        w = math.ceil(r)
+        j0, j1 = max(cj - w, 0), min(cj + w + 1, lx)
+        k0, k1 = max(ck - w, 0), min(ck + w + 1, ly)
+        jj, kk = np.ogrid[j0:j1, k0:k1]
+        out[j0:j1, k0:k1] |= (jj - cj) ** 2 + (kk - ck) ** 2 <= r * r
+    out ^= rng.random(out.shape) < NoiseModel.pixel_flip_rate
     return out.astype(np.uint8)
 
 
-def _segment(frame: UltrasoundFrame, truth: np.ndarray, noise: NoiseModel, tag: str) -> np.ndarray:
-    if noise.is_zero():
+def _segment(
+    frame: UltrasoundFrame, truth: np.ndarray, noise: NoiseModel | None, tag: str
+) -> np.ndarray:
+    if noise is None:
         return truth
-    rng = _frame_rng(noise, frame, tag)
-    return _read_only(_corrupt(truth, noise, rng))
+    return _read_only(_corrupt(truth, _frame_rng(noise, frame, tag)))
 
 
-def segment_full(frame: UltrasoundFrame, noise: NoiseModel) -> np.ndarray:
-    """Full-vein segmentation: the truth mask under the corruption model."""
+def segment_full(frame: UltrasoundFrame, noise: NoiseModel | None) -> np.ndarray:
+    """Full-vein segmentation: the truth mask, corrupted unless ``noise`` is None."""
     return _segment(frame, frame.mask_truth, noise, "full")
 
 
-def segment_branch(frame: UltrasoundFrame, noise: NoiseModel) -> np.ndarray:
+def segment_branch(frame: UltrasoundFrame, noise: NoiseModel | None) -> np.ndarray:
     """Junction-local segmentation: the branch truth under the same model."""
     return _segment(frame, frame.branch_truth, noise, "branch")

@@ -226,7 +226,7 @@ def test_acceptance_6_noisy_success_curve_grows_with_scan_range(tmp_path):
 def test_acceptance_7_segmentation_oracle_dice_band():
     scene = place_phantom(generate_phantom(seed=3), (10.0, -5.0, 0.0))
     bp = scene.placement.apply(np.asarray(PhantomParams.branch_point, dtype=float))
-    noise = NoiseModel.default(seed=7)
+    noise = NoiseModel(seed=7)
     scores = []
     for x in np.linspace(bp[0] - 30.0, bp[0] + 30.0, 64):
         frame = capture_us(scene, move_to(scene, float(x), bp[1]))

@@ -122,6 +122,14 @@ def test_run_trial_rejects_epsilon_longer_than_phantom(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+def test_run_trial_rejects_negative_index(capsys):
+    # a config error before the trial runs, not a pipeline failure (exit 3)
+    assert main(["run-trial", "--index", "-1"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: --index: ") and "-1" in captured.err
+
+
 def test_sweep_rejects_unparseable_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -329,3 +337,16 @@ def test_phantom_gen_roundtrip(tmp_path, capsys):
     scene = load_scene(out)
     assert scene.seed == 7
     assert np.allclose(scene.placement.translation, [18.0, -12.0, 0.0])
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--offset-x", "nan", "offset"),
+    ("--offset-y", "inf", "offset"),
+    ("--yaw", "nan", "yaw"),
+])
+def test_phantom_gen_rejects_non_finite_placement(tmp_path, capsys, flag, value, name):
+    out = tmp_path / "scene"
+    assert main(["phantom", "gen", "--out", str(out), flag, value]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and err.count("\n") == 1
+    assert not out.exists()

@@ -176,6 +176,22 @@ def test_placement_yaw_limit():
         place_phantom(base, offset=(0, 0, 0), yaw_deg=11.0)
 
 
+@pytest.mark.parametrize("yaw", [math.nan, math.inf, -math.inf])
+def test_placement_rejects_non_finite_yaw(yaw):
+    # a NaN yaw fails every comparison, so the limit is written to reject it
+    with pytest.raises(ValueError, match="yaw"):
+        place_phantom(generate_phantom(seed=2), offset=(0, 0, 0), yaw_deg=yaw)
+
+
+@pytest.mark.parametrize("offset", [
+    (math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, -math.inf),
+    (1.0, 2.0), (1.0, 2.0, 3.0, 4.0),
+], ids=["nan-x", "inf-y", "-inf-z", "two", "four"])
+def test_placement_rejects_offset_not_three_finite_numbers(offset):
+    with pytest.raises(ValueError, match="offset must be 3 finite numbers"):
+        place_phantom(generate_phantom(seed=2), offset=offset)
+
+
 def test_target_grid_layout(scene):
     targets = target_grid(scene)
     p = PhantomParams

@@ -1,8 +1,9 @@
 """Pipeline stage tests: search, acquisition, mapping, matching, judging.
 
-The module-scoped fixtures run the zero-noise pipeline once on a placed
-phantom; individual tests check each stage's contract against independent
-recomputations rather than against the stage's own bookkeeping.
+The module-scoped fixtures run the zero-noise pipeline (``noise=None``, no
+corruption model) once on a placed phantom; individual tests check each
+stage's contract against independent recomputations rather than against
+the stage's own bookkeeping.
 """
 import dataclasses
 import math
@@ -61,25 +62,20 @@ def scene():
 
 
 @pytest.fixture(scope="module")
-def quiet():
-    return NoiseModel.zero(0)
-
-
-@pytest.fixture(scope="module")
 def contact(scene):
     return initial_contact(scene)
 
 
 @pytest.fixture(scope="module")
-def found(scene, quiet, contact):
-    result = hv_search(scene, quiet, contact)
+def found(scene, contact):
+    result = hv_search(scene, None, contact)
     assert result.success
     return result
 
 
 @pytest.fixture(scope="module")
-def acquired(scene, quiet, found):
-    return hv_acquire(scene, quiet, found.position)
+def acquired(scene, found):
+    return hv_acquire(scene, None, found.position)
 
 
 @pytest.fixture(scope="module")
@@ -95,13 +91,13 @@ def cmap(acquired, ct_veins):
 # ----------------------------------------------------------------- search
 
 
-def test_search_detects_and_centers_from_offset_start(scene, quiet, contact):
+def test_search_detects_and_centers_from_offset_start(scene, contact):
     start = contact + np.array([0.0, 7.0, 0.0])
-    result = hv_search(scene, quiet, start)
+    result = hv_search(scene, None, start)
     assert result.success
     # verify the exit condition independently of the result's bookkeeping
     pos = move_to(scene, result.position[0], result.position[1])
-    mask = segment_branch(capture_us(scene, pos), quiet)
+    mask = segment_branch(capture_us(scene, pos), None)
     comp = largest_connected_component(mask)
     area = comp.sum()
     col = np.argwhere(comp)[:, 0].mean()
@@ -112,11 +108,11 @@ def test_search_detects_and_centers_from_offset_start(scene, quiet, contact):
     assert result.final_center_offset_px == pytest.approx(offset)
 
 
-def test_search_failure_when_annotation_empty(scene, quiet, contact):
+def test_search_failure_when_annotation_empty(scene, contact):
     old = scene.hv_branch_annotation
     empty = Volume3(np.zeros_like(old.data), old.spacing, old.origin, old.axes)
     bare = dataclasses.replace(scene, hv_branch_annotation=empty)
-    result = hv_search(bare, quiet, contact)
+    result = hv_search(bare, None, contact)
     assert not result.success
     assert result.position is None
     assert result.waypoints_visited == 9  # line pattern, +-20 mm at 5 mm pitch
@@ -124,9 +120,9 @@ def test_search_failure_when_annotation_empty(scene, quiet, contact):
     assert math.isnan(result.final_center_offset_px)
 
 
-def test_search_failure_when_threshold_unreachable(scene, quiet, contact, monkeypatch):
+def test_search_failure_when_threshold_unreachable(scene, contact, monkeypatch):
     monkeypatch.setattr(pipeline, "SEARCH_DETECT_AREA_PX", 1e9)
-    result = hv_search(scene, quiet, contact)
+    result = hv_search(scene, None, contact)
     assert not result.success
     assert result.waypoints_visited == 9
     assert result.final_area > 0  # it saw the vessel, just never enough of it
@@ -143,21 +139,21 @@ def _blob_scene(scene, offset_mm):
     return dataclasses.replace(scene, hv_branch_annotation=blob)
 
 
-def test_search_centering_raises_when_vessel_lost(scene, quiet, contact, monkeypatch):
+def test_search_centering_raises_when_vessel_lost(scene, contact, monkeypatch):
     # a 60 mm bang-bang step flies clean past the 12 mm blob and off it
     tiny = _blob_scene(scene, [0.0, 7.0, -25.0])
     monkeypatch.setattr(pipeline, "SEARCH_STEP_MM", 60.0)
     with pytest.raises(RuntimeError, match="lost the vessel"):
-        hv_search(tiny, quiet, contact)
+        hv_search(tiny, None, contact)
 
 
-def test_search_centering_raises_when_oscillating(scene, quiet, contact, monkeypatch):
+def test_search_centering_raises_when_oscillating(scene, contact, monkeypatch):
     # a 20 mm step overshoots back and forth without ever settling
     tiny = _blob_scene(scene, [0.0, 7.0, -25.0])
     monkeypatch.setattr(pipeline, "SEARCH_STEP_MM", 20.0)
     monkeypatch.setattr(pipeline, "SEARCH_MAX_CENTER_ITERATIONS", 6)
     with pytest.raises(RuntimeError, match="did not settle within 6 iterations"):
-        hv_search(tiny, quiet, contact)
+        hv_search(tiny, None, contact)
 
 
 # ------------------------------------------------------------ acquisition
@@ -179,7 +175,7 @@ def test_acquisition_geometry(scene, acquired, found):
 
 def test_acquisition_first_slice_is_probe_segmentation(scene, found):
     w0 = move_to(scene, found.position[0] - 30.0, found.position[1])
-    for noise in (NoiseModel.zero(0), NoiseModel.default(11)):
+    for noise in (None, NoiseModel(11)):
         stack = hv_acquire(scene, noise, found.position)
         direct = segment_full(capture_us(scene, w0), noise)
         assert np.array_equal(stack.data[0], direct)
@@ -237,13 +233,13 @@ def test_coordinate_map_validation(ct_veins):
 # ------------------------------------------------------------ slice match
 
 
-def test_slice_match_exact_map_keeps_estimate(scene, quiet, found, ct_veins):
+def test_slice_match_exact_map_keeps_estimate(scene, found, ct_veins):
     targets = target_grid(scene)
     lattice_pitch = 20.0 / 21
     for ti in (10, 50, 90):
         truth = scene.placement.apply(targets[ti])
         sm = slice_match(
-            scene, quiet, targets[ti], scene.placement, found.position, ct_veins
+            scene, None, targets[ti], scene.placement, found.position, ct_veins
         )
         assert np.allclose(sm.mapped, truth)
         assert abs(sm.corrected[0] - truth[0]) <= lattice_pitch
@@ -253,30 +249,30 @@ def test_slice_match_exact_map_keeps_estimate(scene, quiet, found, ct_veins):
         assert np.all(np.diff(sm.waypoint_xs) > 0)
 
 
-def test_slice_match_corrects_offset_map(scene, quiet, found, ct_veins):
+def test_slice_match_corrects_offset_map(scene, found, ct_veins):
     targets = target_grid(scene)
     bad = compose(translation([3.0, 0.0, 0.0]), scene.placement)
     target = targets[40]  # near the junction, where slices are distinctive
     truth = scene.placement.apply(target)
-    sm = slice_match(scene, quiet, target, bad, found.position, ct_veins)
+    sm = slice_match(scene, None, target, bad, found.position, ct_veins)
     assert abs(sm.mapped[0] - truth[0]) == pytest.approx(3.0)
     assert abs(sm.corrected[0] - truth[0]) < 1.0
 
 
 def test_slice_match_empty_template_falls_back_to_estimate(
-    scene, quiet, found, ct_veins
+    scene, found, ct_veins
 ):
     # a slice far inferior of the vein tree: nothing to match against
     xs = np.nonzero(ct_veins.data.any(axis=(1, 2)))[0]
     x_lo = ct_veins.origin[0] + ct_veins.spacing[0] * xs.min()
     target = np.array([x_lo - 10.0, 95.0, 58.0])
-    sm = slice_match(scene, quiet, target, scene.placement, found.position, ct_veins)
+    sm = slice_match(scene, None, target, scene.placement, found.position, ct_veins)
     assert np.all(sm.scores == 0)
     assert np.array_equal(sm.corrected, sm.mapped)
 
 
 def test_slice_match_scores_equal_per_frame_omia(scene, found, ct_veins):
-    noise = NoiseModel.default(seed=12)
+    noise = NoiseModel(seed=12)
     targets = target_grid(scene)
     bad = compose(translation([2.0, 0.0, 0.0]), scene.placement)
     for ti in (40, 55):
@@ -383,7 +379,7 @@ def test_ct_frame_volume_undoes_placement(scene):
 
 
 def test_search_and_acquisition_deterministic_under_noise(scene, contact):
-    noisy = NoiseModel.default(21)
+    noisy = NoiseModel(21)
     r1 = hv_search(scene, noisy, contact)
     r2 = hv_search(scene, noisy, contact)
     assert r1.success and r2.success

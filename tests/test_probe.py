@@ -11,6 +11,7 @@ from usreg_sim.imgvol import Volume3, dice, physical_to_voxel, sample_at_physica
 from usreg_sim.phantom import PhantomParams, generate_phantom, place_phantom
 from usreg_sim.pipeline import judge_success, target_imaging
 from usreg_sim.probe import (
+    NOISE_PRESETS,
     NoiseModel,
     ProbeParams,
     capture_grid,
@@ -24,6 +25,14 @@ from usreg_sim.probe import (
 from _oracles import count_components, eager_capture, reference_corrupt
 
 FIELDS = ("mask_truth", "branch_truth")
+NOISE_DEFAULTS = {name: getattr(NoiseModel, name)
+                  for name in ("pixel_flip_rate", "spurious_blob_rate", "blob_size", "morph_jitter")}
+
+
+def _set_noise(monkeypatch, **values):
+    """Set ``NoiseModel``'s corruption values for one test."""
+    for name, value in values.items():
+        monkeypatch.setattr(NoiseModel, name, value)
 
 
 @pytest.fixture(scope="module")
@@ -81,15 +90,15 @@ def test_far_lateral_capture_is_empty(scene):
 def test_zero_noise_segmentation_is_exact(scene):
     frame = capture_us(scene, move_to(scene, 64.0, 95.0))
     assert frame.mask_truth.sum() > 0
-    full = segment_full(frame, NoiseModel.zero())
-    branch = segment_branch(frame, NoiseModel.zero())
+    full = segment_full(frame, None)
+    branch = segment_branch(frame, None)
     assert np.array_equal(full, frame.mask_truth)
     assert np.array_equal(branch, frame.branch_truth)
 
 
 def test_segmentation_bit_reproducible(scene):
     frame = capture_us(scene, move_to(scene, 62.0, 96.0))
-    noise = NoiseModel.default(seed=5)
+    noise = NoiseModel(seed=5)
     out1 = segment_full(frame, noise)
     out2 = segment_full(frame, noise)
     assert np.array_equal(out1, out2)
@@ -102,12 +111,14 @@ def test_segmentation_bit_reproducible(scene):
     out_branch = segment_branch(frame, noise)
     assert not np.array_equal(out_branch, out1)
 
-    other_seed = segment_full(frame, NoiseModel.default(seed=6))
+    other_seed = segment_full(frame, NoiseModel(seed=6))
     assert not np.array_equal(other_seed, out1)
 
 
-def test_blob_noise_components_stay_small(scene):
-    noise = NoiseModel(spurious_blob_rate=2.0, blob_size=(10, 40), seed=11)
+def test_blob_noise_components_stay_small(scene, monkeypatch):
+    _set_noise(monkeypatch, pixel_flip_rate=0.0, spurious_blob_rate=2.0, blob_size=(10, 40),
+               morph_jitter=0)
+    noise = NoiseModel(seed=11)
     area_limit = 160  # detection threshold at this image scale
     for x in np.linspace(40.0, 90.0, 6):
         frame = capture_us(scene, move_to(scene, float(x), 165.0))
@@ -136,24 +147,27 @@ class _PinnedCentres:
         return getattr(self._rng, name)
 
 
-def test_corrupt_matches_full_frame_reference():
+def test_corrupt_matches_full_frame_reference(monkeypatch):
     lx, ly = ProbeParams.image_shape
     centres = [
         (0, 0), (0, ly - 1), (lx - 1, 0), (lx - 1, ly - 1),  # corners
         (0, ly // 2), (lx - 1, ly // 2), (lx // 2, 0), (lx // 2, ly - 1),  # edges
         (1, 2), (lx - 3, ly - 2),  # one or two pixels in
     ]
-    # the presets draw |j| <= 1; morph_jitter=3 also runs 2- and 3-step
-    # dilation and erosion against scipy's iterations
+    # the model draws |j| <= 1; morph_jitter=3 also runs 2- and 3-step
+    # dilation and erosion against scipy's iterations, and the last model
+    # flips pixels after a frame with no blobs. ``_corrupt`` draws the blob
+    # count even at rate 0, where ``poisson(0)`` consumes no generator draw,
+    # so it matches the oracle that skips it. Every model keeps a nonzero
+    # jitter: the pinned generator would answer a zero-width jitter draw.
     models = [
-        NoiseModel.default(),
-        NoiseModel.zero(),
-        NoiseModel(spurious_blob_rate=6.0, blob_size=(1, 60), morph_jitter=1),
-        NoiseModel(morph_jitter=3),
+        {},
+        dict(pixel_flip_rate=0.0, spurious_blob_rate=6.0, blob_size=(1, 60)),
+        dict(pixel_flip_rate=0.0, spurious_blob_rate=0.0, morph_jitter=3),
+        dict(pixel_flip_rate=0.05, spurious_blob_rate=0.0, morph_jitter=2),
     ]
     rng = np.random.default_rng(71)
-    calls = 0
-    jitters = set()
+    frames = []
     for seed in range(40):
         sparse = (rng.random((lx, ly)) < 0.02).astype(np.uint8)
         # a dense mask with holes that touches all four frame edges, so
@@ -161,28 +175,32 @@ def test_corrupt_matches_full_frame_reference():
         edges = (rng.random((lx, ly)) >= 0.05).astype(np.uint8)
         assert edges[0].any() and edges[-1].any() and edges[:, 0].any() and edges[:, -1].any()
         pinned = centres[seed % len(centres):] + centres[:seed % len(centres)]
-        # the jitter is the first draw of a segmentation's generator
-        jitters.add(int(np.random.default_rng(seed).integers(-3, 4)))
-        for mask in (sparse, edges):
-            for noise in models:
-                for make_rng in (np.random.default_rng, lambda s: _PinnedCentres(s, pinned)):
-                    got = probe._corrupt(mask, noise, make_rng(seed))
-                    want = reference_corrupt(mask, noise, make_rng(seed))
-                    assert np.array_equal(got, want)
-                    calls += 1
+        frames += [(seed, sparse, pinned), (seed, edges, pinned)]
+    # the jitter is the first draw of a segmentation's generator
+    jitters = {int(np.random.default_rng(seed).integers(-3, 4)) for seed in range(40)}
     assert jitters == set(range(-3, 4))
+    calls = 0
+    for values in models:
+        _set_noise(monkeypatch, **{**NOISE_DEFAULTS, **values})
+        for seed, mask, pinned in frames:
+            for make_rng in (np.random.default_rng, lambda s: _PinnedCentres(s, pinned)):
+                got = probe._corrupt(mask, make_rng(seed))
+                want = reference_corrupt(mask, NoiseModel(), make_rng(seed))
+                assert np.array_equal(got, want)
+                calls += 1
     assert calls >= 600
 
 
-def test_corrupt_jitter_matches_reference_on_small_frames():
+def test_corrupt_jitter_matches_reference_on_small_frames(monkeypatch):
     # frames one or two pixels across are all border: erosion clears them
-    noise = NoiseModel(morph_jitter=3)
+    _set_noise(monkeypatch, pixel_flip_rate=0.0, spurious_blob_rate=0.0, morph_jitter=3)
     rng = np.random.default_rng(73)
     for shape in ((1, 1), (1, 5), (5, 1), (2, 2), (3, 7)):
         for seed in range(30):
             mask = (rng.random(shape) < rng.uniform(0.2, 1.0)).astype(np.uint8)
-            got = probe._corrupt(mask, noise, np.random.default_rng(seed))
-            assert np.array_equal(got, reference_corrupt(mask, noise, np.random.default_rng(seed)))
+            got = probe._corrupt(mask, np.random.default_rng(seed))
+            want = reference_corrupt(mask, NoiseModel(), np.random.default_rng(seed))
+            assert np.array_equal(got, want)
 
 
 def _label_sizes(mask):
@@ -195,7 +213,7 @@ def _label_sizes(mask):
 def test_default_noise_dice_band():
     scene = place_phantom(generate_phantom(seed=3), (10.0, -5.0, 0.0))
     bp = scene.placement.apply(np.asarray(PhantomParams.branch_point, dtype=float))
-    noise = NoiseModel.default(seed=7)
+    noise = NoiseModel(seed=7)
     scores = []
     for x in np.linspace(bp[0] - 30.0, bp[0] + 30.0, 64):
         frame = capture_us(scene, move_to(scene, float(x), bp[1]))
@@ -259,13 +277,16 @@ def test_probe_geometry_is_fixed(scene):
         capture_us(scene, np.zeros(2))
 
 
-def test_noise_model_validation():
-    with pytest.raises(ValueError, match="flip"):
-        NoiseModel(pixel_flip_rate=1.5)
-    with pytest.raises(ValueError, match="blob_size"):
-        NoiseModel(blob_size=(10, 5))
-    with pytest.raises(ValueError, match="jitter"):
-        NoiseModel(morph_jitter=-1)
+def test_noise_model_is_fixed():
+    # the corruption's values are class attributes; an instance holds the seed
+    assert [f.name for f in dataclasses.fields(NoiseModel)] == ["seed"]
+    assert NOISE_DEFAULTS == dict(pixel_flip_rate=0.003, spurious_blob_rate=1.5,
+                                  blob_size=(10, 30), morph_jitter=1)
+    with pytest.raises(TypeError):
+        NoiseModel(morph_jitter=3)
+    # zero noise is no model at all
+    assert NOISE_PRESETS["zero"](5) is None
+    assert NOISE_PRESETS["default"](5) == NoiseModel(seed=5)
 
 
 # ---------------------------------------------------------------- lazy frames
@@ -365,7 +386,7 @@ def test_frame_is_immutable(scene):
     with pytest.raises(dataclasses.FrozenInstanceError):
         frame.capture_position = np.zeros(3)
     assert frame.mask_truth is frame.mask_truth  # sampled once, then cached
-    for noise in (NoiseModel.zero(), NoiseModel.default(seed=4)):
+    for noise in (None, NoiseModel(seed=4)):
         for mask in (frame.mask_truth, frame.branch_truth,
                      segment_full(frame, noise), segment_branch(frame, noise)):
             assert mask.dtype == np.uint8 and mask.shape == ProbeParams.image_shape
@@ -373,7 +394,7 @@ def test_frame_is_immutable(scene):
                 mask[0, 0] = 1
 
 
-@pytest.mark.parametrize("noise", [NoiseModel.zero(), NoiseModel.default(seed=4)], ids=["zero", "default"])
+@pytest.mark.parametrize("noise", [None, NoiseModel(seed=4)], ids=["zero", "default"])
 @pytest.mark.parametrize("segment, field", [(segment_full, "mask_truth"),
                                             (segment_branch, "branch_truth")])
 def test_segmentation_samples_only_its_truth(scene, noise, segment, field):
@@ -396,7 +417,7 @@ def test_judging_targets_captures_nothing(scene, monkeypatch):
 
 @pytest.mark.parametrize("segment", [segment_full, segment_branch])
 def test_segmentation_independent_of_prior_reads(scene, segment):
-    noise = NoiseModel.default(seed=9)
+    noise = NoiseModel(seed=9)
     pos = move_to(scene, 63.0, 94.0)
     fresh = segment(capture_us(scene, pos), noise)
     primed = capture_us(scene, pos)

@@ -29,7 +29,7 @@ from usreg_sim.imgvol import (
 )
 from usreg_sim.phantom import ct_frame_volume, generate_phantom, place_phantom
 from usreg_sim.pipeline import harmonize
-from usreg_sim import registration
+from usreg_sim import harness, pipeline, registration
 from usreg_sim.registration import (
     RegistrationConfig,
     _batch_mi,
@@ -447,6 +447,36 @@ def _register_yaw7_case():
     scene = place_phantom(generate_phantom(3), [12.0, -8.0, 0.0], yaw_deg=7.0)
     hu, hc, init = harmonize(ct_frame_volume(scene.hv_annotation, scene.placement), scene.hv_annotation)
     return hu, hc, init, RegistrationConfig()
+
+
+def test_restarts_win_on_zero_noise_trial_0(monkeypatch):
+    """A restart, not the init's own search, wins the coarse stage of a real trial.
+
+    The pair is the harmonized grids and init that ``coordinate_map`` registers
+    in zero-noise trial 0 at seed 0. With the 3 restarts the coarse winner
+    ends at MI 0.1019 and the final score is 0.08674; with none the init's
+    search ends at 0.0996 and the final score is 0.08559, 2.4 mm off in x.
+    """
+    maps = []
+
+    def recording(*args):
+        maps.append(pipeline.coordinate_map(*args))
+        return maps[-1]
+
+    monkeypatch.setattr(harness, "coordinate_map", recording)
+    cfg = harness.SweepConfig(trials=1, noise="zero", epsilons=(2.0,), targets_limit=1, seed=0)
+    harness.run_trial(cfg, 0)
+    (cmap,) = maps
+    t, score, (coarse, _) = register_rigid(cmap.hu, cmap.hc, cmap.init, return_trace=True)
+    assert score == cmap.registration["score"] == pytest.approx(0.08674, abs=1e-5)
+
+    monkeypatch.setattr(registration, "_RESTARTS", 0)
+    t_alone, score_alone, (coarse_alone, _) = register_rigid(
+        cmap.hu, cmap.hc, cmap.init, return_trace=True
+    )
+    assert coarse[-1] > coarse_alone[-1]
+    assert score > score_alone == pytest.approx(0.08559, abs=1e-5)
+    assert abs(t.translation[0] - t_alone.translation[0]) > 2.0
 
 
 def test_each_candidate_is_scored_once_with_unchanged_results(annotation, monkeypatch):
