@@ -2,9 +2,11 @@
 
 The phantom is generated in its own intrinsic frame (identity axes, origin
 at zero), which doubles as the CT frame of the preoperative scan. Placing
-the phantom on the virtual table applies a yaw-about-z plus translation;
-the placement transform is ground truth for evaluation and is never read
-by the pipeline itself.
+the phantom on the virtual table applies a yaw-about-z plus translation.
+A scene stores that placement once: its skin height and the placed
+volumes and tree follow from it, and a saved scene is rebuilt from its
+seed and placement. The placement is ground truth for evaluation; the
+pipeline reads it only through the skin height its probe rides on.
 """
 from __future__ import annotations
 
@@ -21,7 +23,6 @@ from .imgvol import (
     Volume3,
     compose,
     inverse,
-    load_volume,
     physical_to_voxel,
     rotation_z,
     save_volume,
@@ -75,13 +76,6 @@ class VesselBranch:
 
     def __post_init__(self):
         pts = np.ascontiguousarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
-            raise ValueError("branch polyline needs at least two 3D points")
-        if self.radius <= 0:
-            raise ValueError(f"branch {self.label}: radius must be positive")
-        steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        if steps.max() > 2 * self.radius:
-            raise ValueError(f"branch {self.label}: polyline step exceeds twice the radius")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -93,9 +87,6 @@ class VesselTree:
 
     def __post_init__(self):
         bp = np.ascontiguousarray(self.branch_point, dtype=np.float64)
-        for br in self.branches:
-            if not np.allclose(br.points[0], bp, atol=1e-9):
-                raise ValueError(f"branch {br.label} does not start at the branching point")
         bp.flags.writeable = False
         object.__setattr__(self, "branch_point", bp)
 
@@ -107,48 +98,36 @@ class VesselTree:
 
 
 @dataclass(frozen=True)
-class EllipticSurface:
-    """Skin heightfield of the phantom's extruded elliptic body.
+class PhantomScene:
+    """A generated phantom: body mask, vein annotations and ground truth.
 
-    The ellipse is the ``PhantomParams`` body. ``frame`` maps intrinsic
-    phantom coordinates to scene coordinates and must keep z vertical (yaw
-    about z plus translation), so the surface stays a heightfield after
-    placement. Returns NaN off the body.
+    ``body`` is the binary ``uint8`` extruded ellipse. ``seed`` is only a
+    record: the geometry does not depend on it. ``placement`` maps
+    intrinsic phantom coordinates to scene coordinates; it is a yaw about
+    z plus a translation, so the skin stays a heightfield once placed.
     """
 
-    frame: RigidTransform3 = RigidTransform3.identity()
+    body: Volume3
+    hv_annotation: Volume3
+    hv_branch_annotation: Volume3
+    placement: RigidTransform3
+    tree: VesselTree
+    seed: int
 
-    def __post_init__(self):
-        if abs(self.frame.rotation[2, 2] - 1.0) > 1e-9:
-            raise ValueError("surface frame must keep the z axis vertical")
-        # inverted once; an attribute, not a field, so equality ignores it
-        object.__setattr__(self, "_to_intrinsic", inverse(self.frame))
+    @functools.cached_property
+    def _to_intrinsic(self) -> RigidTransform3:
+        # inverted once per scene; held in the instance dict, not a field
+        return inverse(self.placement)
 
-    def __call__(self, x: float, y: float) -> float:
+    def surface_height(self, x: float, y: float) -> float:
+        """Skin height above (x, y) of the placed elliptic body; NaN off the body."""
         q = self._to_intrinsic.apply([float(x), float(y), 0.0])
         rel = (q[1] - PhantomParams.body_center_y) / PhantomParams.body_semi_y
         if abs(rel) >= 1.0:
             return math.nan
         z_intrinsic = (PhantomParams.body_center_z
                        + PhantomParams.body_semi_z * math.sqrt(1.0 - rel * rel))
-        return z_intrinsic + float(self.frame.translation[2])
-
-
-@dataclass(frozen=True)
-class PhantomScene:
-    """A generated phantom: body mask, vein annotations and ground truth.
-
-    ``body`` is the binary ``uint8`` extruded ellipse. ``seed`` is only a
-    record: the geometry does not depend on it.
-    """
-
-    body: Volume3
-    hv_annotation: Volume3
-    hv_branch_annotation: Volume3
-    surface_height: EllipticSurface
-    placement: RigidTransform3
-    tree: VesselTree
-    seed: int
+        return z_intrinsic + float(self.placement.translation[2])
 
 
 def _sample_curve(fn, length_hint: float) -> np.ndarray:
@@ -283,7 +262,6 @@ def _phantom_geometry() -> PhantomScene:
         body=Volume3(body, spacing, origin, axes),
         hv_annotation=Volume3(annotation, spacing, origin, axes),
         hv_branch_annotation=Volume3(branch_annotation, spacing, origin, axes),
-        surface_height=EllipticSurface(),
         placement=RigidTransform3.identity(),
         tree=tree,
         seed=0,
@@ -301,7 +279,11 @@ def place_phantom(scene: PhantomScene, offset, yaw_deg: float = 0.0) -> PhantomS
         raise ValueError(f"offset must be 3 finite numbers, got {offset.tolist()}")
     if not abs(yaw_deg) <= 10.0:
         raise ValueError(f"|yaw| must be at most 10 degrees, got {yaw_deg}")
-    motion = compose(translation(offset), RigidTransform3(rotation_z(yaw_deg), np.zeros(3)))
+    return _moved(scene, compose(translation(offset), RigidTransform3(rotation_z(yaw_deg), np.zeros(3))))
+
+
+def _moved(scene: PhantomScene, motion: RigidTransform3) -> PhantomScene:
+    """``scene`` with its volumes, tree and placement carried by ``motion``."""
 
     def move_vol(vol: Volume3) -> Volume3:
         return Volume3(vol.data, vol.spacing, motion.apply(vol.origin), vol.axes @ motion.rotation.T)
@@ -313,7 +295,6 @@ def place_phantom(scene: PhantomScene, offset, yaw_deg: float = 0.0) -> PhantomS
         body=move_vol(scene.body),
         hv_annotation=move_vol(scene.hv_annotation),
         hv_branch_annotation=move_vol(scene.hv_branch_annotation),
-        surface_height=replace(scene.surface_height, frame=compose(motion, scene.surface_height.frame)),
         placement=compose(motion, scene.placement),
         tree=VesselTree(moved_branches, motion.apply(scene.tree.branch_point)),
         seed=scene.seed,
@@ -355,11 +336,15 @@ def target_grid(scene: PhantomScene) -> np.ndarray:
 
 # ------------------------------------------------------------- serialization
 
-SCENE_FORMAT_VERSION = 3
+SCENE_FORMAT_VERSION = 4
 
 
 def save_scene(scene: PhantomScene, out_dir: str | Path) -> Path:
-    """Write body/annotation volumes plus a JSON descriptor; returns the JSON path."""
+    """Write body/annotation volumes plus a JSON descriptor; returns the JSON path.
+
+    ``load_scene`` reads back only the seed and the placement; the volumes,
+    ``branch_point``, ``targets`` and ``tree`` are written for other tools.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_volume(scene.body, out / "body.vol")
@@ -374,12 +359,6 @@ def save_scene(scene: PhantomScene, out_dir: str | Path) -> Path:
         },
         "branch_point": scene.tree.branch_point.tolist(),
         "targets": target_grid(scene).tolist(),
-        "surface": {
-            "frame": {
-                "rotation": scene.surface_height.frame.rotation.tolist(),
-                "translation": scene.surface_height.frame.translation.tolist(),
-            },
-        },
         "tree": [
             {"label": br.label, "radius": br.radius, "points": br.points.tolist()}
             for br in scene.tree.branches
@@ -395,31 +374,31 @@ def save_scene(scene: PhantomScene, out_dir: str | Path) -> Path:
     return path
 
 
-def _transform_from(d: dict) -> RigidTransform3:
-    return RigidTransform3(np.asarray(d["rotation"]), np.asarray(d["translation"]))
-
-
 def load_scene(path: str | Path) -> PhantomScene:
+    """The scene ``save_scene`` wrote: the phantom of its seed, placed again.
+
+    Only ``format_version``, ``seed`` and ``placement`` are read; a
+    malformed descriptor is a ValueError that names the file.
+    """
     path = Path(path)
     if path.is_dir():
         path = path / "scene.json"
-    desc = json.loads(path.read_text())
-    if desc.get("format_version") != SCENE_FORMAT_VERSION:
-        raise ValueError(f"unsupported scene format {desc.get('format_version')}")
-    base = path.parent
-    tree = VesselTree(
-        branches=tuple(
-            VesselBranch(b["label"], b["radius"], np.asarray(b["points"])) for b in desc["tree"]
-        ),
-        branch_point=np.asarray(desc["branch_point"]),
-    )
-    surface = EllipticSurface(_transform_from(desc["surface"]["frame"]))
-    return PhantomScene(
-        body=load_volume(base / desc["files"]["body"]),
-        hv_annotation=load_volume(base / desc["files"]["hv_annotation"]),
-        hv_branch_annotation=load_volume(base / desc["files"]["hv_branch_annotation"]),
-        surface_height=surface,
-        placement=_transform_from(desc["placement"]),
-        tree=tree,
-        seed=desc["seed"],
-    )
+    try:
+        desc = json.loads(path.read_text())
+        if not isinstance(desc, dict):
+            raise ValueError("not a JSON object")
+        if desc.get("format_version") != SCENE_FORMAT_VERSION:
+            raise ValueError(f"unsupported scene format {desc.get('format_version')}")
+        seed = desc["seed"]
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        placement = RigidTransform3(desc["placement"]["rotation"], desc["placement"]["translation"])
+        if not (np.isfinite(placement.rotation).all() and np.isfinite(placement.translation).all()):
+            raise ValueError("placement must be finite")
+        if abs(placement.rotation[2, 2] - 1.0) > 1e-9:
+            raise ValueError("placement must keep the z axis vertical")
+    except KeyError as exc:
+        raise ValueError(f"malformed scene descriptor {path}: missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed scene descriptor {path}: {exc}") from exc
+    return _moved(generate_phantom(seed), placement)

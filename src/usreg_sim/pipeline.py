@@ -62,6 +62,9 @@ JUDGE_TOL_X_MM = ACQ_LENGTH_MM / (ACQ_SLICES - 1) / 2.0
 MATCH_SPAN_MM = 20.0
 MATCH_WAYPOINTS = 21
 MIN_FRAMES = 8
+# the common registration grid both vein masks are cropped onto
+HARMONIZE_SPACING_MM = (2.0, 2.0, 2.0)
+HARMONIZE_SHAPE = (48, 40, 24)
 
 # the one vein search every trial runs. The detection threshold is the
 # component area at this image scale: the full-resolution threshold of
@@ -216,13 +219,10 @@ def hv_acquire(scene: PhantomScene, noise: NoiseModel | None, branch_pos: np.nda
     return Volume3(slices, np.array([pitch, vx, vy]), origin, axes)
 
 
-DEFAULT_HARMONIZE = {"spacing": (2.0, 2.0, 2.0), "shape": (48, 40, 24)}
-
-
 def harmonize(us_veins: Volume3, ct_veins: Volume3):
     """Put both masks on the common registration grid; returns (hu, hc, init).
 
-    Each binary, nonempty mask is cropped onto ``DEFAULT_HARMONIZE``'s grid
+    Each binary, nonempty mask is cropped onto the ``HARMONIZE_*`` grid
     centered on its own content centroid; ``init`` is the CT -> US centroid
     translation that registration starts from.
     """
@@ -234,10 +234,8 @@ def harmonize(us_veins: Volume3, ct_veins: Volume3):
     if us_veins.data.sum() == 0 or ct_veins.data.sum() == 0:
         raise ValueError("cannot map coordinates from an empty mask")
 
-    spacing = DEFAULT_HARMONIZE["spacing"]
-    shape = DEFAULT_HARMONIZE["shape"]
-    hu = resample_crop(us_veins, spacing, shape, centroid(us_veins))
-    hc = resample_crop(ct_veins, spacing, shape, centroid(ct_veins))
+    hu = resample_crop(us_veins, HARMONIZE_SPACING_MM, HARMONIZE_SHAPE, centroid(us_veins))
+    hc = resample_crop(ct_veins, HARMONIZE_SPACING_MM, HARMONIZE_SHAPE, centroid(ct_veins))
     if hu.data.sum() == 0 or hc.data.sum() == 0:
         raise ValueError("harmonization produced an empty mask; widen the crop")
     return hu, hc, translation(centroid(hu) - centroid(hc))

@@ -51,7 +51,7 @@ from usreg_sim.imgvol import (
     voxel_to_physical,
 )
 from usreg_sim.phantom import PhantomParams, ct_frame_volume, generate_phantom, place_phantom
-from usreg_sim.pipeline import DEFAULT_HARMONIZE, hv_acquire, hv_search
+from usreg_sim.pipeline import HARMONIZE_SHAPE, HARMONIZE_SPACING_MM, hv_acquire, hv_search
 from usreg_sim.probe import NOISE_PRESETS, NoiseModel, capture_us, initial_contact, move_to, segment_full
 from usreg_sim.registration import RegistrationConfig, apply_transform, register_rigid
 
@@ -156,7 +156,7 @@ def test_acceptance_3_registration_recovers_seeded_misalignments():
 
 def test_acceptance_4_registration_improves_noisy_alignment():
     rng = np.random.default_rng(2024)
-    spacing, shape = DEFAULT_HARMONIZE["spacing"], DEFAULT_HARMONIZE["shape"]
+    spacing, shape = HARMONIZE_SPACING_MM, HARMONIZE_SHAPE
     improved = 0
     deltas = []
     for _ in range(20):

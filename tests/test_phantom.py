@@ -12,7 +12,7 @@ from _oracles import count_components, point_to_polyline_distance
 from usreg_sim.imgvol import inverse, physical_to_voxel, voxel_to_physical
 from usreg_sim.phantom import (
     PhantomParams,
-    VesselBranch,
+    PhantomScene,
     generate_phantom,
     load_scene,
     place_phantom,
@@ -217,33 +217,44 @@ def test_target_grid_rejects_overrun(scene, monkeypatch):
         target_grid(scene)
 
 
-def test_branch_polyline_step_limit():
-    pts = np.array([[0.0, 0, 0], [10.0, 0, 0]])  # 10 mm step, radius 2 -> too coarse
-    with pytest.raises(ValueError):
-        VesselBranch("bad", 2.0, pts)
+def _same_height(got, want):
+    return got == want or (math.isnan(got) and math.isnan(want))
+
+
+# a grid over the yawed scene's footprint and well past its sides
+_HEIGHT_GRID = [(x, y) for x in np.linspace(-40.0, 180.0, 23) for y in np.linspace(-20.0, 210.0, 24)]
 
 
 def test_scene_round_trip(tmp_path, scene):
-    moved = place_phantom(scene, offset=(5.0, 2.0, 0.0), yaw_deg=-3.0)
-    path = save_scene(moved, tmp_path / "scene")
-    desc = json.loads(path.read_text())
-    # the geometry is fixed, so the descriptor holds only what placement moves
-    assert desc["format_version"] == 3 and "params" not in desc
-    assert set(desc["surface"]) == {"frame"}
-    back = load_scene(path)
-    assert back.body.data.dtype == np.uint8
-    np.testing.assert_array_equal(back.body.data, moved.body.data)
-    np.testing.assert_array_equal(back.hv_annotation.data, moved.hv_annotation.data)
-    np.testing.assert_allclose(back.body.origin, moved.body.origin, atol=1e-12)
-    np.testing.assert_allclose(back.body.axes, moved.body.axes, atol=1e-12)
-    np.testing.assert_allclose(back.placement.rotation, moved.placement.rotation, atol=1e-12)
-    np.testing.assert_allclose(back.placement.translation, moved.placement.translation, atol=1e-12)
-    np.testing.assert_allclose(back.tree.branch_point, moved.tree.branch_point, atol=1e-12)
-    np.testing.assert_allclose(target_grid(back), target_grid(moved), atol=1e-9)
-    assert back.surface_height(100.0, 95.0) == pytest.approx(moved.surface_height(100.0, 95.0), abs=1e-9)
+    """A saved scene loads back bit for bit, whatever its yaw and offset."""
+    for i, (offset, yaw) in enumerate([
+        ((5.0, 2.0, 0.0), -3.0), ((14.0, -9.0, 3.0), -7.0), ((-30.0, 20.0, -4.5), 9.5), ((0.0, 0.0, 0.0), 0.0),
+    ]):
+        moved = place_phantom(scene, offset=offset, yaw_deg=yaw)
+        path = save_scene(moved, tmp_path / f"scene{i}")
+        desc = json.loads(path.read_text())
+        # the placement is stored once: no surface block copies it
+        assert desc["format_version"] == 4 and "surface" not in desc and "params" not in desc
+        back = load_scene(path)
+        assert back.seed == moved.seed
+        for name in ("rotation", "translation"):
+            assert getattr(back.placement, name).tobytes() == getattr(moved.placement, name).tobytes()
+        for name in ("body", "hv_annotation", "hv_branch_annotation"):
+            got, want = getattr(back, name), getattr(moved, name)
+            assert got.data.dtype == np.uint8
+            np.testing.assert_array_equal(got.data, want.data)
+            assert got.origin.tobytes() == want.origin.tobytes()
+            assert got.axes.tobytes() == want.axes.tobytes()
+        for got, want in zip(back.tree.branches, moved.tree.branches, strict=True):
+            assert got.points.tobytes() == want.points.tobytes()
+        assert back.tree.branch_point.tobytes() == moved.tree.branch_point.tobytes()
+        heights = [(back.surface_height(x, y), moved.surface_height(x, y)) for x, y in _HEIGHT_GRID]
+        assert 0 < sum(math.isnan(want) for _, want in heights) < len(heights)
+        assert all(_same_height(got, want) for got, want in heights)
+        assert target_grid(back).tobytes() == target_grid(moved).tobytes()
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_load_scene_rejects_old_formats(tmp_path, scene, version):
     path = save_scene(scene, tmp_path / "scene")
     desc = json.loads(path.read_text())
@@ -253,6 +264,33 @@ def test_load_scene_rejects_old_formats(tmp_path, scene, version):
         load_scene(path)
 
 
+_TILT = [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]  # 90 degrees about x
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: [d], "not a JSON object"),
+    (lambda d: {k: v for k, v in d.items() if k != "placement"}, "missing 'placement'"),
+    (lambda d: {**d, "placement": "identity"}, "string indices"),
+    (lambda d: {**d, "placement": {"rotation": _TILT}}, "missing 'translation'"),
+    (lambda d: {**d, "seed": "7"}, "seed must be an integer"),
+    (lambda d: {**d, "seed": 7.0}, "seed must be an integer"),
+    (lambda d: {**d, "seed": True}, "seed must be an integer"),
+    (lambda d: {**d, "placement": {"rotation": _TILT, "translation": [0.0, 0.0, 0.0]}},
+     "z axis vertical"),
+    (lambda d: {**d, "placement": {"rotation": np.eye(3).tolist(), "translation": [0.0, float("nan"), 0.0]}},
+     "placement must be finite"),
+    (lambda d: {**d, "placement": {"rotation": np.eye(3).tolist(), "translation": [1.0, 2.0]}},
+     "3-vector"),
+], ids=["list", "no-placement", "string-placement", "no-translation", "string-seed", "float-seed",
+        "bool-seed", "tilted", "nan-translation", "short-translation"])
+def test_load_scene_rejects_malformed_descriptor(tmp_path, scene, edit, message):
+    path = save_scene(scene, tmp_path / "scene")
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=message) as info:
+        load_scene(path)
+    assert str(path) in str(info.value)
+
+
 def test_branch_point_index_consistency(scene):
     idx = physical_to_voxel(scene.hv_annotation, scene.tree.branch_point)
     assert scene.hv_annotation.data[tuple(np.round(idx).astype(int))] == 1
@@ -260,15 +298,15 @@ def test_branch_point_index_consistency(scene):
     np.testing.assert_allclose(ct_frame_bp, scene.tree.branch_point)  # identity placement
 
 
-def _per_call_height(surface, x, y):
-    """The skin height with the surface frame inverted on every call."""
-    q = inverse(surface.frame).apply([float(x), float(y), 0.0])
+def _per_call_height(scene, x, y):
+    """The skin height with the placement inverted on every call."""
+    q = inverse(scene.placement).apply([float(x), float(y), 0.0])
     p = PhantomParams
     rel = (q[1] - p.body_center_y) / p.body_semi_y
     if abs(rel) >= 1.0:
         return math.nan
     z_intrinsic = p.body_center_z + p.body_semi_z * math.sqrt(1.0 - rel * rel)
-    return z_intrinsic + float(surface.frame.translation[2])
+    return z_intrinsic + float(scene.placement.translation[2])
 
 
 @pytest.fixture(scope="module")
@@ -277,24 +315,21 @@ def yawed(scene):
 
 
 def test_surface_height_matches_per_call_inverse(yawed):
-    surface = yawed.surface_height
-    heights = [
-        (surface(x, y), _per_call_height(surface, x, y))
-        for x in np.linspace(-40.0, 180.0, 23)
-        for y in np.linspace(-20.0, 210.0, 24)
-    ]
+    heights = [(yawed.surface_height(x, y), _per_call_height(yawed, x, y)) for x, y in _HEIGHT_GRID]
     off_body = [math.isnan(want) for _, want in heights]
     assert 0 < sum(off_body) < len(heights)
     for (got, want), nan in zip(heights, off_body):
         assert math.isnan(got) if nan else got == want
-    # the inverse is held outside the dataclass fields: equality reads the fields only
-    assert dataclasses.replace(surface) == surface
+    # the placement is the one stored copy: the inverse is cached, not a field
+    fields = [f.name for f in dataclasses.fields(PhantomScene)]
+    assert fields == ["body", "hv_annotation", "hv_branch_annotation", "placement", "tree", "seed"]
+    assert yawed._to_intrinsic is yawed._to_intrinsic
 
 
 def test_scene_pickles_for_pool_workers(yawed):
     back = pickle.loads(pickle.dumps(yawed))
     np.testing.assert_array_equal(back.hv_annotation.data, yawed.hv_annotation.data)
-    np.testing.assert_array_equal(back.placement.rotation, yawed.placement.rotation)
+    for name in ("rotation", "translation"):
+        assert getattr(back.placement, name).tobytes() == getattr(yawed.placement, name).tobytes()
     for x, y in ((100.0, 95.0), (60.0, 20.0), (60.0, 190.0)):
-        got, want = back.surface_height(x, y), yawed.surface_height(x, y)
-        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert _same_height(back.surface_height(x, y), yawed.surface_height(x, y))
