@@ -7,7 +7,9 @@ whose denominator is zero is 0.0.
 
 ``prepare_truth`` and ``omia`` import ``scipy.fft`` when first called, so
 code that uses only the ratio metrics (registration among it) never loads
-it.
+it. ``omia_bound`` is a cheap upper bound on ``omia`` from foreground
+counts and row and column projections, for skipping predictions that
+cannot reach a score already found.
 """
 from __future__ import annotations
 
@@ -56,12 +58,18 @@ class PreparedTruth:
     ``spectrum`` the conjugate single-precision (complex64) ``rfft2`` of the
     truth's content bounding box at that size, or None when the truth is
     empty. Single precision is enough because every correlation value is an
-    integer count; ``omia`` states the error bound.
+    integer count; ``omia`` states the error bound. ``count`` is the truth's
+    foreground pixel count, and ``rows`` and ``cols`` are its per-row and
+    per-column pixel counts over the bounding box (empty when the truth is),
+    which ``omia_bound`` reads.
     """
 
     shape: tuple[int, int]
     fft_shape: tuple[int, int]
     spectrum: np.ndarray | None
+    count: int
+    rows: np.ndarray
+    cols: np.ndarray
 
 
 def prepare_truth(truth: np.ndarray) -> PreparedTruth:
@@ -69,22 +77,36 @@ def prepare_truth(truth: np.ndarray) -> PreparedTruth:
 
     The transform size is ``next_fast_len(bbox + frame - 1)`` per axis: a
     prediction is never larger than the truth frame, so every prediction's
-    correlation with the box fits without wrapping.
+    correlation with the box fits without wrapping. The projections are
+    held in the smallest unsigned type that fits the frame's longer side.
     """
     from scipy import fft as sp_fft
 
     truth = require_binary(truth, "truth")
     if truth.ndim != 2:
         raise ValueError("omia expects 2D masks")
+    count_type = np.min_scalar_type(max(truth.shape))
     nz = np.nonzero(truth)
     if nz[0].size == 0:
-        return PreparedTruth(truth.shape, truth.shape, None)
+        empty = np.zeros(0, dtype=count_type)
+        return PreparedTruth(truth.shape, truth.shape, None, 0, empty, empty)
     box = truth[nz[0].min():nz[0].max() + 1, nz[1].min():nz[1].max() + 1]
     fft_shape = tuple(
         sp_fft.next_fast_len(b + n - 1, real=True) for b, n in zip(box.shape, truth.shape)
     )
     spectrum = np.conj(sp_fft.rfft2(box.astype(np.float32), s=fft_shape))
-    return PreparedTruth(truth.shape, fft_shape, spectrum)
+    rows = np.add.reduce(box, axis=1, dtype=count_type)
+    cols = np.add.reduce(box, axis=0, dtype=count_type)
+    return PreparedTruth(truth.shape, fft_shape, spectrum, nz[0].size, rows, cols)
+
+
+def _check_pred(pred: np.ndarray, truth: PreparedTruth) -> np.ndarray:
+    pred = require_binary(pred, "pred")
+    if pred.ndim != 2:
+        raise ValueError("omia expects 2D masks")
+    if pred.shape[0] > truth.shape[0] or pred.shape[1] > truth.shape[1]:
+        raise ValueError(f"pred {pred.shape} exceeds truth {truth.shape}; pad the truth, not the pred")
+    return pred
 
 
 def omia(pred: np.ndarray, truth: np.ndarray | PreparedTruth) -> int:
@@ -112,11 +134,7 @@ def omia(pred: np.ndarray, truth: np.ndarray | PreparedTruth) -> int:
     """
     if not isinstance(truth, PreparedTruth):
         truth = prepare_truth(truth)
-    pred = require_binary(pred, "pred")
-    if pred.ndim != 2:
-        raise ValueError("omia expects 2D masks")
-    if pred.shape[0] > truth.shape[0] or pred.shape[1] > truth.shape[1]:
-        raise ValueError(f"pred {pred.shape} exceeds truth {truth.shape}; pad the truth, not the pred")
+    pred = _check_pred(pred, truth)
     if truth.spectrum is None or not pred.any():
         return 0
     from scipy import fft as sp_fft
@@ -124,3 +142,47 @@ def omia(pred: np.ndarray, truth: np.ndarray | PreparedTruth) -> int:
     spec = sp_fft.rfft2(pred.astype(np.float32), s=truth.fft_shape)
     corr = sp_fft.irfft2(spec * truth.spectrum, s=truth.fft_shape)
     return int(np.rint(corr.max()))
+
+
+def _projection_bound(p: np.ndarray, t: np.ndarray, total: int) -> int:
+    """``max over shifts s of sum_i min(p[i + s], t[i])``, p zero outside its range.
+
+    ``p`` is trimmed to its nonzero run and zero-padded by ``len(t) - 1``
+    on both sides; row i of the strided window table is then the padded
+    run from i on, so column s pairs every ``t[i]`` with one shift's
+    ``p[i + s]``. ``total``, at least every shift's sum, sizes the sum type.
+    """
+    nz = np.flatnonzero(p)
+    run = p[nz[0]:nz[-1] + 1]
+    b = t.size
+    padded = np.zeros(run.size + 2 * (b - 1), dtype=p.dtype)
+    padded[b - 1:b - 1 + run.size] = run
+    windows = np.ndarray(
+        (b, run.size + b - 1), dtype=p.dtype, buffer=padded, strides=(padded.itemsize,) * 2
+    )
+    sums = np.add.reduce(np.minimum(windows, t[:, None]), axis=0, dtype=np.min_scalar_type(total))
+    return int(sums.max())
+
+
+def omia_bound(pred: np.ndarray, truth: PreparedTruth, floor: int) -> int:
+    """An upper bound on ``omia(pred, truth)``, tightened only while it reaches ``floor``.
+
+    Three stages, each no looser than the one before: the smaller of the
+    two foreground counts; then the depth-projection bound, the largest
+    ``sum_i min(p[i + s], t[i])`` over shifts s, with p and t the per-row
+    pixel counts of the prediction and of the truth (under any translation,
+    truth row i overlaps at most that many pixels of the prediction row it
+    meets); then the same over per-column counts. The next stage runs only
+    while the bound is at least ``floor`` and positive, so a result below
+    ``floor`` proves that ``omia`` is below it, and with ``floor`` 0 every
+    stage runs on a nonempty pair.
+    """
+    pred = _check_pred(pred, truth)
+    count = min(int(np.count_nonzero(pred)), truth.count)
+    bound = count
+    for axis, t in ((1, truth.rows), (0, truth.cols)):
+        if bound == 0 or bound < floor:
+            break
+        p = np.add.reduce(pred, axis=axis, dtype=t.dtype)
+        bound = min(bound, _projection_bound(p, t, count))
+    return bound

@@ -1,8 +1,8 @@
 """Rigid transforms between 3D coordinate frames.
 
 A rigid transform is a proper rotation plus a translation; points map as
-``p -> R @ p + t``. Rotations must be orthonormal with determinant +1
-(reflections are rejected at construction).
+``p -> R @ p + t``. Both parts must be finite, and rotations orthonormal
+with determinant +1 (reflections are rejected at construction).
 """
 from __future__ import annotations
 
@@ -60,11 +60,14 @@ class RigidTransform3:
             raise ValueError(f"rotation must be 3x3, got {rot.shape}")
         if tra.shape != (3,):
             raise ValueError(f"translation must be a 3-vector, got {tra.shape}")
+        if not (np.isfinite(rot).all() and np.isfinite(tra).all()):
+            raise ValueError("rotation and translation must be finite")
+        # a residual that overflowed to NaN fails every comparison, so test for passing
         err = np.abs(rot @ rot.T - np.eye(3)).max()
-        if err > ORTHO_TOL:
+        if not err <= ORTHO_TOL:
             raise ValueError(f"rotation is not orthonormal (max residual {err:.3e})")
         det = np.linalg.det(rot)
-        if det < 0:
+        if not det > 0:
             raise ValueError(f"rotation has negative determinant ({det:.6f}); reflections are not rigid")
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", tra)

@@ -34,6 +34,7 @@ from .imgvol import (
     inverse,
     largest_connected_component,
     omia,
+    omia_bound,
     precision,
     prepare_truth,
     recall,
@@ -109,6 +110,14 @@ class CoordinateMap:
 
 @dataclass(frozen=True)
 class SliceMatchResult:
+    """One target's slice match, waypoints in increasing x.
+
+    ``scores[i]`` is the ``omia`` of the frame at ``waypoint_xs[i]`` where
+    that frame was scored; where it was skipped, it is the frame's
+    ``omia_bound``, an upper bound on its ``omia`` and strictly below
+    ``scores.max()``, which is always exact.
+    """
+
     corrected: np.ndarray
     mapped: np.ndarray
     waypoint_xs: np.ndarray
@@ -316,6 +325,12 @@ def slice_match(
     slice prepared once per target). The best-scoring waypoint wins; ties
     prefer the smallest deviation from the estimate, then the smaller
     coordinate.
+
+    Waypoints are visited nearest the estimate first. A frame whose
+    ``omia_bound`` falls strictly below the best score already reached
+    cannot win or tie, so its FFT pair is skipped and the bound is stored
+    as its score; every frame that could win or tie is scored exactly, so
+    the winner is the one exhaustive scoring picks.
     """
     target_ct = np.asarray(target_ct, dtype=np.float64)
     branch_pos = np.asarray(branch_pos, dtype=np.float64)
@@ -331,9 +346,13 @@ def slice_match(
         _target_template(scene, target_ct, ct_to_physical, branch_pos, ct_veins)
     )
     scores = np.empty(len(xs))
-    for i, x in enumerate(xs):
-        pos = move_to(scene, float(x), branch_pos[1])
-        scores[i] = omia(segment_full(capture_us(scene, pos), noise), template)
+    reached = 0
+    for i in sorted(range(len(xs)), key=lambda i: (abs(xs[i] - mapped[0]), xs[i])):
+        pos = move_to(scene, float(xs[i]), branch_pos[1])
+        pred = segment_full(capture_us(scene, pos), noise)
+        bound = omia_bound(pred, template, reached)
+        scores[i] = bound if bound < reached else omia(pred, template)
+        reached = max(reached, int(scores[i]))
 
     best = 0
     for i in range(1, len(xs)):

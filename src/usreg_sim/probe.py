@@ -252,7 +252,7 @@ def _corrupt(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         w = math.ceil(r)
         j0, j1 = max(cj - w, 0), min(cj + w + 1, lx)
         k0, k1 = max(ck - w, 0), min(ck + w + 1, ly)
-        jj, kk = np.ogrid[j0:j1, k0:k1]
+        jj, kk = np.arange(j0, j1)[:, None], np.arange(k0, k1)[None, :]
         out[j0:j1, k0:k1] |= (jj - cj) ** 2 + (kk - ck) ** 2 <= r * r
     out ^= rng.random(out.shape) < NoiseModel.pixel_flip_rate
     return out.astype(np.uint8)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from usreg_sim.imgvol import dice, omia, precision, prepare_truth, recall
+from usreg_sim.imgvol import dice, omia, omia_bound, precision, prepare_truth, recall
 
 
 from _oracles import brute_force_omia, brute_ratio_metrics, reference_omia
@@ -121,12 +121,14 @@ def test_omia_rejects_oversized_pred():
         omia(np.zeros((7, 3), dtype=np.uint8), np.zeros((5, 5), dtype=np.uint8))
 
 
-def test_prepared_truth_scores_many_preds_like_brute_force():
+def _truth_and_pred_families():
+    """A sparse truth and predictions against it: empty, single pixel,
+    full-frame noise, a corner piece at the frame edge, a smaller frame,
+    then ten random densities."""
     rng = np.random.default_rng(11)
     shape = (23, 14)
     truth = np.zeros(shape, dtype=np.uint8)
     truth[6:15, 3:10] = rng.random((9, 7)) < 0.6
-    prepared = prepare_truth(truth)
 
     empty = np.zeros(shape, dtype=np.uint8)
     single = empty.copy()
@@ -138,6 +140,13 @@ def test_prepared_truth_scores_many_preds_like_brute_force():
     small = (rng.random((5, 9)) < 0.5).astype(np.uint8)  # a pred smaller than the frame
     preds = [empty, single, noisy, edge, small]
     preds += [(rng.random(shape) < rng.uniform(0.05, 0.9)).astype(np.uint8) for _ in range(10)]
+    return truth, preds
+
+
+def test_prepared_truth_scores_many_preds_like_brute_force():
+    truth, preds = _truth_and_pred_families()
+    prepared = prepare_truth(truth)
+    empty, single, noisy = preds[:3]
     for pred in preds:
         assert omia(pred, prepared) == omia(pred, truth) == brute_force_omia(pred, truth)
     assert omia(empty, prepared) == 0 and omia(single, prepared) == 1
@@ -179,3 +188,62 @@ def test_single_precision_omia_is_exact_at_dense_extremes():
         pred = (rng.random(small) < rng.choice([0.5, 1.0])).astype(np.uint8)
         want = brute_force_omia(pred, truth)
         assert omia(pred, truth) == omia(pred, prepare_truth(truth)) == want
+
+
+def test_omia_bound_hand_example():
+    # a vertical and a horizontal bar of 5: the counts allow 5, the rows 1
+    truth = np.zeros((7, 7), dtype=np.uint8)
+    truth[1:6, 3] = 1
+    pred = np.zeros((7, 7), dtype=np.uint8)
+    pred[2, 1:6] = 1
+    prepared = prepare_truth(truth)
+    assert (prepared.count, prepared.rows.tolist(), prepared.cols.tolist()) == (5, [1] * 5, [5])
+    assert omia_bound(pred, prepared, 0) == omia(pred, prepared) == 1
+    # a floor the counts already miss stops before the projections
+    assert omia_bound(pred, prepared, 6) == 5
+    assert omia_bound(pred, prepared, 5) == 1
+
+
+def test_omia_bound_is_an_upper_bound_on_every_family():
+    truth, preds = _truth_and_pred_families()
+    prepared = prepare_truth(truth)
+    for pred in preds:
+        want = brute_force_omia(pred, truth)
+        counts = min(int(pred.sum()), int(truth.sum()))
+        full = omia_bound(pred, prepared, 0)
+        assert want <= full <= counts
+        for floor in range(counts + 2):
+            # a bound below the floor proves omia is below it; at or above
+            # the floor it is the full bound
+            bound = omia_bound(pred, prepared, floor)
+            assert bound >= full and (bound < floor or bound == full)
+    assert omia_bound(preds[0], prepared, 0) == 0  # empty pred
+    assert omia_bound(truth, prepare_truth(np.zeros_like(truth)), 0) == 0
+    with pytest.raises(ValueError, match="exceeds"):
+        omia_bound(np.zeros((24, 14), dtype=np.uint8), prepared, 0)
+    with pytest.raises(ValueError, match="0 and 1"):
+        omia_bound(np.full((5, 5), 2, dtype=np.uint8), prepared, 0)
+    with pytest.raises(ValueError, match="2D"):
+        omia_bound(np.zeros((2, 2, 2), dtype=np.uint8), prepared, 0)
+
+
+def test_omia_bound_holds_on_full_frames():
+    rng = np.random.default_rng(17)
+    shape = (216, 100)
+    full = np.ones(shape, dtype=np.uint8)
+    tube = np.zeros(shape, dtype=np.uint8)
+    tube[60:110, 30:70] = 1
+    truths = [full, tube, (rng.random(shape) < 0.02).astype(np.uint8)]
+    preds = [full, tube.T[:100, :100].copy()]
+    preds += [(rng.random(shape) < d).astype(np.uint8) for d in (0.003, 0.05, 0.5)]
+    tighter = 0  # pairs where the projections cut below the counts
+    for truth in truths:
+        prepared = prepare_truth(truth)
+        for pred in preds:
+            want = reference_omia(pred, truth)
+            bound = omia_bound(pred, prepared, 0)
+            counts = min(int(pred.sum()), int(truth.sum()))
+            assert want <= bound <= counts
+            tighter += bound < counts
+    assert omia_bound(full, prepare_truth(full), 0) == 21600
+    assert tighter >= 4

@@ -278,11 +278,14 @@ _TILT = [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]  # 90 degrees about
     (lambda d: {**d, "placement": {"rotation": _TILT, "translation": [0.0, 0.0, 0.0]}},
      "z axis vertical"),
     (lambda d: {**d, "placement": {"rotation": np.eye(3).tolist(), "translation": [0.0, float("nan"), 0.0]}},
-     "placement must be finite"),
+     "translation must be finite"),
+    (lambda d: {**d, "placement": {"rotation": np.diag([1.0, float("inf"), 1.0]).tolist(),
+                                   "translation": [0.0, 0.0, 0.0]}},
+     "rotation and translation must be finite"),
     (lambda d: {**d, "placement": {"rotation": np.eye(3).tolist(), "translation": [1.0, 2.0]}},
      "3-vector"),
 ], ids=["list", "no-placement", "string-placement", "no-translation", "string-seed", "float-seed",
-        "bool-seed", "tilted", "nan-translation", "short-translation"])
+        "bool-seed", "tilted", "nan-translation", "inf-rotation", "short-translation"])
 def test_load_scene_rejects_malformed_descriptor(tmp_path, scene, edit, message):
     path = save_scene(scene, tmp_path / "scene")
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))

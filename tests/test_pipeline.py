@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from usreg_sim import pipeline
+from usreg_sim import harness, pipeline
 from usreg_sim.imgvol import (
     Volume3,
     compose,
@@ -271,7 +271,16 @@ def test_slice_match_empty_template_falls_back_to_estimate(
     assert np.array_equal(sm.corrected, sm.mapped)
 
 
-def test_slice_match_scores_equal_per_frame_omia(scene, found, ct_veins):
+def _waypoint_omias(scene, noise, sm, branch_pos, template):
+    """``omia`` of the frame at every waypoint, each scored exactly."""
+    preds = [
+        segment_full(capture_us(scene, move_to(scene, float(x), branch_pos[1])), noise)
+        for x in sm.waypoint_xs
+    ]
+    return preds, np.array([omia(pred, template) for pred in preds])
+
+
+def test_slice_match_scores_are_exact_or_a_bound_below_the_winner(scene, found, ct_veins):
     noise = NoiseModel(seed=12)
     targets = target_grid(scene)
     bad = compose(translation([2.0, 0.0, 0.0]), scene.placement)
@@ -279,11 +288,56 @@ def test_slice_match_scores_equal_per_frame_omia(scene, found, ct_veins):
         sm = slice_match(scene, noise, targets[ti], bad, found.position, ct_veins)
         template = _target_template(scene, targets[ti], bad, found.position, ct_veins)
         assert template.any()
-        for x, score in zip(sm.waypoint_xs, sm.scores):
-            pos = move_to(scene, float(x), found.position[1])
-            pred = segment_full(capture_us(scene, pos), noise)
-            assert score == omia(pred, template) == reference_omia(pred, template)
-        assert sm.scores.max() > 0
+        preds, exact = _waypoint_omias(scene, noise, sm, found.position, template)
+        for pred, want, score in zip(preds, exact, sm.scores):
+            assert want == reference_omia(pred, template)
+            # scored: the exact overlap; skipped: a bound that cannot tie the winner
+            assert score == want or want < score < sm.scores.max()
+        assert sm.scores.max() == exact.max() > 0
+        assert np.any(sm.scores > exact)
+
+
+def _exhaustive_winner(xs, scores, mapped_x):
+    """The best score, ties to the waypoint nearest the estimate, then the smaller x."""
+    ties = [x for x, s in zip(xs, scores) if s == scores.max()]
+    return min(ties, key=lambda x: (round(abs(x - mapped_x), 9), x))
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(seed=12), NoiseModel(seed=13), None],
+                         ids=["seed12", "seed13", "zero"])
+def test_slice_match_picks_the_exhaustive_winner(scene, found, ct_veins, noise):
+    targets = target_grid(scene)
+    xs = np.nonzero(ct_veins.data.any(axis=(1, 2)))[0]
+    x_lo = ct_veins.origin[0] + ct_veins.spacing[0] * xs.min()
+    outside = np.array([x_lo - 10.0, 95.0, 58.0])  # an empty template
+    bad = compose(translation([2.0, 0.0, 0.0]), scene.placement)
+    cases = [(targets[ti], cmap) for ti in (10, 40, 55, 90) for cmap in (scene.placement, bad)]
+    for target, cmap in cases + [(outside, scene.placement)]:
+        sm = slice_match(scene, noise, target, cmap, found.position, ct_veins)
+        template = _target_template(scene, target, cmap, found.position, ct_veins)
+        _, exact = _waypoint_omias(scene, noise, sm, found.position, template)
+        assert sm.corrected[0] == _exhaustive_winner(sm.waypoint_xs, exact, sm.mapped[0])
+        assert np.all(exact <= sm.scores)
+
+
+def test_slice_match_skips_most_fft_pairs_in_a_noisy_trial(monkeypatch):
+    counts = {"omia": 0, "frames": 0}
+
+    def counting_omia(pred, template):
+        counts["omia"] += 1
+        return omia(pred, template)
+
+    def counting_slice_match(*args):
+        sm = slice_match(*args)
+        counts["frames"] += len(sm.scores)
+        return sm
+
+    monkeypatch.setattr(pipeline, "omia", counting_omia)
+    monkeypatch.setattr(harness, "slice_match", counting_slice_match)
+    trial = harness.run_trial(harness.SweepConfig(trials=1, targets_limit=15), 0)
+    assert trial.search_success and len(trial.targets) == 15
+    assert counts["frames"] >= 15 * 22
+    assert counts["omia"] < 0.4 * counts["frames"]
 
 
 # ------------------------------------------- target imaging and judgement

@@ -60,6 +60,21 @@ def test_non_orthonormal_rejected():
         RigidTransform3(np.eye(3) * 2.0, np.zeros(3))
 
 
+@pytest.mark.parametrize("rotation, translation", [
+    (np.full((3, 3), np.nan), np.zeros(3)),
+    (np.full((3, 3), np.inf), np.zeros(3)),
+    (np.diag([1.0, np.nan, 1.0]), np.zeros(3)),
+    (np.diag([-np.inf, 1.0, 1.0]), np.zeros(3)),
+    (np.eye(3), [0.0, np.nan, 0.0]),
+    (np.eye(3), [np.inf, 0.0, 0.0]),
+    (np.eye(3), [0.0, 0.0, -np.inf]),
+], ids=["nan-rotation", "inf-rotation", "nan-entry", "inf-entry",
+        "nan-translation", "inf-translation", "neg-inf-translation"])
+def test_non_finite_rejected(rotation, translation):
+    with pytest.raises(ValueError, match="must be finite"):
+        RigidTransform3(rotation, translation)
+
+
 def test_euler_zyx_matches_axis_rotations():
     np.testing.assert_allclose(euler_zyx(90, 0, 0), rotation_z(90), atol=1e-12)
     # yaw-only rotation keeps z fixed
