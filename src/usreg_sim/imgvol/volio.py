@@ -58,12 +58,11 @@ def load_volume(path: str | Path) -> Volume3:
         shape = tuple(int(n) for n in header["shape"])
         geometry = [np.asarray(header[k], dtype=np.float64) for k in ("spacing", "origin", "axes")]
         raw = (path.parent / header["data_file"]).read_bytes()
+        expected = int(np.prod(shape)) * dtype.itemsize
+        if len(raw) != expected:
+            raise ValueError(f"payload is {len(raw)} bytes, expected {expected}")
+        return Volume3(np.frombuffer(raw, dtype=dtype).reshape(shape), *geometry)
     except KeyError as exc:
         raise ValueError(f"malformed volume header {path}: missing {exc}") from exc
-    except TypeError as exc:  # a field of the wrong JSON type
+    except (TypeError, ValueError) as exc:  # a field of the wrong type or value
         raise ValueError(f"malformed volume header {path}: {exc}") from exc
-    expected = int(np.prod(shape)) * dtype.itemsize
-    if len(raw) != expected:
-        raise ValueError(f"{path}: payload is {len(raw)} bytes, expected {expected}")
-    data = np.frombuffer(raw, dtype=dtype).reshape(shape)
-    return Volume3(data, *geometry)

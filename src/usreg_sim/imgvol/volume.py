@@ -24,8 +24,8 @@ class Volume3:
     (``arr.flags.writeable = False``) hands it over without a copy.
 
     data : ndarray, shape (n0, n1, n2)
-    spacing : mm per voxel along each array axis, all > 0
-    origin : mm position of voxel (0, 0, 0)
+    spacing : mm per voxel along each array axis, all finite and > 0
+    origin : finite mm position of voxel (0, 0, 0)
     axes : 3x3, row i is the unit direction of array axis i; rows orthonormal
     """
 
@@ -43,9 +43,14 @@ class Volume3:
         axes = _freeze(self.axes, np.float64)
         if spacing.shape != (3,) or origin.shape != (3,) or axes.shape != (3, 3):
             raise ValueError("spacing and origin must be 3-vectors, axes must be 3x3")
+        if not all(np.isfinite(v).all() for v in (spacing, origin, axes)):
+            raise ValueError("spacing, origin and axes must be finite")
         if not np.all(spacing > 0):
             raise ValueError(f"spacing must be strictly positive, got {spacing}")
-        if np.abs(axes @ axes.T - np.eye(3)).max() > ORTHO_TOL:
+        # a residual that overflowed to NaN fails every comparison, so test for passing
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = np.abs(axes @ axes.T - np.eye(3)).max()
+        if not err <= ORTHO_TOL:
             raise ValueError("axis directions must be mutually orthogonal unit vectors")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "spacing", spacing)

@@ -115,7 +115,8 @@ class SliceMatchResult:
     ``scores[i]`` is the ``omia`` of the frame at ``waypoint_xs[i]`` where
     that frame was scored; where it was skipped, it is the frame's
     ``omia_bound``, an upper bound on its ``omia`` and strictly below
-    ``scores.max()``, which is always exact.
+    ``scores.max()``, which is always exact and, first in ``_center_out``
+    order, gives ``corrected``.
     """
 
     corrected: np.ndarray
@@ -124,12 +125,13 @@ class SliceMatchResult:
     scores: np.ndarray
 
 
-def _search_offsets() -> list[tuple[float, float]]:
-    steps = int(math.floor(SEARCH_EXTENT_MM / 2.0 / SEARCH_SPACING_MM))
-    ticks = [k * SEARCH_SPACING_MM for k in range(-steps, steps + 1)]
-    offs = [(t, 0.0) for t in ticks]
-    # visit center-out so the nearest detection wins, deterministically
-    return sorted(offs, key=lambda o: (o[0] ** 2 + o[1] ** 2, o[0], o[1]))
+def _center_out(n: int) -> list[int]:
+    """Visiting order of an odd-length row of n waypoints, center-out.
+
+    The middle first, then by distance from it; the smaller x of an
+    equidistant pair first. The vein search and slice matching share it.
+    """
+    return sorted(range(n), key=lambda k: (abs(2 * k - (n - 1)), k))
 
 
 def _largest_component_stats(mask: np.ndarray) -> tuple[float, float]:
@@ -144,7 +146,8 @@ def _largest_component_stats(mask: np.ndarray) -> tuple[float, float]:
 def hv_search(scene: PhantomScene, noise: NoiseModel | None, p0: np.ndarray) -> SearchResult:
     """Find and laterally center the vein junction near the contact point.
 
-    Steps the waypoint pattern around ``p0``; detection fires when the
+    Steps along x through the waypoints around ``p0`` in ``_center_out``
+    order, so the nearest detection wins; detection fires when the
     largest connected component of the junction-local segmentation reaches
     the area threshold. Bang-bang feedback then steps the probe laterally
     until the component's column centroid sits within tolerance of the
@@ -154,10 +157,12 @@ def hv_search(scene: PhantomScene, noise: NoiseModel | None, p0: np.ndarray) -> 
     p0 = np.asarray(p0, dtype=np.float64)
     center_px = ProbeParams.image_shape[0] / 2.0
 
+    steps = int(math.floor(SEARCH_EXTENT_MM / 2.0 / SEARCH_SPACING_MM))
+    ticks = [k * SEARCH_SPACING_MM for k in range(-steps, steps + 1)]
     visited = 0
     best_area = 0.0
-    for dx, dy in _search_offsets():
-        pos = move_to(scene, p0[0] + dx, p0[1] + dy)
+    for k in _center_out(len(ticks)):
+        pos = move_to(scene, p0[0] + ticks[k], p0[1])
         visited += 1
         mask = segment_branch(capture_us(scene, pos), noise)
         area, col = _largest_component_stats(mask)
@@ -266,11 +271,12 @@ def coordinate_map(us_veins: Volume3, ct_veins: Volume3) -> CoordinateMap:
 
     before = _overlap_metrics(apply_transform(hc, init, hu).data, hu.data)
     after = _overlap_metrics(apply_transform(hc, transform, hu).data, hu.data)
+    # Dice is a ratio of voxel counts, so equal overlaps give equal bits
     registration = {
         "before": before,
         "after": after,
         "score": score,
-        "converged": bool(after["dice"] + 1e-12 >= before["dice"]),
+        "converged": bool(after["dice"] >= before["dice"]),
     }
     return CoordinateMap(transform, registration, hu, hc, init)
 
@@ -286,22 +292,22 @@ def _overlap_metrics(pred: np.ndarray, truth: np.ndarray) -> dict:
 def _target_template(
     scene: PhantomScene,
     target_ct: np.ndarray,
+    mapped: np.ndarray,
     ct_to_physical: RigidTransform3,
     branch_pos: np.ndarray,
     ct_veins: Volume3,
 ) -> np.ndarray:
     """The target's axial CT slice, sampled at probe pixel pitch.
 
-    Sampling happens on the comparison frames' own pixel lattice mapped
-    into CT space (x clamped to the target's slice plane). This keeps the
-    template phase-aligned with the captured masks: at the true slice the
-    two agree pixel for pixel, so the overlap score peaks exactly there
-    instead of leaking to any thicker cross-section nearby that merely
-    contains the template's shape.
+    Sampling happens on the pixel lattice of the frame at the physical
+    estimate ``mapped``, moved into CT space (x clamped to the target's
+    slice plane). This keeps the template phase-aligned with the captured
+    masks: at the true slice the two agree pixel for pixel, so the overlap
+    score peaks exactly there instead of leaking to any thicker
+    cross-section nearby that merely contains the template's shape.
     """
     if not np.allclose(ct_veins.axes, np.eye(3)):
         raise ValueError("CT annotation must be in its intrinsic frame")
-    mapped = ct_to_physical.apply(target_ct)
     pts = capture_grid(move_to(scene, mapped[0], branch_pos[1]))
     pts_ct = inverse(ct_to_physical).apply(pts.reshape(-1, 3)).reshape(pts.shape)
     pts_ct[..., 0] = target_ct[0]
@@ -322,48 +328,38 @@ def slice_match(
     ``MATCH_SPAN_MM`` around the estimate (the lattice plus the estimate
     itself), scoring each captured segmentation against the target's CT
     slice by maximum overlap under integer translation (``omia``, with the
-    slice prepared once per target). The best-scoring waypoint wins; ties
-    prefer the smallest deviation from the estimate, then the smaller
-    coordinate.
+    slice prepared once per target). Waypoints are visited in
+    ``_center_out`` order; the first best score in it wins.
 
-    Waypoints are visited nearest the estimate first. A frame whose
-    ``omia_bound`` falls strictly below the best score already reached
-    cannot win or tie, so its FFT pair is skipped and the bound is stored
-    as its score; every frame that could win or tie is scored exactly, so
-    the winner is the one exhaustive scoring picks.
+    A frame whose ``omia_bound`` falls strictly below the best score
+    already reached cannot win or tie, so its FFT pair is skipped and the
+    bound is stored as its score; every frame that could win or tie is
+    scored exactly, so the winner is the one exhaustive scoring picks.
     """
     target_ct = np.asarray(target_ct, dtype=np.float64)
     branch_pos = np.asarray(branch_pos, dtype=np.float64)
     mapped = ct_to_physical.apply(target_ct)
 
     span, n_wp = MATCH_SPAN_MM, MATCH_WAYPOINTS
-    xs = [mapped[0] - span / 2.0 + i * span / n_wp for i in range(n_wp + 1)]
-    if not any(abs(x - mapped[0]) < 1e-9 for x in xs):
-        xs.append(mapped[0])
-    xs = np.array(sorted(xs))
+    # an odd count of intervals: no lattice point falls on the estimate
+    lattice = [mapped[0] - span / 2.0 + i * span / n_wp for i in range(n_wp + 1)]
+    mid = len(lattice) // 2
+    xs = np.array(lattice[:mid] + [mapped[0]] + lattice[mid:])
 
     template = prepare_truth(
-        _target_template(scene, target_ct, ct_to_physical, branch_pos, ct_veins)
+        _target_template(scene, target_ct, mapped, ct_to_physical, branch_pos, ct_veins)
     )
     scores = np.empty(len(xs))
     reached = 0
-    for i in sorted(range(len(xs)), key=lambda i: (abs(xs[i] - mapped[0]), xs[i])):
+    order = _center_out(len(xs))
+    for i in order:
         pos = move_to(scene, float(xs[i]), branch_pos[1])
         pred = segment_full(capture_us(scene, pos), noise)
         bound = omia_bound(pred, template, reached)
         scores[i] = bound if bound < reached else omia(pred, template)
         reached = max(reached, int(scores[i]))
 
-    best = 0
-    for i in range(1, len(xs)):
-        better = scores[i] > scores[best]
-        if not better and scores[i] == scores[best]:
-            d_i = abs(xs[i] - mapped[0])
-            d_b = abs(xs[best] - mapped[0])
-            better = d_i < d_b - 1e-12 or (abs(d_i - d_b) <= 1e-12 and xs[i] < xs[best])
-        if better:
-            best = i
-
+    best = max(order, key=scores.__getitem__)
     corrected = np.array([xs[best], mapped[1], mapped[2]])
     return SliceMatchResult(corrected=corrected, mapped=mapped, waypoint_xs=xs, scores=scores)
 

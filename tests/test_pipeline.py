@@ -32,6 +32,7 @@ from usreg_sim.pipeline import (
     JUDGE_TOL_X_MM,
     SEARCH_CENTER_TOL_PX,
     SEARCH_DETECT_AREA_PX,
+    _center_out,
     _target_template,
     coordinate_map,
     frames_for_eps,
@@ -108,16 +109,37 @@ def test_search_detects_and_centers_from_offset_start(scene, contact):
     assert result.final_center_offset_px == pytest.approx(offset)
 
 
-def test_search_failure_when_annotation_empty(scene, contact):
+def test_search_failure_when_annotation_empty(scene, contact, monkeypatch):
     old = scene.hv_branch_annotation
     empty = Volume3(np.zeros_like(old.data), old.spacing, old.origin, old.axes)
     bare = dataclasses.replace(scene, hv_branch_annotation=empty)
+    xs = []
+
+    def recording_move_to(scene, x, y):
+        xs.append(x)
+        assert y == contact[1]
+        return move_to(scene, x, y)
+
+    monkeypatch.setattr(pipeline, "move_to", recording_move_to)
     result = hv_search(bare, None, contact)
     assert not result.success
     assert result.position is None
     assert result.waypoints_visited == 9  # line pattern, +-20 mm at 5 mm pitch
+    # visited center-out, the smaller x of an equidistant pair first
+    offsets = [0.0, -5.0, 5.0, -10.0, 10.0, -15.0, 15.0, -20.0, 20.0]
+    assert xs == [contact[0] + dx for dx in offsets]
     assert result.final_area == 0.0
     assert math.isnan(result.final_center_offset_px)
+
+
+def test_center_out_order():
+    assert _center_out(1) == [0]
+    assert _center_out(9) == [4, 3, 5, 2, 6, 1, 7, 0, 8]
+    order = _center_out(23)
+    assert order[:5] == [11, 10, 12, 9, 13] and order[-2:] == [0, 22]
+    assert sorted(order) == list(range(23))
+    # each equidistant pair comes together, the smaller index first
+    assert all(order[i] + order[i + 1] == 22 and order[i] < order[i + 1] for i in range(1, 23, 2))
 
 
 def test_search_failure_when_threshold_unreachable(scene, contact, monkeypatch):
@@ -286,7 +308,7 @@ def test_slice_match_scores_are_exact_or_a_bound_below_the_winner(scene, found, 
     bad = compose(translation([2.0, 0.0, 0.0]), scene.placement)
     for ti in (40, 55):
         sm = slice_match(scene, noise, targets[ti], bad, found.position, ct_veins)
-        template = _target_template(scene, targets[ti], bad, found.position, ct_veins)
+        template = _target_template(scene, targets[ti], sm.mapped, bad, found.position, ct_veins)
         assert template.any()
         preds, exact = _waypoint_omias(scene, noise, sm, found.position, template)
         for pred, want, score in zip(preds, exact, sm.scores):
@@ -311,13 +333,25 @@ def test_slice_match_picks_the_exhaustive_winner(scene, found, ct_veins, noise):
     x_lo = ct_veins.origin[0] + ct_veins.spacing[0] * xs.min()
     outside = np.array([x_lo - 10.0, 95.0, 58.0])  # an empty template
     bad = compose(translation([2.0, 0.0, 0.0]), scene.placement)
-    cases = [(targets[ti], cmap) for ti in (10, 40, 55, 90) for cmap in (scene.placement, bad)]
+    cases = [
+        (targets[ti], cmap) for ti in (10, 40, 55, 74, 90) for cmap in (scene.placement, bad)
+    ]
+    pair_ties = 0  # an equidistant pair of waypoints ties at the best
+    x_decides = 0  # the winner's mirror ties it: the smaller-x key picked it
     for target, cmap in cases + [(outside, scene.placement)]:
         sm = slice_match(scene, noise, target, cmap, found.position, ct_veins)
-        template = _target_template(scene, target, cmap, found.position, ct_veins)
+        template = _target_template(scene, target, sm.mapped, cmap, found.position, ct_veins)
         _, exact = _waypoint_omias(scene, noise, sm, found.position, template)
-        assert sm.corrected[0] == _exhaustive_winner(sm.waypoint_xs, exact, sm.mapped[0])
+        winner = _exhaustive_winner(sm.waypoint_xs, exact, sm.mapped[0])
+        assert sm.corrected[0] == winner
         assert np.all(exact <= sm.scores)
+        n, w = len(exact), int(np.flatnonzero(sm.waypoint_xs == winner)[0])
+        at_best = (exact == exact.max()) & (exact > 0)
+        pair_ties += any(at_best[k] and at_best[n - 1 - k] for k in range(n // 2))
+        x_decides += w != n // 2 and at_best[n - 1 - w]
+    assert pair_ties >= 1
+    # at zero noise the estimate itself is always among the tied best
+    assert x_decides >= (0 if noise is None else 1)
 
 
 def test_slice_match_skips_most_fft_pairs_in_a_noisy_trial(monkeypatch):

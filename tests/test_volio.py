@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -69,3 +70,17 @@ def test_vol_header_unknown_dtype_is_named(tmp_path, tag):
     with pytest.raises(ValueError, match=r"unsupported dtype .*accepted: \['f32', 'u8'\]") as err:
         load_volume(path)
     assert repr(tag) in str(err.value) and "missing" not in str(err.value)
+
+
+@pytest.mark.parametrize("key, bad, why", [
+    ("spacing", [1.0, float("inf"), 1.0], "must be finite"),
+    ("origin", [float("nan"), 0.0, 0.0], "must be finite"),
+    ("axes", [[float("nan")] * 3] * 3, "must be finite"),
+    ("axes", [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], "orthogonal unit vectors"),
+])
+def test_vol_header_with_bad_geometry_is_named(tmp_path, key, bad, why):
+    vol = Volume3(np.zeros((2, 2, 2), dtype=np.uint8), (1, 1, 1), (0, 0, 0), np.eye(3))
+    path = save_volume(vol, tmp_path / "v.vol")
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: bad}))
+    with pytest.raises(ValueError, match=f"malformed volume header {re.escape(str(path))}: .*{why}"):
+        load_volume(path)

@@ -81,6 +81,21 @@ def test_volume_validation():
         Volume3(np.zeros((4, 4)), (1, 1, 1), (0, 0, 0), IDENT)
 
 
+@pytest.mark.parametrize("field, bad, why", [
+    ("spacing", (1.0, np.inf, 1.0), "must be finite"),
+    ("origin", (np.nan, 0.0, 0.0), "must be finite"),
+    ("origin", (0.0, -np.inf, 0.0), "must be finite"),
+    ("axes", np.full((3, 3), np.nan), "must be finite"),
+    ("axes", np.diag([1.0, np.inf, 1.0]), "must be finite"),
+    # finite rows whose products overflow: the residual holds NaN
+    ("axes", [[1e200, 1e200, 0.0], [1e200, -1e200, 0.0], [0.0, 0.0, 1.0]], "orthogonal"),
+])
+def test_volume_rejects_non_finite_geometry_or_residual(field, bad, why):
+    geometry = {"spacing": (1, 1, 1), "origin": (0, 0, 0), "axes": IDENT, field: bad}
+    with pytest.raises(ValueError, match=why):
+        Volume3(np.zeros((2, 2, 2)), **geometry)
+
+
 def test_volume_leaves_the_callers_arrays_writable_and_unshared():
     data = np.zeros((3, 4, 5), dtype=np.uint8)
     sp = np.array([1.0, 2.0, 3.0])
