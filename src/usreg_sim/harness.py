@@ -182,8 +182,9 @@ def _pick_targets(n: int, limit: int) -> np.ndarray:
 def run_trial(cfg: SweepConfig, index: int) -> TrialResult:
     """One end-to-end follow-up scan; fully determined by (cfg, index).
 
-    A search that exhausts its waypoints is recorded as a failed trial with
-    zero targets attempted, not raised. A negative or non-integer ``index``
+    A failed search (waypoints exhausted, or centring that loses the
+    vessel or does not settle) is recorded as a failed trial with zero
+    targets attempted, not raised. A negative or non-integer ``index``
     is a ConfigError.
     """
     if not isinstance(index, (int, np.integer)) or index < 0:

@@ -63,7 +63,8 @@ class RigidTransform3:
         if not (np.isfinite(rot).all() and np.isfinite(tra).all()):
             raise ValueError("rotation and translation must be finite")
         # a residual that overflowed to NaN fails every comparison, so test for passing
-        err = np.abs(rot @ rot.T - np.eye(3)).max()
+        with np.errstate(over="ignore", invalid="ignore"):
+            err = np.abs(rot @ rot.T - np.eye(3)).max()
         if not err <= ORTHO_TOL:
             raise ValueError(f"rotation is not orthonormal (max residual {err:.3e})")
         det = np.linalg.det(rot)

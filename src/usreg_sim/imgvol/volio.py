@@ -45,15 +45,15 @@ def save_volume(vol: Volume3, path: str | Path) -> Path:
 
 def load_volume(path: str | Path) -> Volume3:
     path = Path(path)
-    header = json.loads(path.read_text())
-    if not isinstance(header, dict):
-        raise ValueError(f"malformed volume header {path}: not a JSON object")
-    tag = header.get("dtype")
-    if tag is not None and (not isinstance(tag, str) or tag not in _DTYPES):
-        raise ValueError(
-            f"malformed volume header {path}: unsupported dtype {tag!r}; accepted: {sorted(_DTYPES)}"
-        )
     try:
+        # text that is not UTF-8 or not JSON is a ValueError; a file that
+        # cannot be read is an OSError, which names the file itself
+        header = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError("not a JSON object")
+        tag = header.get("dtype")
+        if tag is not None and (not isinstance(tag, str) or tag not in _DTYPES):
+            raise ValueError(f"unsupported dtype {tag!r}; accepted: {sorted(_DTYPES)}")
         dtype = _DTYPES[header["dtype"]]
         shape = tuple(int(n) for n in header["shape"])
         geometry = [np.asarray(header[k], dtype=np.float64) for k in ("spacing", "origin", "axes")]

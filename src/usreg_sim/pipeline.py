@@ -151,8 +151,9 @@ def hv_search(scene: PhantomScene, noise: NoiseModel | None, p0: np.ndarray) -> 
     largest connected component of the junction-local segmentation reaches
     the area threshold. Bang-bang feedback then steps the probe laterally
     until the component's column centroid sits within tolerance of the
-    image center. Exhausting the waypoints returns a failure value; a
-    centralization loop that cannot settle raises a non-convergence error.
+    image center. Exhausting the waypoints returns a failure value with the
+    best area seen; so does centring that loses the vessel or does not
+    settle, with the last frame's area and offset (NaN once it is lost).
     """
     p0 = np.asarray(p0, dtype=np.float64)
     center_px = ProbeParams.image_shape[0] / 2.0
@@ -186,12 +187,14 @@ def hv_search(scene: PhantomScene, noise: NoiseModel | None, p0: np.ndarray) -> 
             mask = segment_branch(capture_us(scene, pos), noise)
             area, col = _largest_component_stats(mask)
             if area == 0.0:
-                raise RuntimeError(
-                    "centralization lost the vessel: empty segmentation while centering"
-                )
+                break
             offset = col - center_px
-        raise RuntimeError(
-            f"centralization did not settle within {SEARCH_MAX_CENTER_ITERATIONS} iterations"
+        return SearchResult(
+            success=False,
+            position=None,
+            waypoints_visited=visited,
+            final_area=area,
+            final_center_offset_px=abs(col - center_px),
         )
 
     return SearchResult(

@@ -5,18 +5,19 @@ with a fixed orientation: the image plane is always perpendicular to the
 inferior-superior (x) axis, so every captured frame is an axial view. The
 geometry is fixed (``ProbeParams``), so the probe's state is just its
 position: ``initial_contact`` and ``move_to`` return it as a ``(3,)`` array
-and ``capture_us`` takes it. Every mask this module hands out (a frame's
-truth masks and the segmentations) is a read-only ``uint8`` array of
-``ProbeParams.image_shape``, indexed (lateral, depth).
+and ``capture_us`` takes it. Every mask this module hands out (a
+segmentation) is a read-only ``uint8`` array of ``ProbeParams.image_shape``,
+indexed (lateral, depth).
 
-Capture is pure resampling of the scene's vein annotations, done lazily:
-a frame samples each of its fields on first read, so a caller pays only
-for the pixels it consumes. A truth mask whose volume axes are exactly the
-identity (every scene placed without yaw) is read by ``gather_nearest``:
-one slab index for the frame, one row index per lateral pixel and one
-column index per depth pixel, which reads the same values as the general
-sampler. The learned segmentation networks of the real system
-are replaced by ground-truth oracles plus one fixed corruption model.
+A frame is a pose and holds no pixels: ``capture_us`` records the scene
+and the capture position, and each segmenter samples the one vein
+annotation it reads on the frame's pixel grid when it is called. An
+annotation whose volume axes are exactly the identity (every scene placed
+without yaw) is read by ``gather_nearest``: one slab index for the frame,
+one row index per lateral pixel and one column index per depth pixel,
+which reads the same values as the general sampler. The learned
+segmentation networks of the real system are replaced by ground-truth
+oracles plus one fixed corruption model.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,52 +55,17 @@ class ProbeParams:
     pixel_spacing = (80.0 / 216.0, 0.8)
 
 
-@dataclass(frozen=True)
-class UltrasoundFrame:
-    """One axial capture: the two hidden truth masks of the imaged plane.
+class UltrasoundFrame(NamedTuple):
+    """One axial capture: the scene and the pose it was captured at.
 
-    The frame holds only the scene and the capture position. Each of
-    ``mask_truth`` and ``branch_truth``, a read-only ``uint8`` array of
-    ``ProbeParams.image_shape``, is sampled on
-    ``capture_grid(capture_position)`` the first time it is read
-    and cached on the frame, so both share one pixel grid. ``mask_truth``
-    samples the full vein annotation and ``branch_truth`` the
-    junction-local annotation, each through ``gather_nearest`` when that
-    annotation's ``axes`` equal the identity exactly and through
-    ``sample_at_physical`` otherwise (a yawed placement). Pixel (0, 0)
-    sits at ``capture_position - (fov_width/2) * y_hat`` at surface depth,
-    the lateral axis runs along +y and the depth axis straight down.
+    ``capture_position`` is a read-only float64 3-vector. The frame holds
+    no pixels; its pixel grid is ``capture_grid(capture_position)``: pixel
+    (0, 0) sits at ``capture_position - (fov_width/2) * y_hat`` at surface
+    depth, the lateral axis runs along +y and the depth axis straight down.
     """
 
-    scene: PhantomScene = field(repr=False)
+    scene: PhantomScene
     capture_position: np.ndarray
-
-    def __post_init__(self) -> None:
-        pos = np.array(self.capture_position, dtype=np.float64)
-        if pos.shape != (3,):
-            raise ValueError("capture_position must be a 3-vector")
-        object.__setattr__(self, "capture_position", _read_only(pos))
-
-    @cached_property
-    def mask_truth(self) -> np.ndarray:
-        return self._sample(self.scene.hv_annotation)
-
-    @cached_property
-    def branch_truth(self) -> np.ndarray:
-        return self._sample(self.scene.hv_branch_annotation)
-
-    def _sample(self, vol: Volume3) -> np.ndarray:
-        if np.array_equal(vol.axes, _IDENTITY):
-            # the product with an exact identity rounds nothing, so these
-            # are sample_at_physical's indices, split per axis
-            ys, zs = _capture_axes(self.capture_position)
-            vals = gather_nearest(vol, *(
-                (c - o) / s
-                for c, o, s in zip((self.capture_position[:1], ys, zs), vol.origin, vol.spacing)
-            ))[0]
-        else:
-            vals = sample_at_physical(vol, capture_grid(self.capture_position))
-        return _read_only(vals.astype(np.uint8, copy=False))
 
 
 @dataclass(frozen=True)
@@ -183,25 +149,44 @@ def capture_grid(position: np.ndarray) -> np.ndarray:
 def capture_us(scene: PhantomScene, position: np.ndarray) -> UltrasoundFrame:
     """Image the axial plane through the probe ``position`` (a 3-vector).
 
-    Nothing is sampled here: the frame samples each truth mask on first
-    read, a nearest-neighbour sample of its annotation. Points outside the
-    volume read 0.
+    Nothing is sampled here: the frame keeps a read-only copy of the
+    position, and each segmenter samples its truth mask from the scene.
     """
-    return UltrasoundFrame(scene, position)
+    pos = np.array(position, dtype=np.float64)
+    if pos.shape != (3,):
+        raise ValueError("capture_position must be a 3-vector")
+    return UltrasoundFrame(scene, _read_only(pos))
 
 
-def _frame_rng(noise: NoiseModel, frame: UltrasoundFrame, tag: str) -> np.random.Generator:
+def _truth(vol: Volume3, position: np.ndarray) -> np.ndarray:
+    """``vol`` sampled on ``capture_grid(position)``, nearest voxel, 0 outside.
+
+    Annotation axes that equal the identity exactly take ``gather_nearest``;
+    any other axes (a yawed placement) take ``sample_at_physical``.
+    """
+    if np.array_equal(vol.axes, _IDENTITY):
+        # the product with an exact identity rounds nothing, so these
+        # are sample_at_physical's indices, split per axis
+        ys, zs = _capture_axes(position)
+        vals = gather_nearest(vol, *(
+            (c - o) / s for c, o, s in zip((position[:1], ys, zs), vol.origin, vol.spacing)
+        ))[0]
+    else:
+        vals = sample_at_physical(vol, capture_grid(position))
+    return _read_only(vals.astype(np.uint8, copy=False))
+
+
+def _frame_rng(noise: NoiseModel, position: np.ndarray, tag: str) -> np.random.Generator:
     """Generator keyed on (seed, model tag, capture position, frame shape).
 
     Re-segmenting the same frame with the same model reproduces the output
     bit for bit, independent of call order, which keeps concurrent trials
-    deterministic. The shape is the fixed probe's, so keying samples no
-    field of the frame.
+    deterministic. The shape is the fixed probe's.
     """
     h = hashlib.blake2b(digest_size=16)
     h.update(struct.pack("<q", int(noise.seed)))
     h.update(tag.encode("ascii"))
-    quantized = np.round(frame.capture_position * 1000.0).astype(np.int64)
+    quantized = np.round(position * 1000.0).astype(np.int64)
     h.update(quantized.tobytes())
     h.update(struct.pack("<qq", *ProbeParams.image_shape))
     return np.random.default_rng(int.from_bytes(h.digest(), "little"))
@@ -259,18 +244,19 @@ def _corrupt(mask: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _segment(
-    frame: UltrasoundFrame, truth: np.ndarray, noise: NoiseModel | None, tag: str
+    vol: Volume3, position: np.ndarray, noise: NoiseModel | None, tag: str
 ) -> np.ndarray:
+    truth = _truth(vol, position)
     if noise is None:
         return truth
-    return _read_only(_corrupt(truth, _frame_rng(noise, frame, tag)))
+    return _read_only(_corrupt(truth, _frame_rng(noise, position, tag)))
 
 
 def segment_full(frame: UltrasoundFrame, noise: NoiseModel | None) -> np.ndarray:
     """Full-vein segmentation: the truth mask, corrupted unless ``noise`` is None."""
-    return _segment(frame, frame.mask_truth, noise, "full")
+    return _segment(frame.scene.hv_annotation, frame.capture_position, noise, "full")
 
 
 def segment_branch(frame: UltrasoundFrame, noise: NoiseModel | None) -> np.ndarray:
     """Junction-local segmentation: the branch truth under the same model."""
-    return _segment(frame, frame.branch_truth, noise, "branch")
+    return _segment(frame.scene.hv_branch_annotation, frame.capture_position, noise, "branch")

@@ -318,6 +318,14 @@ def test_register_header_of_wrong_type_exits_2(tmp_path, capsys):
         assert err.startswith("error: malformed volume header") and err.count("\n") == 1, err
 
 
+def test_register_header_not_json_exits_2_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.vol"
+    bad.write_text("not a header\n")
+    assert main(["register", str(bad), str(bad)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed volume header {bad}: ") and err.count("\n") == 1, err
+
+
 def test_register_nan_origin_exits_2_naming_the_file(tmp_path, capsys):
     vol = Volume3(np.ones((2, 2, 2), dtype=np.uint8), (1, 1, 1), (0, 0, 0), np.eye(3))
     good = save_volume(vol, tmp_path / "good.vol")

@@ -220,6 +220,40 @@ def test_search_walks_centres_and_fails_in_a_sweep(monkeypatch, tmp_path):
     assert summary["n_search_failures"] == 1
 
 
+def test_sweep_records_a_search_whose_centring_cannot_settle(small_reports, monkeypatch, tmp_path):
+    """A centring failure is a failed search, not the end of the sweep.
+
+    Trial 0's centring gets no iterations, so it cannot settle: the sweep
+    finishes, writes its reports and counts the trial as a search failure,
+    and trial 1 writes the same trials.csv rows as in a clean run.
+    """
+    searches = []
+
+    def unsettled_search(scene, noise, p0):
+        with monkeypatch.context() as m:
+            if not searches:
+                m.setattr(pipeline, "SEARCH_MAX_CENTER_ITERATIONS", 0)
+            searches.append(pipeline.hv_search(scene, noise, p0))
+        return searches[-1]
+
+    monkeypatch.setattr(harness, "hv_search", unsettled_search)
+    result = run_sweep(SweepConfig(**SMALL), workers=1)
+    reports = emit_reports(result, tmp_path)
+
+    failed, clean = result.trials
+    assert not failed.search_success and failed.targets == () and failed.registration is None
+    assert searches[0].position is None
+    assert searches[0].final_area >= pipeline.SEARCH_DETECT_AREA_PX
+    assert clean.search_success and searches[1].success
+    assert json.loads(reports["summary"].read_text())["n_search_failures"] == 1
+
+    def rows(path):
+        return list(csv.DictReader(path.open()))
+
+    want = [r for r in rows(small_reports["trials"]) if r["trial"] == "1"]
+    assert want and rows(reports["trials"]) == want
+
+
 # ---------------------------------------------------------------- reports
 
 

@@ -24,7 +24,6 @@ from usreg_sim.probe import (
 
 from _oracles import count_components, eager_capture, reference_corrupt
 
-FIELDS = ("mask_truth", "branch_truth")
 NOISE_DEFAULTS = {name: getattr(NoiseModel, name)
                   for name in ("pixel_flip_rate", "spurious_blob_rate", "blob_size", "morph_jitter")}
 
@@ -44,6 +43,7 @@ def test_pixel_origin_geometry(scene):
     pos = move_to(scene, 64.0, 95.0)
     frame = capture_us(scene, pos)
     grid = capture_grid(frame.capture_position)
+    truth = segment_full(frame, None)
     vx, vy = ProbeParams.pixel_spacing
 
     expected = pos + np.array([0.0, -ProbeParams.fov_width / 2.0, 0.0])
@@ -56,7 +56,7 @@ def test_pixel_origin_geometry(scene):
         k = int(rng.integers(0, ProbeParams.image_shape[1]))
         pt = grid[j, k]
         assert np.allclose(pt, expected + np.array([0.0, j * vx, -k * vy]), atol=1e-12)
-        assert frame.mask_truth[j, k] == sample_at_physical(scene.hv_annotation, pt)
+        assert truth[j, k] == sample_at_physical(scene.hv_annotation, pt)
 
 
 def test_two_lobe_mask_one_slice_from_branch_point():
@@ -65,15 +65,15 @@ def test_two_lobe_mask_one_slice_from_branch_point():
     slice_mm = PhantomParams.spacing_mm
     for dx in (-slice_mm, slice_mm):
         frame = capture_us(scene, move_to(scene, bp[0] + dx, bp[1]))
-        comps = count_components(frame.mask_truth)
+        comps = count_components(segment_full(frame, None))
         assert comps >= 2, f"expected two lobes at dx={dx}, got {comps} component(s)"
 
 
 def test_lateral_shift_moves_mask_by_whole_pixels(scene):
     vx = ProbeParams.pixel_spacing[0]
     shift_px = 7
-    mask_a = capture_us(scene, move_to(scene, 64.0, 95.13)).mask_truth
-    mask_b = capture_us(scene, move_to(scene, 64.0, 95.13 + shift_px * vx)).mask_truth
+    mask_a = segment_full(capture_us(scene, move_to(scene, 64.0, 95.13)), None)
+    mask_b = segment_full(capture_us(scene, move_to(scene, 64.0, 95.13 + shift_px * vx)), None)
 
     # content must sit safely inside both frames for the overlap comparison
     cols_a = np.nonzero(mask_a.any(axis=1))[0]
@@ -83,17 +83,18 @@ def test_lateral_shift_moves_mask_by_whole_pixels(scene):
 
 def test_far_lateral_capture_is_empty(scene):
     frame = capture_us(scene, move_to(scene, 64.0, 165.0))
-    assert frame.mask_truth.sum() == 0
-    assert frame.branch_truth.sum() == 0
+    assert segment_full(frame, None).sum() == 0
+    assert segment_branch(frame, None).sum() == 0
 
 
 def test_zero_noise_segmentation_is_exact(scene):
     frame = capture_us(scene, move_to(scene, 64.0, 95.0))
-    assert frame.mask_truth.sum() > 0
     full = segment_full(frame, None)
     branch = segment_branch(frame, None)
-    assert np.array_equal(full, frame.mask_truth)
-    assert np.array_equal(branch, frame.branch_truth)
+    assert full.sum() > 0
+    want_full, want_branch = eager_capture(scene, frame.capture_position, shared_grid=False)
+    assert np.array_equal(full, want_full)
+    assert np.array_equal(branch, want_branch)
 
 
 def test_segmentation_bit_reproducible(scene):
@@ -122,7 +123,7 @@ def test_blob_noise_components_stay_small(scene, monkeypatch):
     area_limit = 160  # detection threshold at this image scale
     for x in np.linspace(40.0, 90.0, 6):
         frame = capture_us(scene, move_to(scene, float(x), 165.0))
-        assert frame.mask_truth.sum() == 0
+        assert segment_full(frame, None).sum() == 0
         labels = _label_sizes(segment_full(frame, noise))
         assert all(size < area_limit for size in labels)
 
@@ -217,7 +218,7 @@ def test_default_noise_dice_band():
     scores = []
     for x in np.linspace(bp[0] - 30.0, bp[0] + 30.0, 64):
         frame = capture_us(scene, move_to(scene, float(x), bp[1]))
-        scores.append(dice(segment_full(frame, noise), frame.mask_truth))
+        scores.append(dice(segment_full(frame, noise), segment_full(frame, None)))
     mean = float(np.mean(scores))
     assert 0.75 <= mean <= 0.95, f"mean oracle dice {mean:.3f} outside band"
 
@@ -289,16 +290,11 @@ def test_noise_model_is_fixed():
     assert NOISE_PRESETS["default"](5) == NoiseModel(seed=5)
 
 
-# ---------------------------------------------------------------- lazy frames
-
-
-def sampled(frame):
-    """Names of the frame fields sampled so far (cached on the instance)."""
-    return {name for name in FIELDS if name in vars(frame)}
+# ------------------------------------------------------ frames and truth
 
 
 @pytest.mark.parametrize("offset, yaw", [((10.0, -5.0, 0.0), 0.0), ((12.5, -7.0, 3.0), 6.0)])
-def test_lazy_fields_match_eager_capture(monkeypatch, offset, yaw):
+def test_segmenters_match_eager_capture(monkeypatch, offset, yaw):
     scene = place_phantom(generate_phantom(seed=3), offset, yaw)
     # a branch annotation with content up to every face, so a frame that reads
     # past an edge differs from one clamped to it
@@ -346,11 +342,10 @@ def test_lazy_fields_match_eager_capture(monkeypatch, offset, yaw):
     ties = np.zeros(3, dtype=bool)
     for pos in positions:
         frame = capture_us(scene, pos)
-        assert sampled(frame) == set()
-        got = (frame.mask_truth, frame.branch_truth)
+        got = (segment_full(frame, None), segment_branch(frame, None))
         for shared_grid in (True, False):
             want = eager_capture(scene, frame.capture_position, shared_grid)
-            for name, g, w in zip(FIELDS, got, want):
+            for name, g, w in zip(("full", "branch"), got, want):
                 assert g.dtype == w.dtype, name
                 assert np.array_equal(g, w), f"{name} at {pos} (shared_grid={shared_grid})"
         idx = physical_to_voxel(grid, capture_grid(frame.capture_position))
@@ -364,7 +359,7 @@ def test_lazy_fields_match_eager_capture(monkeypatch, offset, yaw):
     n = len(positions)
     masks = (scene.hv_annotation, scene.hv_branch_annotation)
     if yaw == 0.0:
-        # axis-aligned annotations: the masks take the separable gather
+        # axis-aligned annotations: the truth masks take the separable gather
         assert len(calls) == 0
         assert ties.all()
     else:
@@ -376,19 +371,21 @@ def test_lazy_fields_match_eager_capture(monkeypatch, offset, yaw):
         scene, hv_annotation=Volume3(np.zeros((ann.shape[0], 0, ann.shape[2]), np.uint8),
                                      ann.spacing, ann.origin, ann.axes))
     frame = capture_us(empty, positions[0])
-    assert np.array_equal(frame.mask_truth, np.zeros(ProbeParams.image_shape, np.uint8))
+    assert np.array_equal(segment_full(frame, None), np.zeros(ProbeParams.image_shape, np.uint8))
 
 
 def test_frame_is_immutable(scene):
-    frame = capture_us(scene, move_to(scene, 64.0, 95.0))
+    pos = move_to(scene, 64.0, 95.0)
+    frame = capture_us(scene, pos)
+    assert frame._fields == ("scene", "capture_position")
+    assert frame.scene is scene and np.array_equal(frame.capture_position, pos)
+    assert frame.capture_position is not pos and frame.capture_position.dtype == np.float64
     with pytest.raises(ValueError):
         frame.capture_position[0] = 0.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         frame.capture_position = np.zeros(3)
-    assert frame.mask_truth is frame.mask_truth  # sampled once, then cached
     for noise in (None, NoiseModel(seed=4)):
-        for mask in (frame.mask_truth, frame.branch_truth,
-                     segment_full(frame, noise), segment_branch(frame, noise)):
+        for mask in (segment_full(frame, noise), segment_branch(frame, noise)):
             assert mask.dtype == np.uint8 and mask.shape == ProbeParams.image_shape
             with pytest.raises(ValueError):
                 mask[0, 0] = 1
@@ -397,10 +394,19 @@ def test_frame_is_immutable(scene):
 @pytest.mark.parametrize("noise", [None, NoiseModel(seed=4)], ids=["zero", "default"])
 @pytest.mark.parametrize("segment, field", [(segment_full, "mask_truth"),
                                             (segment_branch, "branch_truth")])
-def test_segmentation_samples_only_its_truth(scene, noise, segment, field):
-    frame = capture_us(scene, move_to(scene, 62.0, 96.0))
-    segment(frame, noise)
-    assert sampled(frame) == {field}
+def test_segmentation_samples_only_its_truth(scene, monkeypatch, noise, segment, field):
+    # the full truth mask samples the vein annotation, the branch truth the
+    # junction-local one
+    annotation = {"mask_truth": scene.hv_annotation, "branch_truth": scene.hv_branch_annotation}
+    sampled, truth = [], probe._truth
+
+    def counting_truth(vol, position):
+        sampled.append(vol)
+        return truth(vol, position)
+
+    monkeypatch.setattr(probe, "_truth", counting_truth)
+    segment(capture_us(scene, move_to(scene, 62.0, 96.0)), noise)
+    assert len(sampled) == 1 and sampled[0] is annotation[field]
 
 
 def test_judging_targets_captures_nothing(scene, monkeypatch):
@@ -413,15 +419,3 @@ def test_judging_targets_captures_nothing(scene, monkeypatch):
     assert judge_success(positions, target)
     # one position sits on the target's slice, well inside the tolerance
     assert np.abs(positions[:, 0] - target[0]).min() <= 1.0
-
-
-@pytest.mark.parametrize("segment", [segment_full, segment_branch])
-def test_segmentation_independent_of_prior_reads(scene, segment):
-    noise = NoiseModel(seed=9)
-    pos = move_to(scene, 63.0, 94.0)
-    fresh = segment(capture_us(scene, pos), noise)
-    primed = capture_us(scene, pos)
-    for name in FIELDS:
-        getattr(primed, name)
-    assert np.array_equal(segment(primed, noise), fresh)
-    assert fresh.any()

@@ -60,6 +60,15 @@ def test_non_orthonormal_rejected():
         RigidTransform3(np.eye(3) * 2.0, np.zeros(3))
 
 
+def test_huge_finite_rotation_rejected_without_overflow_warning():
+    # finite entries whose products overflow: the residual is inf or NaN,
+    # which must fail the check as a ValueError, not escape as a warning
+    # (pytest turns a RuntimeWarning into an error)
+    rot = np.array([[1e200, 1e200, 0.0], [1e200, -1e200, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="not orthonormal"):
+        RigidTransform3(rot, np.zeros(3))
+
+
 @pytest.mark.parametrize("rotation, translation", [
     (np.full((3, 3), np.nan), np.zeros(3)),
     (np.full((3, 3), np.inf), np.zeros(3)),

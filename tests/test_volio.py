@@ -84,3 +84,23 @@ def test_vol_header_with_bad_geometry_is_named(tmp_path, key, bad, why):
     path.write_text(json.dumps({**json.loads(path.read_text()), key: bad}))
     with pytest.raises(ValueError, match=f"malformed volume header {re.escape(str(path))}: .*{why}"):
         load_volume(path)
+
+
+@pytest.mark.parametrize("text, why", [
+    (b"", "Expecting value"),
+    (b"shape: [2, 2, 2]\n", "Expecting value"),
+    (b'{"shape": [2, 2, 2],', "Expecting"),
+    (b'{"dtype": "\xff"}', "codec can't decode"),
+], ids=["empty", "not-json", "truncated", "not-utf8"])
+def test_vol_header_that_is_not_json_is_named(tmp_path, text, why):
+    path = tmp_path / "v.vol"
+    path.write_bytes(text)
+    with pytest.raises(ValueError, match=f"malformed volume header {re.escape(str(path))}: .*{why}"):
+        load_volume(path)
+
+
+def test_vol_missing_header_is_an_os_error_naming_the_file(tmp_path):
+    path = tmp_path / "ghost.vol"
+    with pytest.raises(FileNotFoundError) as err:
+        load_volume(path)
+    assert str(path) in str(err.value)
