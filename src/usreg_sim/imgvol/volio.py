@@ -19,10 +19,12 @@ _DTYPES = {"u8": np.dtype("uint8"), "f32": np.dtype("<f4")}
 
 
 def save_volume(vol: Volume3, path: str | Path) -> Path:
-    """Write a volume as header + raw pair; float data is stored as f32."""
+    """Write a volume as header + raw pair: float data as f32, integer data in 0..255 as u8."""
     path = Path(path)
     data = vol.data
     if np.issubdtype(data.dtype, np.integer):
+        if data.size and not 0 <= data.min() <= data.max() <= 255:
+            raise ValueError(f"{path}: integer data spans {data.min()}..{data.max()}, u8 holds 0..255")
         data = data.astype(np.uint8)
         dtype_tag = "u8"
     else:

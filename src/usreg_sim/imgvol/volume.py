@@ -148,8 +148,8 @@ def resample_crop(vol: Volume3, target_spacing, target_shape, center) -> Volume3
     Sampling is nearest-neighbour and the output keeps the source dtype.
 
     Output axes equal source axes, so the index map is separable: along
-    axis i, output voxel k reads source index ``offset_i + k * ratio_i``
-    through ``gather_nearest``.
+    axis i, output voxel k reads source index ``offset_i + k * ratio_i``.
+    ``gather_nearest`` reads the lattice's (axis 0, axis 1) pairs as rows.
     """
     target_spacing = np.asarray(target_spacing, dtype=np.float64)
     target_shape = tuple(int(n) for n in target_shape)
@@ -164,36 +164,37 @@ def resample_crop(vol: Volume3, target_spacing, target_shape, center) -> Volume3
 
     offset = (vol.axes @ (out_origin - vol.origin)) / vol.spacing
     ratio = target_spacing / vol.spacing
-    out = gather_nearest(vol, *(
-        o + np.arange(n, dtype=np.float64) * r for o, n, r in zip(offset, target_shape, ratio)
-    ))
+    i0, i1, i2 = (o + np.arange(n, dtype=np.float64) * r for o, n, r in zip(offset, target_shape, ratio))
+    n0, n1, _ = target_shape
+    out = gather_nearest(vol, np.repeat(i0, n1), np.tile(i1, n0), i2)
     out.flags.writeable = False
-    return Volume3(out, target_spacing, out_origin, vol.axes)
+    return Volume3(out.reshape(target_shape), target_spacing, out_origin, vol.axes)
 
 
 def gather_nearest(vol: Volume3, i0, i1, i2) -> np.ndarray:
-    """Nearest reads of ``vol`` on the lattice of fractional voxel indices ``i0 x i1 x i2``.
+    """Nearest reads of ``vol`` at rows of paired voxel indices by columns of last-axis ones.
 
-    Each argument is a 1-D array of indices along one array axis. Entry
-    ``[a, b, c]`` of the fresh ``(len(i0), len(i1), len(i2))`` result, in
-    the volume's dtype, reads voxel ``floor(index + 0.5)`` on every axis
-    (half-voxel ties round up, as in ``sample_at_physical``), or 0 where
-    any of the three falls outside.
+    ``i0`` and ``i1`` are equal-length 1-D arrays of fractional indices
+    along array axes 0 and 1, read as pairs, and ``i2`` a 1-D array along
+    axis 2. Entry ``[j, c]`` of the fresh ``(len(i0), len(i2))`` result,
+    in the volume's dtype, reads voxel ``floor(index + 0.5)`` of
+    ``(i0[j], i1[j], i2[c])`` on every axis (half-voxel ties round up, as
+    in ``sample_at_physical``), or 0 where any of the three falls outside.
     """
-    near = [np.floor(np.asarray(i, dtype=np.float64) + 0.5).astype(np.int64) for i in (i0, i1, i2)]
-    if vol.data.size == 0:  # every index is outside; take() cannot read an empty array
-        return np.zeros([len(n) for n in near], dtype=vol.data.dtype)
-    out = vol.data
-    # a take along the last axis reads single elements, one along an outer axis
-    # whole rows: outer axes that shrink the array go first, then the last axis,
-    # then outer axes that grow it (the order does not change the values)
-    for axis in sorted(range(3), key=lambda a: len(near[a]) / vol.shape[a] if a < 2 else 1.0):
-        out = out.take(near[axis], axis=axis, mode="clip")
-    for axis, (n, size) in enumerate(zip(near, vol.shape)):
-        # one unsigned compare tests both bounds: a negative index wraps to a huge one
-        outside = n.view(np.uint64) >= size
-        if np.count_nonzero(outside):
-            out[(slice(None),) * axis + (outside,)] = 0
+    n0, n1, n2 = (np.floor(np.asarray(i, dtype=np.float64) + 0.5).astype(np.int64) for i in (i0, i1, i2))
+    s0, s1, s2 = vol.shape
+    # one unsigned compare tests both bounds: a negative index wraps to a huge one
+    outside = (n0.view(np.uint64) >= s0) | (n1.view(np.uint64) >= s1)
+    rows = n0 * s1 + n1
+    held = rows[~outside]
+    if s2 == 0 or held.size == 0:  # every read is outside; take() cannot read an empty run
+        return np.zeros((len(n0), len(n2)), dtype=vol.data.dtype)
+    # read the columns once per flat row of the span the inside pairs fall in, then rows
+    lo = held.min()
+    span = vol.data.reshape(s0 * s1, s2)[lo : held.max() + 1].take(n2, axis=1, mode="clip")
+    out = span.take(rows - lo, axis=0, mode="clip")
+    out[outside] = 0
+    out[:, n2.view(np.uint64) >= s2] = 0
     return out
 
 

@@ -393,8 +393,8 @@ def load_scene(path: str | Path) -> PhantomScene:
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise ValueError(f"seed must be an integer, got {seed!r}")
         placement = RigidTransform3(desc["placement"]["rotation"], desc["placement"]["translation"])
-        if abs(placement.rotation[2, 2] - 1.0) > 1e-9:
-            raise ValueError("placement must keep the z axis vertical")
+        if not np.array_equal([placement.rotation[2], placement.rotation[:, 2]], [[0, 0, 1]] * 2):
+            raise ValueError("placement must keep the z axis vertical: a yaw about z alone")
     except KeyError as exc:
         raise ValueError(f"malformed scene descriptor {path}: missing {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -11,13 +11,13 @@ indexed (lateral, depth).
 
 A frame is a pose and holds no pixels: ``capture_us`` records the scene
 and the capture position, and each segmenter samples the one vein
-annotation it reads on the frame's pixel grid when it is called. An
-annotation whose volume axes are exactly the identity (every scene placed
-without yaw) is read by ``gather_nearest``: one slab index for the frame,
-one row index per lateral pixel and one column index per depth pixel,
-which reads the same values as the general sampler. The learned
-segmentation networks of the real system are replaced by ground-truth
-oracles plus one fixed corruption model.
+annotation it reads on the frame's pixel grid when it is called. Every
+frame, yawed or not, is read by one ``gather_nearest``: a row index pair
+per lateral pixel and a column index per depth pixel. A placement yaws
+only about the vertical axis, so the pairs depend on a pixel's y alone and
+the columns on its z alone, and they are the general sampler's indices.
+The learned segmentation networks of the real system are replaced by
+ground-truth oracles plus one fixed corruption model.
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .imgvol import Volume3, gather_nearest, sample_at_physical
+from .imgvol import Volume3, gather_nearest
 from .phantom import PhantomScene
-
-_IDENTITY = np.eye(3)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -161,18 +159,17 @@ def capture_us(scene: PhantomScene, position: np.ndarray) -> UltrasoundFrame:
 def _truth(vol: Volume3, position: np.ndarray) -> np.ndarray:
     """``vol`` sampled on ``capture_grid(position)``, nearest voxel, 0 outside.
 
-    Annotation axes that equal the identity exactly take ``gather_nearest``;
-    any other axes (a yawed placement) take ``sample_at_physical``.
+    ``vol``'s third axis must be exactly vertical (row and column 2 of its
+    axes are (0, 0, 1)), as on every scene: ``place_phantom`` yaws about z
+    only. The z terms of the index product are then exact zeros, so one
+    product over the lateral pixels and the depth pixels' z alone give the
+    indices of the general sampler's full-grid product, bit for bit.
     """
-    if np.array_equal(vol.axes, _IDENTITY):
-        # the product with an exact identity rounds nothing, so these
-        # are sample_at_physical's indices, split per axis
-        ys, zs = _capture_axes(position)
-        vals = gather_nearest(vol, *(
-            (c - o) / s for c, o, s in zip((position[:1], ys, zs), vol.origin, vol.spacing)
-        ))[0]
-    else:
-        vals = sample_at_physical(vol, capture_grid(position))
+    ys, zs = _capture_axes(position)
+    lateral = np.empty((len(ys), 3))
+    lateral[:, 0], lateral[:, 1], lateral[:, 2] = position[0], ys, zs[0]
+    i0, i1, _ = (((lateral - vol.origin) @ vol.axes.T) / vol.spacing).T
+    vals = gather_nearest(vol, i0, i1, (zs - vol.origin[2]) / vol.spacing[2])
     return _read_only(vals.astype(np.uint8, copy=False))
 
 

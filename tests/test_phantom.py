@@ -170,6 +170,18 @@ def test_placement_consistency():
     assert moved.surface_height(p1[0], p1[1]) == pytest.approx(top0 + 3.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("yaw", [-10.0, -6.5, 0.0, 3.0, 10.0])
+def test_placed_annotations_keep_z_exactly_vertical(tmp_path, scene, yaw):
+    # a probe frame reads an annotation as y-only row pairs by z-only
+    # columns, which takes row 2 and column 2 of its axes to be exactly
+    # (0, 0, 1): on a placed scene and on the same scene saved and loaded
+    moved = place_phantom(scene, offset=(11.0, -6.0, 2.5), yaw_deg=yaw)
+    for placed in (moved, load_scene(save_scene(moved, tmp_path / "scene"))):
+        for vol in (placed.body, placed.hv_annotation, placed.hv_branch_annotation):
+            assert vol.axes[2].tolist() == [0.0, 0.0, 1.0]
+            assert vol.axes[:, 2].tolist() == [0.0, 0.0, 1.0]
+
+
 def test_placement_yaw_limit():
     base = generate_phantom(seed=2)
     with pytest.raises(ValueError):
@@ -265,6 +277,8 @@ def test_load_scene_rejects_old_formats(tmp_path, scene, version):
 
 
 _TILT = [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]  # 90 degrees about x
+# orthonormal within float tolerance, but the z axis leans by 1e-12
+_LEAN = [[1.0, 0.0, 1e-12], [0.0, 1.0, 0.0], [-1e-12, 0.0, 1.0]]
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -284,8 +298,10 @@ _TILT = [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]  # 90 degrees about
      "rotation and translation must be finite"),
     (lambda d: {**d, "placement": {"rotation": np.eye(3).tolist(), "translation": [1.0, 2.0]}},
      "3-vector"),
+    (lambda d: {**d, "placement": {"rotation": _LEAN, "translation": [0.0, 0.0, 0.0]}},
+     "z axis vertical"),
 ], ids=["list", "no-placement", "string-placement", "no-translation", "string-seed", "float-seed",
-        "bool-seed", "tilted", "nan-translation", "inf-rotation", "short-translation"])
+        "bool-seed", "tilted", "nan-translation", "inf-rotation", "short-translation", "leaning"])
 def test_load_scene_rejects_malformed_descriptor(tmp_path, scene, edit, message):
     path = save_scene(scene, tmp_path / "scene")
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))

@@ -6,8 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from usreg_sim import pipeline, probe
-from usreg_sim.imgvol import Volume3, dice, physical_to_voxel, sample_at_physical
+from usreg_sim import imgvol, pipeline, probe
+from usreg_sim.imgvol import Volume3, dice, gather_nearest, physical_to_voxel, sample_at_physical
 from usreg_sim.phantom import PhantomParams, generate_phantom, place_phantom
 from usreg_sim.pipeline import judge_success, target_imaging
 from usreg_sim.probe import (
@@ -293,7 +293,8 @@ def test_noise_model_is_fixed():
 # ------------------------------------------------------ frames and truth
 
 
-@pytest.mark.parametrize("offset, yaw", [((10.0, -5.0, 0.0), 0.0), ((12.5, -7.0, 3.0), 6.0)])
+@pytest.mark.parametrize("offset, yaw", [
+    ((10.0, -5.0, 0.0), 0.0), ((12.5, -7.0, 3.0), 6.0), ((-8.0, 6.0, -2.0), -10.0)])
 def test_segmenters_match_eager_capture(monkeypatch, offset, yaw):
     scene = place_phantom(generate_phantom(seed=3), offset, yaw)
     # a branch annotation with content up to every face, so a frame that reads
@@ -333,11 +334,16 @@ def test_segmenters_match_eager_capture(monkeypatch, offset, yaw):
 
     calls = []
 
-    def counting_sampler(vol, *args, **kwargs):
+    def counting_gather(vol, *args, **kwargs):
         calls.append(vol)
-        return sample_at_physical(vol, *args, **kwargs)
+        return gather_nearest(vol, *args, **kwargs)
 
-    monkeypatch.setattr(probe, "sample_at_physical", counting_sampler)
+    def no_sampler(*args, **kwargs):
+        raise AssertionError("a frame was read through sample_at_physical")
+
+    monkeypatch.setattr(probe, "gather_nearest", counting_gather)
+    for module in (imgvol, imgvol.volume):
+        monkeypatch.setattr(module, "sample_at_physical", no_sampler)
     partial = with_vessel = 0
     ties = np.zeros(3, dtype=bool)
     for pos in positions:
@@ -358,14 +364,13 @@ def test_segmenters_match_eager_capture(monkeypatch, offset, yaw):
 
     n = len(positions)
     masks = (scene.hv_annotation, scene.hv_branch_annotation)
+    # yawed or not, each truth mask is one gather of its own annotation
+    assert not hasattr(probe, "sample_at_physical")
+    assert len(calls) == 2 * n and all(v is m for v, m in zip(calls, masks * n))
     if yaw == 0.0:
-        # axis-aligned annotations: the truth masks take the separable gather
-        assert len(calls) == 0
         assert ties.all()
-    else:
-        assert len(calls) == 2 * n and all(any(v is m for m in masks) for v in calls)
 
-    # an annotation with no voxels reads zeros through either path
+    # an annotation with no voxels reads zeros
     ann = scene.hv_annotation
     empty = dataclasses.replace(
         scene, hv_annotation=Volume3(np.zeros((ann.shape[0], 0, ann.shape[2]), np.uint8),

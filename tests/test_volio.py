@@ -30,6 +30,24 @@ def test_vol_round_trip_f32(tmp_path):
     assert back.data.dtype == np.dtype("<f4")
 
 
+def test_vol_integer_data_round_trips_within_u8_and_is_refused_outside(tmp_path):
+    data = np.array([0, 7, 255, 3], dtype=np.int16).reshape(1, 2, 2)
+    back = load_volume(save_volume(Volume3(data, (1, 1, 1), (0, 0, 0), np.eye(3)), tmp_path / "ok.vol"))
+    np.testing.assert_array_equal(back.data, data)
+    assert back.data.dtype == np.uint8
+    # u8 would wrap 300 to 44 and -1 to 255, so neither is written
+    for i, bad in enumerate((300, -1)):
+        vol = Volume3(np.full((1, 2, 2), bad, dtype=np.int16), (1, 1, 1), (0, 0, 0), np.eye(3))
+        path = tmp_path / f"bad{i}.vol"
+        with pytest.raises(ValueError, match=f"spans {bad}..{bad}, u8 holds 0..255") as info:
+            save_volume(vol, path)
+        assert str(path) in str(info.value)
+        assert not path.exists()
+    # an empty integer volume has no value to range-check
+    empty = Volume3(np.zeros((0, 2, 2), dtype=np.int64), (1, 1, 1), (0, 0, 0), np.eye(3))
+    assert load_volume(save_volume(empty, tmp_path / "empty.vol")).shape == (0, 2, 2)
+
+
 def test_vol_header_is_json_with_expected_fields(tmp_path):
     vol = Volume3(np.zeros((2, 3, 4), dtype=np.uint8), (1, 1, 1), (0, 0, 0), np.eye(3))
     path = save_volume(vol, tmp_path / "v.vol")

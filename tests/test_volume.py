@@ -443,6 +443,25 @@ def _gather_axes(rng, n):
     yield np.empty(0)
 
 
+def _loose_pairs(rng, n0, n1, k):
+    """``k`` random (axis 0, axis 1) index pairs off any lattice: both inside,
+    only the first outside, only the second outside, in shuffled order."""
+
+    def inside(n):
+        return rng.uniform(-0.5, n - 0.5, k)
+
+    def outside(n):
+        below = rng.uniform(-4.0, -0.5, k)  # rounds to -1 or less
+        return np.where(rng.random(k) < 0.5, below, n - 1.0 - below)  # rounds to n or more
+
+    pairs = np.concatenate([
+        np.column_stack((inside(n0), inside(n1))),
+        np.column_stack((outside(n0), inside(n1))),
+        np.column_stack((inside(n0), outside(n1))),
+    ])
+    return rng.permutation(pairs).T
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.float32])
 @pytest.mark.parametrize("shape", [(7, 9, 5), (1, 4, 6), (3, 0, 4)])
 def test_gather_nearest_matches_reference_sampler(dtype, shape):
@@ -451,13 +470,16 @@ def test_gather_nearest_matches_reference_sampler(dtype, shape):
     rng = np.random.default_rng(sum(shape) + len(np.dtype(dtype).name))
     vol = make_vol((rng.random(shape) * 5).astype(dtype))
     runs = [list(_gather_axes(rng, n)) for n in shape]
-    # the ties on every axis at once, then random picks of one run per axis
+    # the ties on every axis at once, then random picks of one run per axis,
+    # each read as the lattice of its axis 0 and axis 1 runs and as loose pairs
     picks = [(0, 0, 0)] + [tuple(rng.integers(len(r)) for r in runs) for _ in range(80)]
     for pick in picks:
         i0, i1, i2 = (r[k] for r, k in zip(runs, pick))
-        got = gather_nearest(vol, i0, i1, i2)
-        pts = np.stack(np.meshgrid(i0, i1, i2, indexing="ij"), axis=-1)
-        want = reference_sample_at_physical(vol, pts)
-        assert got.dtype == vol.data.dtype and got.shape == (len(i0), len(i1), len(i2))
-        assert np.array_equal(got, want), f"runs {pick}: {i0}, {i1}, {i2}"
-        assert got.base is None  # fresh: a caller may freeze it in place
+        lattice = (np.repeat(i0, len(i1)), np.tile(i1, len(i0)))
+        for p0, p1 in (lattice, _loose_pairs(rng, *shape[:2], int(rng.integers(1, 6)))):
+            got = gather_nearest(vol, p0, p1, i2)
+            pts = np.stack(np.broadcast_arrays(p0[:, None], p1[:, None], i2[None, :]), axis=-1)
+            want = reference_sample_at_physical(vol, pts)
+            assert got.dtype == vol.data.dtype and got.shape == (len(p0), len(i2))
+            assert np.array_equal(got, want), f"runs {pick}: {p0}, {p1}, {i2}"
+            assert got.base is None  # fresh: a caller may freeze it in place
