@@ -31,7 +31,7 @@ from .harness import (
 )
 from .imgvol import load_volume
 from .phantom import generate_phantom, place_phantom, save_scene
-from .pipeline import coordinate_map
+from .pipeline import coordinate_map, harmonize
 from .probe import NOISE_PRESETS
 from .registration import mutual_information
 
@@ -55,7 +55,8 @@ def _load_config(args: argparse.Namespace) -> SweepConfig:
             raise ConfigError("config file must contain a JSON object")
         cfg = SweepConfig.from_dict(raw)
     overrides = {}
-    if args.trials is not None:
+    # only sweep takes --trials: one trial reads no trial count
+    if getattr(args, "trials", None) is not None:
         overrides["trials"] = args.trials
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -109,13 +110,12 @@ def _cmd_run_trial(args: argparse.Namespace) -> int:
 
 
 def _cmd_register(args: argparse.Namespace) -> int:
-    fixed = load_volume(args.fixed)
-    moving = load_volume(args.moving)
-    cmap = coordinate_map(fixed, moving)
+    hu, hc, init = harmonize(load_volume(args.fixed), load_volume(args.moving))
+    cmap = coordinate_map(hu, hc, init)
     t = cmap.ct_to_physical
     # the registration objective at the init and at the result, on the
     # harmonized grids the mapping stage registered
-    score_before, score_after = mutual_information(cmap.hu, cmap.hc, [cmap.init, t])
+    score_before, score_after = mutual_information(hu, hc, [init, t])
     report = {
         "rotation": t.rotation.tolist(),
         "translation": t.translation.tolist(),
@@ -140,7 +140,6 @@ def _cmd_phantom_gen(args: argparse.Namespace) -> int:
 def _add_config_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="CFG.json",
                    help="sweep config file (defaults apply when omitted)")
-    p.add_argument("--trials", type=int, metavar="N", help="override trial count")
     p.add_argument("--seed", type=int, metavar="S", help="override master seed")
     p.add_argument("--noise-preset", choices=sorted(NOISE_PRESETS),
                    help="override noise preset")
@@ -155,6 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a Monte Carlo sweep and write reports")
     _add_config_options(p)
+    p.add_argument("--trials", type=int, metavar="N", help="override trial count")
     p.add_argument("--out", metavar="DIR", help="report directory")
     p.add_argument(
         "--workers", type=int, default=None,

@@ -33,6 +33,7 @@ from .pipeline import (
     ACQ_SLICES,
     JUDGE_TOL_X_MM,
     coordinate_map,
+    harmonize,
     hv_acquire,
     hv_search,
     judge_success,
@@ -227,7 +228,7 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialResult:
 
     t = clock()
     ct_veins = ct_frame_volume(scene.hv_annotation, scene.placement)
-    cmap = coordinate_map(acquired, ct_veins)
+    cmap = coordinate_map(*harmonize(acquired, ct_veins))
     stage_ms["map"] = (clock() - t) * 1e3
 
     t = clock()

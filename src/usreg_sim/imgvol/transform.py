@@ -78,9 +78,6 @@ class RigidTransform3:
         pts = np.asarray(points, dtype=np.float64)
         return pts @ self.rotation.T + self.translation
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.apply(points)
-
     @staticmethod
     def identity() -> "RigidTransform3":
         return RigidTransform3(np.eye(3), np.zeros(3))

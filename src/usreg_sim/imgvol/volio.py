@@ -3,8 +3,9 @@
 A ``name.vol`` file is a JSON header with fields shape, spacing, origin,
 axes, dtype ("u8" or "f32") and data_file; the payload is a separate raw
 little-endian binary in C order (axis 0 major), referenced relative to the
-header's directory. The package writes masks (u8) only; f32 stays
-readable because ``usreg-sim register`` accepts float-typed masks.
+header's directory. The package writes masks (u8, bool ones included)
+only; f32 stays readable because ``usreg-sim register`` accepts
+float-typed masks.
 """
 from __future__ import annotations
 
@@ -19,10 +20,10 @@ _DTYPES = {"u8": np.dtype("uint8"), "f32": np.dtype("<f4")}
 
 
 def save_volume(vol: Volume3, path: str | Path) -> Path:
-    """Write a volume as header + raw pair: float data as f32, integer data in 0..255 as u8."""
+    """Write a volume as header + raw pair: float data as f32, bool and integer data in 0..255 as u8."""
     path = Path(path)
     data = vol.data
-    if np.issubdtype(data.dtype, np.integer):
+    if data.dtype == np.bool_ or np.issubdtype(data.dtype, np.integer):
         if data.size and not 0 <= data.min() <= data.max() <= 255:
             raise ValueError(f"{path}: integer data spans {data.min()}..{data.max()}, u8 holds 0..255")
         data = data.astype(np.uint8)

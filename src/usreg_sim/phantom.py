@@ -1,4 +1,4 @@
-"""Virtual abdominal phantom: body mask, hepatic-vein tree, targets.
+"""Virtual abdominal phantom: elliptic body, hepatic-vein tree, targets.
 
 The phantom is generated in its own intrinsic frame (identity axes, origin
 at zero), which doubles as the CT frame of the preoperative scan. Placing
@@ -6,7 +6,9 @@ the phantom on the virtual table applies a yaw-about-z plus translation.
 A scene stores that placement once: its skin height and the placed
 volumes and tree follow from it, and a saved scene is rebuilt from its
 seed and placement. The placement is ground truth for evaluation; the
-pipeline reads it only through the skin height its probe rides on.
+pipeline reads it only through the skin height its probe rides on. The
+body is the analytic ``PhantomParams`` ellipse alone; ``save_scene``
+rasterises it only to write ``body.vol``.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from .imgvol import (
     save_volume,
     translation,
 )
+from .imgvol.transform import _freeze
 
 
 class PhantomParams:
@@ -75,9 +78,7 @@ class VesselBranch:
     points: np.ndarray  # (n, 3) polyline, mm
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(self.points, dtype=np.float64)
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _freeze(self.points, np.float64))
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,7 @@ class VesselTree:
     branch_point: np.ndarray
 
     def __post_init__(self):
-        bp = np.ascontiguousarray(self.branch_point, dtype=np.float64)
-        bp.flags.writeable = False
-        object.__setattr__(self, "branch_point", bp)
+        object.__setattr__(self, "branch_point", _freeze(self.branch_point, np.float64))
 
     def branch(self, label: str) -> VesselBranch:
         for br in self.branches:
@@ -99,15 +98,15 @@ class VesselTree:
 
 @dataclass(frozen=True)
 class PhantomScene:
-    """A generated phantom: body mask, vein annotations and ground truth.
+    """A generated phantom: vein annotations and ground truth.
 
-    ``body`` is the binary ``uint8`` extruded ellipse. ``seed`` is only a
-    record: the geometry does not depend on it. ``placement`` maps
-    intrinsic phantom coordinates to scene coordinates; it is a yaw about
-    z plus a translation, so the skin stays a heightfield once placed.
+    The body is the ``PhantomParams`` ellipse, which ``surface_height`` and
+    ``footprint_center`` read; the annotations' one grid spans it. ``seed``
+    is only a record: the geometry does not depend on it. ``placement``
+    maps intrinsic phantom coordinates to scene coordinates; it is a yaw
+    about z plus a translation, so the skin stays a heightfield once placed.
     """
 
-    body: Volume3
     hv_annotation: Volume3
     hv_branch_annotation: Volume3
     placement: RigidTransform3
@@ -128,6 +127,16 @@ class PhantomScene:
         z_intrinsic = (PhantomParams.body_center_z
                        + PhantomParams.body_semi_z * math.sqrt(1.0 - rel * rel))
         return z_intrinsic + float(self.placement.translation[2])
+
+    def footprint_center(self) -> np.ndarray:
+        """Placed centroid of the body's top-down voxel footprint, at intrinsic z 0.
+
+        The extruded ellipse covers every x of the annotation grid and is
+        symmetric in y, so the centroid is the grid's middle x at ``body_center_y``.
+        """
+        vol = self.hv_annotation
+        mid_x = (vol.shape[0] - 1) * vol.spacing[0] / 2.0
+        return vol.origin + np.array([mid_x, PhantomParams.body_center_y, 0.0]) @ vol.axes
 
 
 def _sample_curve(fn, length_hint: float) -> np.ndarray:
@@ -248,18 +257,10 @@ def _phantom_geometry() -> PhantomScene:
     ]
     branch_annotation = _rasterize_tubes(oracle_branches, shape, sp)
 
-    yy = np.arange(shape[1]) * sp
-    zz = np.arange(shape[2]) * sp
-    rel_y = (yy - params.body_center_y) / params.body_semi_y
-    rel_z = (zz - params.body_center_z) / params.body_semi_z
-    body_yz = (rel_y[:, None] ** 2 + rel_z[None, :] ** 2) <= 1.0
-    body = np.broadcast_to(body_yz[None, :, :].astype(np.uint8), shape)
-
     # frozen here, so the volumes share these arrays instead of copying them
     for arr in (annotation, branch_annotation, spacing, origin, axes):
         arr.flags.writeable = False
     return PhantomScene(
-        body=Volume3(body, spacing, origin, axes),
         hv_annotation=Volume3(annotation, spacing, origin, axes),
         hv_branch_annotation=Volume3(branch_annotation, spacing, origin, axes),
         placement=RigidTransform3.identity(),
@@ -292,7 +293,6 @@ def _moved(scene: PhantomScene, motion: RigidTransform3) -> PhantomScene:
         replace(br, points=motion.apply(br.points)) for br in scene.tree.branches
     )
     return PhantomScene(
-        body=move_vol(scene.body),
         hv_annotation=move_vol(scene.hv_annotation),
         hv_branch_annotation=move_vol(scene.hv_branch_annotation),
         placement=compose(motion, scene.placement),
@@ -322,10 +322,10 @@ def target_grid(scene: PhantomScene) -> np.ndarray:
     z = bp_ct[2] + p.target_depth_offset
     targets = np.array([[x, y, z] for x in xs for y in ys])
 
-    shape = np.asarray(scene.body.shape)
+    shape = np.asarray(scene.hv_annotation.shape)
     for g in targets:
         phys = scene.placement.apply(g)
-        idx = physical_to_voxel(scene.body, phys)
+        idx = physical_to_voxel(scene.hv_annotation, phys)
         if np.any(idx < 0) or np.any(idx > shape - 1):
             raise ValueError(f"target {g} falls outside the CT volume")
         top = scene.surface_height(phys[0], phys[1])
@@ -339,6 +339,19 @@ def target_grid(scene: PhantomScene) -> np.ndarray:
 SCENE_FORMAT_VERSION = 4
 
 
+def _body_volume(scene: PhantomScene) -> Volume3:
+    """The body on the annotation grid: ``uint8`` 1 where a voxel centre is inside the ellipse."""
+    p = PhantomParams
+    vol = scene.hv_annotation
+    yy = np.arange(vol.shape[1]) * p.spacing_mm
+    zz = np.arange(vol.shape[2]) * p.spacing_mm
+    rel_y = (yy - p.body_center_y) / p.body_semi_y
+    rel_z = (zz - p.body_center_z) / p.body_semi_z
+    body_yz = (rel_y[:, None] ** 2 + rel_z[None, :] ** 2) <= 1.0
+    body = np.broadcast_to(body_yz[None, :, :].astype(np.uint8), vol.shape)
+    return Volume3(body, vol.spacing, vol.origin, vol.axes)
+
+
 def save_scene(scene: PhantomScene, out_dir: str | Path) -> Path:
     """Write body/annotation volumes plus a JSON descriptor; returns the JSON path.
 
@@ -347,7 +360,7 @@ def save_scene(scene: PhantomScene, out_dir: str | Path) -> Path:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_volume(scene.body, out / "body.vol")
+    save_volume(_body_volume(scene), out / "body.vol")
     save_volume(scene.hv_annotation, out / "hv_annotation.vol")
     save_volume(scene.hv_branch_annotation, out / "hv_branch_annotation.vol")
     desc = {

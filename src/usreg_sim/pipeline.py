@@ -8,9 +8,9 @@ Four stages, each a pure function over the scene and probe model:
 2. ``hv_acquire``: sweep the probe along the inferior-superior axis and
    stack per-slice segmentations into a binary 3D volume in robot-base
    (physical) coordinates.
-3. ``coordinate_map``: ``harmonize`` that volume with the CT-frame annotation,
-   align centroids, refine with rigid registration, and return the
-   CT-to-physical transform.
+3. ``harmonize`` / ``coordinate_map``: crop that volume and the CT-frame
+   annotation onto a common grid and align their centroids, then refine
+   with rigid registration and return the CT-to-physical transform.
 4. ``slice_match`` / ``target_imaging`` / ``judge_success``: map a CT
    target into physical space, correct its inferior-superior coordinate by
    overlap scoring against the target's CT slice, then sweep probe
@@ -96,16 +96,11 @@ class SearchResult:
 class CoordinateMap:
     """CT-frame to physical-frame rigid map and the trial's registration record.
 
-    ``registration`` is described in ``coordinate_map``. ``hu``, ``hc`` and
-    ``init`` are what ``harmonize`` returned: the acquired and the CT masks
-    on the common grid, and the centroid init the solver started from.
+    ``registration`` is described in ``coordinate_map``.
     """
 
     ct_to_physical: RigidTransform3
     registration: dict
-    hu: Volume3
-    hc: Volume3
-    init: RigidTransform3
 
 
 @dataclass(frozen=True)
@@ -258,18 +253,17 @@ def harmonize(us_veins: Volume3, ct_veins: Volume3):
     return hu, hc, translation(centroid(hu) - centroid(hc))
 
 
-def coordinate_map(us_veins: Volume3, ct_veins: Volume3) -> CoordinateMap:
+def coordinate_map(hu: Volume3, hc: Volume3, init: RigidTransform3) -> CoordinateMap:
     """Estimate the rigid CT-frame -> physical-frame transform.
 
-    ``harmonize`` puts both inputs on a common grid and aligns their
-    centroids; rigid registration with the default ``RegistrationConfig``
-    refines that init. The registration record is ``{"before", "after",
-    "score", "converged"}``: precision/recall/dice between the acquired
-    volume and the CT annotation moved by the init and by the result, the
-    solver's final score, and whether the result's Dice is at least the
-    init's.
+    Takes ``harmonize``'s output: the acquired and the CT masks on the
+    common grid, and the centroid init. Rigid registration with the default
+    ``RegistrationConfig`` refines that init. The registration record is
+    ``{"before", "after", "score", "converged"}``: precision/recall/dice
+    between the acquired volume and the CT annotation moved by the init
+    and by the result, the solver's final score, and whether the result's
+    Dice is at least the init's.
     """
-    hu, hc, init = harmonize(us_veins, ct_veins)
     transform, score = register_rigid(hu, hc, init=init)
 
     before = _overlap_metrics(apply_transform(hc, init, hu).data, hu.data)
@@ -281,7 +275,7 @@ def coordinate_map(us_veins: Volume3, ct_veins: Volume3) -> CoordinateMap:
         "score": score,
         "converged": bool(after["dice"] >= before["dice"]),
     }
-    return CoordinateMap(transform, registration, hu, hc, init)
+    return CoordinateMap(transform, registration)
 
 
 def _overlap_metrics(pred: np.ndarray, truth: np.ndarray) -> dict:

@@ -96,24 +96,14 @@ NOISE_PRESETS = {
 
 
 def initial_contact(scene: PhantomScene) -> np.ndarray:
-    """Land the probe at the centroid of the body's top-down footprint.
+    """Land the probe at the centre of the body's top-down footprint.
 
     Stands in for the force-controlled descend-and-touch routine: the
-    contact point is the (x, y) centroid of the occupied skin footprint at
-    surface height.
+    contact point is ``scene.footprint_center()``'s (x, y) at surface
+    height, which is on the skin whatever the placement.
     """
-    footprint = scene.body.data.any(axis=2)
-    idx = np.argwhere(footprint)
-    if idx.size == 0:
-        raise ValueError("cannot make contact: body footprint is empty")
-    center_idx = idx.mean(axis=0)
-    anchor = scene.body.origin + (
-        np.array([center_idx[0], center_idx[1], 0.0]) * scene.body.spacing
-    ) @ scene.body.axes
-    z = scene.surface_height(anchor[0], anchor[1])
-    if math.isnan(z):
-        raise ValueError("footprint centroid is off the skin surface")
-    return np.array([anchor[0], anchor[1], z])
+    x, y, _ = scene.footprint_center()
+    return np.array([x, y, scene.surface_height(x, y)])
 
 
 def move_to(scene: PhantomScene, x: float, y: float) -> np.ndarray:

@@ -4,10 +4,11 @@ Everything here is deliberately written the slow, obvious way and never
 calls into the package beyond plain numpy (and scipy's trilinear and
 nearest samplers and correlation) and the ``imgvol`` containers and
 transform algebra, so that package results can be checked against a
-second route. The one
-exception is ``reference_register_rigid``, which drives the package's own
-sparse scorer through the per-map solver below: it checks the solver's
-bookkeeping, not the scorer's arithmetic.
+second route. There are two exceptions. ``reference_register_rigid``
+drives the package's own sparse scorer through the per-map solver below:
+it checks the solver's bookkeeping, not the scorer's arithmetic.
+``reference_initial_contact`` reads the skin height through the scene:
+it checks where the contact lands in (x, y), not the height.
 """
 import math
 from fractions import Fraction
@@ -17,6 +18,7 @@ from scipy import ndimage, signal
 
 from usreg_sim import registration as reg
 from usreg_sim.imgvol import RigidTransform3, Volume3, centroid, euler_zyx, inverse
+from usreg_sim.phantom import PhantomParams
 from usreg_sim.probe import ProbeParams
 
 
@@ -54,6 +56,23 @@ def brute_force_lcc(mask):
         for v in best:
             out[v] = 1
     return out
+
+
+def reference_initial_contact(scene):
+    """Contact at the centroid of the voxel body's top-down footprint.
+
+    The body is rasterised on the annotation grid (1 where a voxel centre
+    is inside the ``PhantomParams`` ellipse, on every x slab); the centroid
+    of its columns that hold any body voxel is placed like a grid point,
+    and the skin height is read above it.
+    """
+    p = PhantomParams
+    vol = scene.hv_annotation
+    _, yy, zz = np.indices(vol.shape) * p.spacing_mm
+    body = ((yy - p.body_center_y) / p.body_semi_y) ** 2 + ((zz - p.body_center_z) / p.body_semi_z) ** 2 <= 1.0
+    center_idx = np.argwhere(body.any(axis=2)).mean(axis=0)
+    anchor = vol.origin + (np.array([center_idx[0], center_idx[1], 0.0]) * vol.spacing) @ vol.axes
+    return np.array([anchor[0], anchor[1], scene.surface_height(anchor[0], anchor[1])])
 
 
 def count_components(mask):

@@ -130,6 +130,14 @@ def test_run_trial_rejects_negative_index(capsys):
     assert captured.err.startswith("config error: --index: ") and "-1" in captured.err
 
 
+def test_run_trial_has_no_trials_flag(capsys):
+    # one trial reads no trial count, so only sweep takes --trials
+    with pytest.raises(SystemExit) as info:
+        main(["run-trial", "--trials", "2"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --trials 2" in capsys.readouterr().err
+
+
 def test_sweep_rejects_unparseable_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

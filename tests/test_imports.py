@@ -35,7 +35,7 @@ def test_registration_path_loads_no_scipy(tmp_path):
         from usreg_sim import cli
         from usreg_sim.imgvol import Volume3, save_volume, translation
         from usreg_sim.phantom import ct_frame_volume, generate_phantom, place_phantom
-        from usreg_sim.pipeline import coordinate_map
+        from usreg_sim.pipeline import coordinate_map, harmonize
         from usreg_sim.registration import RegistrationConfig, register_rigid
 
         rng = np.random.default_rng(7)
@@ -47,7 +47,7 @@ def test_registration_path_loads_no_scipy(tmp_path):
 
         scene = place_phantom(generate_phantom(3), [12.0, -8.0, 0.0], yaw_deg=7.0)
         ct = ct_frame_volume(scene.hv_annotation, scene.placement)
-        coordinate_map(scene.hv_annotation, ct)
+        coordinate_map(*harmonize(scene.hv_annotation, ct))
         save_volume(ct, {str(tmp_path / "fixed.vol")!r})
         save_volume(scene.hv_annotation, {str(tmp_path / "moving.vol")!r})
         with contextlib.redirect_stdout(io.StringIO()):

@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 from _oracles import count_components, point_to_polyline_distance
-from usreg_sim.imgvol import inverse, physical_to_voxel, voxel_to_physical
+from usreg_sim.imgvol import inverse, load_volume, physical_to_voxel, voxel_to_physical
 from usreg_sim.phantom import (
     PhantomParams,
     PhantomScene,
+    VesselBranch,
+    VesselTree,
+    _body_volume,
     generate_phantom,
     load_scene,
     place_phantom,
@@ -28,13 +31,12 @@ def scene():
 
 def test_generation_is_deterministic(scene):
     again = generate_phantom(seed=0)
-    np.testing.assert_array_equal(again.body.data, scene.body.data)
     np.testing.assert_array_equal(again.hv_annotation.data, scene.hv_annotation.data)
     np.testing.assert_array_equal(again.hv_branch_annotation.data, scene.hv_branch_annotation.data)
     # the seed is recorded on the scene; the geometry does not depend on it
     different = generate_phantom(seed=1)
     assert different.seed == 1
-    for name in ("body", "hv_annotation", "hv_branch_annotation"):
+    for name in ("hv_annotation", "hv_branch_annotation"):
         np.testing.assert_array_equal(getattr(different, name).data, getattr(scene, name).data)
 
 
@@ -42,7 +44,7 @@ def test_geometry_is_built_once_and_read_only(scene):
     # every scene shares the cached arrays, whatever its seed
     again = generate_phantom(seed=9)
     assert again.seed == 9
-    for name in ("body", "hv_annotation", "hv_branch_annotation"):
+    for name in ("hv_annotation", "hv_branch_annotation"):
         data = getattr(again, name).data
         assert data is getattr(scene, name).data
         assert not data.flags.writeable
@@ -52,15 +54,16 @@ def test_geometry_is_built_once_and_read_only(scene):
         PhantomParams(radius_lhv=3.0)
 
 
-# sha256 of the phantom's three masks and its tree (each branch's points,
-# then its radius as a little-endian float64), so a refactor of the
-# generator is checked voxel for voxel
+# sha256 of the phantom's three masks (the body as save_scene rasterises
+# it, then the two annotations) and its tree (each branch's points, then
+# its radius as a little-endian float64), so a refactor of the generator is
+# checked voxel for voxel
 PHANTOM_GEOMETRY_DIGEST = "201ecdcf4de274e48ceab8c8b35db5913d120063c53ac694d19072c84411dd48"
 
 
 def test_phantom_geometry_is_pinned(scene):
     h = hashlib.sha256()
-    for vol in (scene.body, scene.hv_annotation, scene.hv_branch_annotation):
+    for vol in (_body_volume(scene), scene.hv_annotation, scene.hv_branch_annotation):
         h.update(vol.data.tobytes())
     for br in scene.tree.branches:
         h.update(br.points.tobytes())
@@ -86,7 +89,7 @@ def test_annotation_is_exactly_the_tube_set(scene):
 
     unmarked_checked = 0
     while unmarked_checked < 300:
-        vox = rng.integers(0, scene.body.shape, size=3)
+        vox = rng.integers(0, scene.hv_annotation.shape, size=3)
         center = vox * sp
         inside = any(
             point_to_polyline_distance(center, br.points) <= br.radius
@@ -135,24 +138,44 @@ def test_surface_height_values(scene):
     assert np.isnan(scene.surface_height(10.0, p.body_center_y + p.body_semi_y + 1))
 
 
-def test_body_mask_is_the_extruded_ellipse(scene):
+def test_body_mask_is_the_extruded_ellipse(tmp_path, scene):
+    """``body.vol`` is the ellipse rasterised on the placed annotation grid."""
     p = PhantomParams
-    body = scene.body.data
-    assert body.dtype == np.uint8 and set(np.unique(body)) == {0, 1}
-    # every voxel center inside the (y, z) ellipse, on every x slab
-    _, yy, zz = np.indices(body.shape) * p.spacing_mm
+    _, yy, zz = np.indices(p.volume_shape) * p.spacing_mm
     rel_y = (yy - p.body_center_y) / p.body_semi_y
     rel_z = (zz - p.body_center_z) / p.body_semi_z
-    inside = rel_y**2 + rel_z**2 <= 1.0
-    np.testing.assert_array_equal(body, inside.astype(np.uint8))
-    assert (scene.hv_annotation.data <= body).all()
+    # every voxel center inside the (y, z) ellipse, on every x slab
+    inside = (rel_y**2 + rel_z**2 <= 1.0).astype(np.uint8)
+    for i, (offset, yaw) in enumerate([((0.0, 0.0, 0.0), 0.0), ((14.0, -9.0, 3.0), -7.0)]):
+        placed = place_phantom(scene, offset, yaw)
+        save_scene(placed, tmp_path / f"scene{i}")
+        body = load_volume(tmp_path / f"scene{i}" / "body.vol")
+        ann = placed.hv_annotation
+        for name in ("spacing", "origin", "axes"):
+            assert getattr(body, name).tobytes() == getattr(ann, name).tobytes()
+        assert body.data.dtype == np.uint8
+        np.testing.assert_array_equal(body.data, inside)
+        assert (ann.data <= body.data).all()
+
+
+def test_tree_records_copy_the_callers_arrays():
+    points = np.zeros((3, 3))
+    point = np.ones(3)
+    branch = VesselBranch("x", 1.0, points)
+    tree = VesselTree((branch,), point)
+    # the caller's arrays stay writable, and writing them reaches neither record
+    assert points.flags.writeable and point.flags.writeable
+    points[0, 0] = 5.0
+    point[0] = 5.0
+    assert branch.points[0, 0] == 0.0 and tree.branch_point[0] == 1.0
+    assert not branch.points.flags.writeable and not tree.branch_point.flags.writeable
 
 
 def test_placement_consistency():
     base = generate_phantom(seed=2)
     moved = place_phantom(base, offset=(12.5, -7.0, 3.0), yaw_deg=6.0)
     rng = np.random.default_rng(4)
-    idx = rng.integers(0, np.array(base.body.shape), size=(50, 3))
+    idx = rng.integers(0, np.array(base.hv_annotation.shape), size=(50, 3))
     np.testing.assert_allclose(
         voxel_to_physical(moved.hv_annotation, idx),
         moved.placement.apply(voxel_to_physical(base.hv_annotation, idx)),
@@ -177,7 +200,7 @@ def test_placed_annotations_keep_z_exactly_vertical(tmp_path, scene, yaw):
     # (0, 0, 1): on a placed scene and on the same scene saved and loaded
     moved = place_phantom(scene, offset=(11.0, -6.0, 2.5), yaw_deg=yaw)
     for placed in (moved, load_scene(save_scene(moved, tmp_path / "scene"))):
-        for vol in (placed.body, placed.hv_annotation, placed.hv_branch_annotation):
+        for vol in (placed.hv_annotation, placed.hv_branch_annotation):
             assert vol.axes[2].tolist() == [0.0, 0.0, 1.0]
             assert vol.axes[:, 2].tolist() == [0.0, 0.0, 1.0]
 
@@ -251,7 +274,7 @@ def test_scene_round_trip(tmp_path, scene):
         assert back.seed == moved.seed
         for name in ("rotation", "translation"):
             assert getattr(back.placement, name).tobytes() == getattr(moved.placement, name).tobytes()
-        for name in ("body", "hv_annotation", "hv_branch_annotation"):
+        for name in ("hv_annotation", "hv_branch_annotation"):
             got, want = getattr(back, name), getattr(moved, name)
             assert got.data.dtype == np.uint8
             np.testing.assert_array_equal(got.data, want.data)
@@ -341,7 +364,7 @@ def test_surface_height_matches_per_call_inverse(yawed):
         assert math.isnan(got) if nan else got == want
     # the placement is the one stored copy: the inverse is cached, not a field
     fields = [f.name for f in dataclasses.fields(PhantomScene)]
-    assert fields == ["body", "hv_annotation", "hv_branch_annotation", "placement", "tree", "seed"]
+    assert fields == ["hv_annotation", "hv_branch_annotation", "placement", "tree", "seed"]
     assert yawed._to_intrinsic is yawed._to_intrinsic
 
 

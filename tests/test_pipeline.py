@@ -36,6 +36,7 @@ from usreg_sim.pipeline import (
     _target_template,
     coordinate_map,
     frames_for_eps,
+    harmonize,
     hv_acquire,
     hv_search,
     judge_success,
@@ -86,7 +87,7 @@ def ct_veins(scene):
 
 @pytest.fixture(scope="module")
 def cmap(acquired, ct_veins):
-    return coordinate_map(acquired, ct_veins)
+    return coordinate_map(*harmonize(acquired, ct_veins))
 
 
 # ----------------------------------------------------------------- search
@@ -239,25 +240,30 @@ def test_coordinate_map_recovers_placement(scene, cmap):
 
 
 def test_coordinate_map_identity_when_self_aligned(ct_veins):
-    cm = coordinate_map(ct_veins, ct_veins)
+    cm = coordinate_map(*harmonize(ct_veins, ct_veins))
     assert np.allclose(cm.ct_to_physical.rotation, np.eye(3), atol=1e-9)
     assert np.allclose(cm.ct_to_physical.translation, 0.0, atol=1e-9)
     assert cm.registration["after"]["dice"] == pytest.approx(1.0)
 
 
 def test_coordinate_map_validation(ct_veins):
+    # the map stage's inputs are checked where they enter it, in harmonize
     empty = Volume3(
         np.zeros_like(ct_veins.data), ct_veins.spacing, ct_veins.origin, ct_veins.axes
     )
     with pytest.raises(ValueError, match="empty"):
-        coordinate_map(empty, ct_veins)
+        harmonize(empty, ct_veins)
     with pytest.raises(ValueError, match="empty"):
-        coordinate_map(ct_veins, empty)
+        harmonize(ct_veins, empty)
     shady = Volume3(
         (ct_veins.data * 3).astype(np.uint8), ct_veins.spacing, ct_veins.origin, ct_veins.axes
     )
     with pytest.raises(ValueError):
-        coordinate_map(shady, ct_veins)
+        harmonize(shady, ct_veins)
+
+
+def test_coordinate_map_holds_only_the_map(cmap):
+    assert [f.name for f in dataclasses.fields(cmap)] == ["ct_to_physical", "registration"]
 
 
 # ------------------------------------------------------------ slice match

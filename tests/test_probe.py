@@ -22,7 +22,7 @@ from usreg_sim.probe import (
     segment_full,
 )
 
-from _oracles import count_components, eager_capture, reference_corrupt
+from _oracles import count_components, eager_capture, reference_corrupt, reference_initial_contact
 
 NOISE_DEFAULTS = {name: getattr(NoiseModel, name)
                   for name in ("pixel_flip_rate", "spurious_blob_rate", "blob_size", "morph_jitter")}
@@ -249,16 +249,15 @@ def test_initial_contact_lands_on_recorded_points(offset, yaw, want):
     assert initial_contact(scene).tolist() == want
 
 
-def test_initial_contact_empty_body_errors(scene):
-    empty_body = Volume3(
-        np.zeros_like(scene.body.data),
-        scene.body.spacing,
-        scene.body.origin,
-        scene.body.axes,
-    )
-    hollow = dataclasses.replace(scene, body=empty_body)
-    with pytest.raises(ValueError, match="footprint"):
-        initial_contact(hollow)
+def test_initial_contact_matches_voxel_footprint_oracle():
+    """The analytic footprint centre lands where the voxel body's centroid did, bit for bit."""
+    rng = np.random.default_rng(11)
+    base = generate_phantom(seed=0)
+    for i in range(40):
+        offset = (rng.uniform(-60.0, 60.0), rng.uniform(-40.0, 40.0), rng.uniform(-5.0, 5.0))
+        yaw = (0.0, 10.0, -10.0, rng.uniform(-10.0, 10.0))[i % 4]
+        scene = place_phantom(base, offset, yaw)
+        assert initial_contact(scene).tobytes() == reference_initial_contact(scene).tobytes()
 
 
 def test_move_to_off_surface_errors(scene):

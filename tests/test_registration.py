@@ -460,20 +460,18 @@ def test_restarts_win_on_zero_noise_trial_0(monkeypatch):
     maps = []
 
     def recording(*args):
-        maps.append(pipeline.coordinate_map(*args))
-        return maps[-1]
+        maps.append((args, pipeline.coordinate_map(*args)))
+        return maps[-1][1]
 
     monkeypatch.setattr(harness, "coordinate_map", recording)
     cfg = harness.SweepConfig(trials=1, noise="zero", epsilons=(2.0,), targets_limit=1, seed=0)
     harness.run_trial(cfg, 0)
-    (cmap,) = maps
-    t, score, (coarse, _) = register_rigid(cmap.hu, cmap.hc, cmap.init, return_trace=True)
+    [((hu, hc, init), cmap)] = maps
+    t, score, (coarse, _) = register_rigid(hu, hc, init, return_trace=True)
     assert score == cmap.registration["score"] == pytest.approx(0.08674, abs=1e-5)
 
     monkeypatch.setattr(registration, "_RESTARTS", 0)
-    t_alone, score_alone, (coarse_alone, _) = register_rigid(
-        cmap.hu, cmap.hc, cmap.init, return_trace=True
-    )
+    t_alone, score_alone, (coarse_alone, _) = register_rigid(hu, hc, init, return_trace=True)
     assert coarse[-1] > coarse_alone[-1]
     assert score > score_alone == pytest.approx(0.08559, abs=1e-5)
     assert abs(t.translation[0] - t_alone.translation[0]) > 2.0

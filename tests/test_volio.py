@@ -48,6 +48,17 @@ def test_vol_integer_data_round_trips_within_u8_and_is_refused_outside(tmp_path)
     assert load_volume(save_volume(empty, tmp_path / "empty.vol")).shape == (0, 2, 2)
 
 
+def test_vol_bool_data_is_written_as_u8(tmp_path):
+    data = np.array([True, False, True, True, False, False, True, False]).reshape(2, 2, 2)
+    path = save_volume(Volume3(data, (1, 1, 1), (0, 0, 0), np.eye(3)), tmp_path / "mask.vol")
+    header = json.loads(path.read_text())
+    assert header["dtype"] == "u8"
+    assert (tmp_path / header["data_file"]).read_bytes() == bytes([1, 0, 1, 1, 0, 0, 1, 0])
+    back = load_volume(path)
+    assert back.data.dtype == np.uint8
+    np.testing.assert_array_equal(back.data, data.astype(np.uint8))
+
+
 def test_vol_header_is_json_with_expected_fields(tmp_path):
     vol = Volume3(np.zeros((2, 3, 4), dtype=np.uint8), (1, 1, 1), (0, 0, 0), np.eye(3))
     path = save_volume(vol, tmp_path / "v.vol")
