@@ -61,6 +61,11 @@ def _is_finite_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
+def _is_count(v) -> bool:
+    # a Python or numpy integer; bool subclasses int but counts nothing
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 # the JSON value each config field takes; a value is checked, never coerced,
 # so a string, bool or NaN where a number belongs is a config error rather
 # than a trial that fails later
@@ -186,9 +191,9 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialResult:
     A failed search (waypoints exhausted, or centring that loses the
     vessel or does not settle) is recorded as a failed trial with zero
     targets attempted, not raised. A negative or non-integer ``index``
-    is a ConfigError.
+    (a bool among them) is a ConfigError.
     """
-    if not isinstance(index, (int, np.integer)) or index < 0:
+    if not _is_count(index) or index < 0:
         raise ConfigError(f"trial index must be a nonnegative integer, got {index!r}")
     rng = np.random.default_rng([cfg.seed, index])
     offset_x = float(rng.uniform(-PLACEMENT_X_MM, PLACEMENT_X_MM))
@@ -232,7 +237,7 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialResult:
     stage_ms["map"] = (clock() - t) * 1e3
 
     t = clock()
-    all_targets = target_grid(scene)
+    all_targets = target_grid()
     outcomes = []
     for ti in _pick_targets(len(all_targets), cfg.targets_limit):
         target_ct = all_targets[ti]
@@ -272,11 +277,14 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
     Trials are independent (each is seeded from [cfg.seed, index]) and
     CPU-bound, so they fan out to a process pool when more than one
     worker is available. ``workers`` defaults to one per CPU; any count is
-    capped at the trial count, and one below 1 is a ConfigError. Results
-    are identical for any worker count.
+    capped at the trial count, and one that is not an integer (a bool
+    among them) or is below 1 is a ConfigError. Results are identical for
+    any worker count.
     """
     if workers is None:
         workers = os.cpu_count() or 1
+    elif not _is_count(workers):
+        raise ConfigError(f"workers must be an integer, got {workers!r}")
     elif workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     workers = min(workers, cfg.trials)

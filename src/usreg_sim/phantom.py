@@ -4,11 +4,13 @@ The phantom is generated in its own intrinsic frame (identity axes, origin
 at zero), which doubles as the CT frame of the preoperative scan. Placing
 the phantom on the virtual table applies a yaw-about-z plus translation.
 A scene stores that placement once: its skin height and the placed
-volumes and tree follow from it, and a saved scene is rebuilt from its
-seed and placement. The placement is ground truth for evaluation; the
-pipeline reads it only through the skin height its probe rides on. The
-body is the analytic ``PhantomParams`` ellipse alone; ``save_scene``
-rasterises it only to write ``body.vol``.
+volumes follow from it, and a saved scene is rebuilt from its seed and
+placement. The placement is ground truth for evaluation; the pipeline
+reads it only through the skin height its probe rides on. The CT side is
+fixed: the vein tree and the follow-up target lattice are constants in CT
+coordinates, built once per process, and ``save_scene`` places the tree
+only to write it. The body is the analytic ``PhantomParams`` ellipse
+alone; ``save_scene`` rasterises it only to write ``body.vol``.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from .imgvol import (
     Volume3,
     compose,
     inverse,
-    physical_to_voxel,
     rotation_z,
     save_volume,
     translation,
@@ -82,35 +83,21 @@ class VesselBranch:
 
 
 @dataclass(frozen=True)
-class VesselTree:
-    branches: tuple[VesselBranch, ...]
-    branch_point: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "branch_point", _freeze(self.branch_point, np.float64))
-
-    def branch(self, label: str) -> VesselBranch:
-        for br in self.branches:
-            if br.label == label:
-                return br
-        raise KeyError(label)
-
-
-@dataclass(frozen=True)
 class PhantomScene:
-    """A generated phantom: vein annotations and ground truth.
+    """A generated phantom: placed vein annotations and ground truth.
 
     The body is the ``PhantomParams`` ellipse, which ``surface_height`` and
     ``footprint_center`` read; the annotations' one grid spans it. ``seed``
     is only a record: the geometry does not depend on it. ``placement``
     maps intrinsic phantom coordinates to scene coordinates; it is a yaw
     about z plus a translation, so the skin stays a heightfield once placed.
+    The vein tree and the targets are not held: they are the CT-frame
+    constants ``vein_branches()`` and ``target_grid()``.
     """
 
     hv_annotation: Volume3
     hv_branch_annotation: Volume3
     placement: RigidTransform3
-    tree: VesselTree
     seed: int
 
     @functools.cached_property
@@ -145,7 +132,9 @@ def _sample_curve(fn, length_hint: float) -> np.ndarray:
     return np.stack([fn(v) for v in t])
 
 
-def _build_tree() -> VesselTree:
+@functools.cache
+def vein_branches() -> tuple[VesselBranch, ...]:
+    """The vein tree's branches in CT (intrinsic) coordinates, built once per process."""
     params = PhantomParams
     bp = np.asarray(params.branch_point, dtype=np.float64)
 
@@ -176,14 +165,11 @@ def _build_tree() -> VesselTree:
 
     rhv = _sample_curve(rhv_fn, 1.5 * lr)
 
-    return VesselTree(
-        branches=(
-            VesselBranch("trunk", params.radius_trunk, trunk),
-            VesselBranch("mhv", params.radius_mhv, mhv),
-            VesselBranch("lhv", params.radius_lhv, lhv),
-            VesselBranch("rhv", params.radius_rhv, rhv),
-        ),
-        branch_point=bp,
+    return (
+        VesselBranch("trunk", params.radius_trunk, trunk),
+        VesselBranch("mhv", params.radius_mhv, mhv),
+        VesselBranch("lhv", params.radius_lhv, lhv),
+        VesselBranch("rhv", params.radius_rhv, rhv),
     )
 
 
@@ -247,13 +233,12 @@ def _phantom_geometry() -> PhantomScene:
     origin = np.zeros(3)
     axes = np.eye(3)
 
-    tree = _build_tree()
-    annotation = _rasterize_tubes(tree.branches, shape, sp)
+    branches = vein_branches()
+    annotation = _rasterize_tubes(branches, shape, sp)
 
-    window = params.branch_window_mm
     oracle_branches = [
-        replace(tree.branch("trunk"), points=_clip_polyline_to_arc(tree.branch("trunk").points, window)),
-        replace(tree.branch("mhv"), points=_clip_polyline_to_arc(tree.branch("mhv").points, window)),
+        replace(br, points=_clip_polyline_to_arc(br.points, params.branch_window_mm))
+        for br in branches if br.label in ("trunk", "mhv")
     ]
     branch_annotation = _rasterize_tubes(oracle_branches, shape, sp)
 
@@ -264,7 +249,6 @@ def _phantom_geometry() -> PhantomScene:
         hv_annotation=Volume3(annotation, spacing, origin, axes),
         hv_branch_annotation=Volume3(branch_annotation, spacing, origin, axes),
         placement=RigidTransform3.identity(),
-        tree=tree,
         seed=0,
     )
 
@@ -284,19 +268,15 @@ def place_phantom(scene: PhantomScene, offset, yaw_deg: float = 0.0) -> PhantomS
 
 
 def _moved(scene: PhantomScene, motion: RigidTransform3) -> PhantomScene:
-    """``scene`` with its volumes, tree and placement carried by ``motion``."""
+    """``scene`` with its volumes and placement carried by ``motion``."""
 
     def move_vol(vol: Volume3) -> Volume3:
         return Volume3(vol.data, vol.spacing, motion.apply(vol.origin), vol.axes @ motion.rotation.T)
 
-    moved_branches = tuple(
-        replace(br, points=motion.apply(br.points)) for br in scene.tree.branches
-    )
     return PhantomScene(
         hv_annotation=move_vol(scene.hv_annotation),
         hv_branch_annotation=move_vol(scene.hv_branch_annotation),
         placement=compose(motion, scene.placement),
-        tree=VesselTree(moved_branches, motion.apply(scene.tree.branch_point)),
         seed=scene.seed,
     )
 
@@ -307,31 +287,21 @@ def ct_frame_volume(vol: Volume3, placement: RigidTransform3) -> Volume3:
     return Volume3(vol.data, vol.spacing, inv.apply(vol.origin), vol.axes @ inv.rotation.T)
 
 
-def target_grid(scene: PhantomScene) -> np.ndarray:
-    """Follow-up target lattice in CT (intrinsic) coordinates, shape (n, 3).
+@functools.cache
+def target_grid() -> np.ndarray:
+    """Follow-up target lattice in CT (intrinsic) coordinates, shape (n, 3), read-only.
 
-    The lattice is centered on the branching point, spans the
+    The lattice is centered on ``PhantomParams.branch_point``, spans the
     ``PhantomParams`` extent along the body axis and laterally, and shares
-    one depth. Raises if any target leaves the CT volume or the body
-    interior.
+    one depth. It is built once per process; where a placement puts the
+    phantom does not move it.
     """
     p = PhantomParams
-    bp_ct = inverse(scene.placement).apply(scene.tree.branch_point)
-    xs = np.linspace(bp_ct[0] - p.target_span_x / 2, bp_ct[0] + p.target_span_x / 2, p.targets_along)
-    ys = np.linspace(bp_ct[1] - p.target_span_y / 2, bp_ct[1] + p.target_span_y / 2, p.targets_across)
-    z = bp_ct[2] + p.target_depth_offset
-    targets = np.array([[x, y, z] for x in xs for y in ys])
-
-    shape = np.asarray(scene.hv_annotation.shape)
-    for g in targets:
-        phys = scene.placement.apply(g)
-        idx = physical_to_voxel(scene.hv_annotation, phys)
-        if np.any(idx < 0) or np.any(idx > shape - 1):
-            raise ValueError(f"target {g} falls outside the CT volume")
-        top = scene.surface_height(phys[0], phys[1])
-        if not (phys[2] < top):
-            raise ValueError(f"target {g} is not below the body surface")
-    return targets
+    bp = p.branch_point
+    xs = np.linspace(bp[0] - p.target_span_x / 2, bp[0] + p.target_span_x / 2, p.targets_along)
+    ys = np.linspace(bp[1] - p.target_span_y / 2, bp[1] + p.target_span_y / 2, p.targets_across)
+    z = bp[2] + p.target_depth_offset
+    return _freeze([[x, y, z] for x in xs for y in ys], np.float64)
 
 
 # ------------------------------------------------------------- serialization
@@ -357,6 +327,8 @@ def save_scene(scene: PhantomScene, out_dir: str | Path) -> Path:
 
     ``load_scene`` reads back only the seed and the placement; the volumes,
     ``branch_point``, ``targets`` and ``tree`` are written for other tools.
+    The branching point and the tree are placed here, the targets stay in
+    CT coordinates.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -370,11 +342,11 @@ def save_scene(scene: PhantomScene, out_dir: str | Path) -> Path:
             "rotation": scene.placement.rotation.tolist(),
             "translation": scene.placement.translation.tolist(),
         },
-        "branch_point": scene.tree.branch_point.tolist(),
-        "targets": target_grid(scene).tolist(),
+        "branch_point": scene.placement.apply(PhantomParams.branch_point).tolist(),
+        "targets": target_grid().tolist(),
         "tree": [
-            {"label": br.label, "radius": br.radius, "points": br.points.tolist()}
-            for br in scene.tree.branches
+            {"label": br.label, "radius": br.radius, "points": scene.placement.apply(br.points).tolist()}
+            for br in vein_branches()
         ],
         "files": {
             "body": "body.vol",

@@ -257,12 +257,12 @@ def coordinate_map(hu: Volume3, hc: Volume3, init: RigidTransform3) -> Coordinat
     """Estimate the rigid CT-frame -> physical-frame transform.
 
     Takes ``harmonize``'s output: the acquired and the CT masks on the
-    common grid, and the centroid init. Rigid registration with the default
-    ``RegistrationConfig`` refines that init. The registration record is
-    ``{"before", "after", "score", "converged"}``: precision/recall/dice
-    between the acquired volume and the CT annotation moved by the init
-    and by the result, the solver's final score, and whether the result's
-    Dice is at least the init's.
+    common grid, and the centroid init. Rigid registration on
+    ``register_rigid``'s fixed schedule, seed 0, refines that init. The
+    registration record is ``{"before", "after", "score", "converged"}``:
+    precision/recall/dice between the acquired volume and the CT
+    annotation moved by the init and by the result, the solver's final
+    score, and whether the result's Dice is at least the init's.
     """
     transform, score = register_rigid(hu, hc, init=init)
 

@@ -148,6 +148,14 @@ def test_trial_rerun_is_equal(small_sweep):
     assert again == small_sweep.trials[1]  # stage timings excluded from eq
 
 
+@pytest.mark.parametrize("index", [-1, 1.5, "0", True, False])
+def test_run_trial_rejects_an_index_that_is_not_a_nonnegative_integer(index, monkeypatch):
+    # a bool is an int to Python, but a trial it ran would report "index": true
+    monkeypatch.setattr(harness, "place_phantom", None)  # no trial may start
+    with pytest.raises(ConfigError, match="trial index must be a nonnegative integer"):
+        run_trial(SweepConfig(trials=2, noise="zero", targets_limit=1), index)
+
+
 def test_trial_records_structure(small_sweep):
     cfg = SweepConfig(**SMALL)
     for trial in small_sweep.trials:
@@ -310,6 +318,19 @@ def test_worker_count_does_not_change_reports(tmp_path):
         assert hashlib.sha256(serial[name].read_bytes()).hexdigest() == SERIAL_DIGESTS[name], name
 
 
+@pytest.mark.parametrize("workers, message", [
+    (True, "must be an integer"), (1.5, "must be an integer"), ("2", "must be an integer"),
+    (0, "must be at least 1"), (np.int64(0), "must be at least 1"),
+])
+def test_run_sweep_rejects_a_bad_worker_count(workers, message, monkeypatch):
+    # a bool or float is a config error before any trial runs, not a serial
+    # sweep or a TypeError from the pool
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", None)
+    monkeypatch.setattr(harness, "run_trial", None)
+    with pytest.raises(ConfigError, match=f"workers {message}"):
+        run_sweep(SweepConfig(**SMALL), workers=workers)
+
+
 def test_worker_count_capped_at_trial_count(small_reports, tmp_path, monkeypatch):
     pool_sizes = []
 
@@ -318,7 +339,8 @@ def test_worker_count_capped_at_trial_count(small_reports, tmp_path, monkeypatch
         return ProcessPoolExecutor(max_workers=max_workers)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", recording_pool)
-    capped = emit_reports(run_sweep(SweepConfig(**SMALL), workers=3), tmp_path)
+    # a numpy integer is a worker count like any other
+    capped = emit_reports(run_sweep(SweepConfig(**SMALL), workers=np.int64(3)), tmp_path)
     assert pool_sizes == [SMALL["trials"]]
     for name in ("trials", "registration", "summary"):
         assert capped[name].read_bytes() == small_reports[name].read_bytes(), name

@@ -14,14 +14,16 @@ from usreg_sim.phantom import (
     PhantomParams,
     PhantomScene,
     VesselBranch,
-    VesselTree,
     _body_volume,
     generate_phantom,
     load_scene,
     place_phantom,
     save_scene,
     target_grid,
+    vein_branches,
 )
+
+BRANCH_POINT = np.asarray(PhantomParams.branch_point, dtype=np.float64)
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +50,8 @@ def test_geometry_is_built_once_and_read_only(scene):
         data = getattr(again, name).data
         assert data is getattr(scene, name).data
         assert not data.flags.writeable
-    assert all(not br.points.flags.writeable for br in again.tree.branches)
+    assert vein_branches() is vein_branches()
+    assert all(not br.points.flags.writeable for br in vein_branches())
     # the geometry is fixed: the parameters are class attributes, not fields
     with pytest.raises(TypeError):
         PhantomParams(radius_lhv=3.0)
@@ -65,7 +68,7 @@ def test_phantom_geometry_is_pinned(scene):
     h = hashlib.sha256()
     for vol in (_body_volume(scene), scene.hv_annotation, scene.hv_branch_annotation):
         h.update(vol.data.tobytes())
-    for br in scene.tree.branches:
+    for br in vein_branches():
         h.update(br.points.tobytes())
         h.update(struct.pack("<d", br.radius))
     assert h.hexdigest() == PHANTOM_GEOMETRY_DIGEST
@@ -83,7 +86,7 @@ def test_annotation_is_exactly_the_tube_set(scene):
         center = vox * sp
         dmin = min(
             point_to_polyline_distance(center, br.points) - br.radius
-            for br in scene.tree.branches
+            for br in vein_branches()
         )
         assert dmin <= 1e-9, f"marked voxel {vox} is outside every tube"
 
@@ -93,7 +96,7 @@ def test_annotation_is_exactly_the_tube_set(scene):
         center = vox * sp
         inside = any(
             point_to_polyline_distance(center, br.points) <= br.radius
-            for br in scene.tree.branches
+            for br in vein_branches()
         )
         assert bool(ann[tuple(vox)]) == inside
         unmarked_checked += 1
@@ -108,7 +111,7 @@ def test_branch_oracle_is_subset_within_window(scene):
     # branch_window + radius of the branching point
     sp = PhantomParams.spacing_mm
     xs = np.argwhere(branch)[:, 0] * sp
-    bp_x = scene.tree.branch_point[0]
+    bp_x = BRANCH_POINT[0]
     limit = PhantomParams.branch_window_mm + max(PhantomParams.radius_trunk, PhantomParams.radius_mhv)
     assert xs.min() >= bp_x - limit - sp and xs.max() <= bp_x + limit + sp
 
@@ -116,7 +119,7 @@ def test_branch_oracle_is_subset_within_window(scene):
 def test_two_lobe_cross_section_near_branch_point(scene):
     """Within two slices of the branching point some axial slice shows >= 2 lobes."""
     sp = PhantomParams.spacing_mm
-    slice_idx = int(round(scene.tree.branch_point[0] / sp))
+    slice_idx = int(round(BRANCH_POINT[0] / sp))
     found = max(
         count_components(scene.hv_annotation.data[slice_idx + d])
         for d in range(-2, 3)
@@ -160,15 +163,12 @@ def test_body_mask_is_the_extruded_ellipse(tmp_path, scene):
 
 def test_tree_records_copy_the_callers_arrays():
     points = np.zeros((3, 3))
-    point = np.ones(3)
     branch = VesselBranch("x", 1.0, points)
-    tree = VesselTree((branch,), point)
-    # the caller's arrays stay writable, and writing them reaches neither record
-    assert points.flags.writeable and point.flags.writeable
+    # the caller's array stays writable, and writing it does not reach the record
+    assert points.flags.writeable
     points[0, 0] = 5.0
-    point[0] = 5.0
-    assert branch.points[0, 0] == 0.0 and tree.branch_point[0] == 1.0
-    assert not branch.points.flags.writeable and not tree.branch_point.flags.writeable
+    assert branch.points[0, 0] == 0.0
+    assert not branch.points.flags.writeable
 
 
 def test_placement_consistency():
@@ -181,13 +181,8 @@ def test_placement_consistency():
         moved.placement.apply(voxel_to_physical(base.hv_annotation, idx)),
         atol=1e-9,
     )
-    np.testing.assert_allclose(
-        moved.tree.branch_point,
-        moved.placement.apply(base.tree.branch_point),
-        atol=1e-12,
-    )
     # placed surface: height shifts by t_z and follows the yawed footprint
-    p0 = base.tree.branch_point
+    p0 = BRANCH_POINT
     top0 = base.surface_height(p0[0], p0[1])
     p1 = moved.placement.apply([p0[0], p0[1], top0])
     assert moved.surface_height(p1[0], p1[1]) == pytest.approx(top0 + 3.0, abs=1e-9)
@@ -227,8 +222,8 @@ def test_placement_rejects_offset_not_three_finite_numbers(offset):
         place_phantom(generate_phantom(seed=2), offset=offset)
 
 
-def test_target_grid_layout(scene):
-    targets = target_grid(scene)
+def test_target_grid_layout():
+    targets = target_grid()
     p = PhantomParams
     assert targets.shape == (p.targets_along * p.targets_across, 3)
     assert len(np.unique(targets[:, 2])) == 1  # single depth
@@ -237,19 +232,40 @@ def test_target_grid_layout(scene):
     steps = np.diff(xs)
     np.testing.assert_allclose(steps, steps[0], atol=1e-9)  # uniform pitch
     assert xs.max() - xs.min() == pytest.approx(p.target_span_x)
-    np.testing.assert_allclose(targets[:, :2].mean(axis=0), scene.tree.branch_point[:2], atol=1e-9)
+    np.testing.assert_allclose(targets[:, :2].mean(axis=0), BRANCH_POINT[:2], atol=1e-9)
 
 
 def test_target_grid_is_in_ct_frame_after_placement():
-    base = generate_phantom(seed=2)
-    moved = place_phantom(base, offset=(20.0, -10.0, 0.0), yaw_deg=4.0)
-    np.testing.assert_allclose(target_grid(moved), target_grid(base), atol=1e-9)
+    # one read-only lattice per process, built from PhantomParams alone:
+    # no placement enters it
+    targets = target_grid()
+    assert target_grid() is targets
+    assert not targets.flags.writeable
+    p = PhantomParams
+    bp = p.branch_point
+    xs = np.linspace(bp[0] - p.target_span_x / 2, bp[0] + p.target_span_x / 2, p.targets_along)
+    ys = np.linspace(bp[1] - p.target_span_y / 2, bp[1] + p.target_span_y / 2, p.targets_across)
+    want = np.array([[x, y, bp[2] + p.target_depth_offset] for x in xs for y in ys])
+    assert targets.tobytes() == want.tobytes()
 
 
-def test_target_grid_rejects_overrun(scene, monkeypatch):
-    monkeypatch.setattr(PhantomParams, "target_span_x", 400.0)
-    with pytest.raises(ValueError, match="outside the CT volume"):
-        target_grid(scene)
+def test_targets_lie_in_the_ct_volume_below_the_skin(scene):
+    # every target is inside the annotation grid and under the skin, in the
+    # intrinsic frame and wherever a trial may place the phantom
+    targets = target_grid()
+    rng = np.random.default_rng(8)
+    placements = [((0.0, 0.0, 0.0), 0.0)] + [
+        ((rng.uniform(-40.0, 40.0), rng.uniform(-25.0, 25.0), 0.0), rng.uniform(-10.0, 10.0))
+        for _ in range(20)
+    ]
+    last = np.asarray(scene.hv_annotation.shape) - 1
+    for offset, yaw in placements:
+        placed = place_phantom(scene, offset, yaw)
+        phys = placed.placement.apply(targets)
+        idx = physical_to_voxel(placed.hv_annotation, phys)
+        assert (idx >= 0).all() and (idx <= last).all(), (offset, yaw)
+        for x, y, z in phys:
+            assert z < placed.surface_height(x, y), (offset, yaw)
 
 
 def _same_height(got, want):
@@ -280,13 +296,23 @@ def test_scene_round_trip(tmp_path, scene):
             np.testing.assert_array_equal(got.data, want.data)
             assert got.origin.tobytes() == want.origin.tobytes()
             assert got.axes.tobytes() == want.axes.tobytes()
-        for got, want in zip(back.tree.branches, moved.tree.branches, strict=True):
-            assert got.points.tobytes() == want.points.tobytes()
-        assert back.tree.branch_point.tobytes() == moved.tree.branch_point.tobytes()
         heights = [(back.surface_height(x, y), moved.surface_height(x, y)) for x, y in _HEIGHT_GRID]
         assert 0 < sum(math.isnan(want) for _, want in heights) < len(heights)
         assert all(_same_height(got, want) for got, want in heights)
-        assert target_grid(back).tobytes() == target_grid(moved).tobytes()
+        assert desc["targets"] == target_grid().tolist()
+
+
+def test_saved_tree_is_the_ct_tree_placed(tmp_path, scene):
+    """``save_scene`` places the CT-frame branching point and tree, bit for bit."""
+    moved = place_phantom(scene, offset=(-13.0, 8.5, 1.5), yaw_deg=-8.0)
+    desc = json.loads(save_scene(moved, tmp_path / "scene").read_text())
+    assert desc["branch_point"] == moved.placement.apply(BRANCH_POINT).tolist()
+    assert desc["targets"] == target_grid().tolist()
+    want = [
+        {"label": br.label, "radius": br.radius, "points": moved.placement.apply(br.points).tolist()}
+        for br in vein_branches()
+    ]
+    assert desc["tree"] == want
 
 
 @pytest.mark.parametrize("version", [1, 2, 3])
@@ -334,10 +360,10 @@ def test_load_scene_rejects_malformed_descriptor(tmp_path, scene, edit, message)
 
 
 def test_branch_point_index_consistency(scene):
-    idx = physical_to_voxel(scene.hv_annotation, scene.tree.branch_point)
+    idx = physical_to_voxel(scene.hv_annotation, BRANCH_POINT)
     assert scene.hv_annotation.data[tuple(np.round(idx).astype(int))] == 1
-    ct_frame_bp = inverse(scene.placement).apply(scene.tree.branch_point)
-    np.testing.assert_allclose(ct_frame_bp, scene.tree.branch_point)  # identity placement
+    ct_frame_bp = inverse(scene.placement).apply(BRANCH_POINT)
+    np.testing.assert_allclose(ct_frame_bp, BRANCH_POINT)  # identity placement
 
 
 def _per_call_height(scene, x, y):
@@ -364,7 +390,7 @@ def test_surface_height_matches_per_call_inverse(yawed):
         assert math.isnan(got) if nan else got == want
     # the placement is the one stored copy: the inverse is cached, not a field
     fields = [f.name for f in dataclasses.fields(PhantomScene)]
-    assert fields == ["hv_annotation", "hv_branch_annotation", "placement", "tree", "seed"]
+    assert fields == ["hv_annotation", "hv_branch_annotation", "placement", "seed"]
     assert yawed._to_intrinsic is yawed._to_intrinsic
 
 

@@ -23,6 +23,7 @@ from usreg_sim.imgvol import (
     voxel_to_physical,
 )
 from usreg_sim.phantom import (
+    PhantomParams,
     ct_frame_volume,
     generate_phantom,
     place_phantom,
@@ -155,7 +156,8 @@ def _blob_scene(scene, offset_mm):
     """Replace the junction annotation with a 12 mm cube near the contact."""
     vol = scene.hv_branch_annotation
     data = np.zeros_like(vol.data)
-    center = scene.tree.branch_point + np.asarray(offset_mm, dtype=np.float64)
+    bp = scene.placement.apply(np.asarray(PhantomParams.branch_point, dtype=float))
+    center = bp + np.asarray(offset_mm, dtype=np.float64)
     ci, cj, ck = np.rint(physical_to_voxel(vol, center)).astype(int)
     data[ci - 3:ci + 3, cj - 3:cj + 3, ck - 3:ck + 3] = 1
     blob = Volume3(data, vol.spacing, vol.origin, vol.axes)
@@ -225,10 +227,8 @@ def test_acquisition_matches_annotation_at_zero_noise(scene, acquired):
 
 
 def test_coordinate_map_recovers_placement(scene, cmap):
-    bp_ct = np.linalg.solve(
-        scene.placement.rotation, scene.tree.branch_point - scene.placement.translation
-    )
-    err = cmap.ct_to_physical.apply(bp_ct) - scene.tree.branch_point
+    bp_ct = np.asarray(PhantomParams.branch_point, dtype=float)
+    err = cmap.ct_to_physical.apply(bp_ct) - scene.placement.apply(bp_ct)
     assert np.all(np.abs(err) <= 2.0)  # within one harmonized voxel per axis
     d = cmap.registration
     assert list(d) == ["before", "after", "score", "converged"]
@@ -270,7 +270,7 @@ def test_coordinate_map_holds_only_the_map(cmap):
 
 
 def test_slice_match_exact_map_keeps_estimate(scene, found, ct_veins):
-    targets = target_grid(scene)
+    targets = target_grid()
     lattice_pitch = 20.0 / 21
     for ti in (10, 50, 90):
         truth = scene.placement.apply(targets[ti])
@@ -286,7 +286,7 @@ def test_slice_match_exact_map_keeps_estimate(scene, found, ct_veins):
 
 
 def test_slice_match_corrects_offset_map(scene, found, ct_veins):
-    targets = target_grid(scene)
+    targets = target_grid()
     bad = compose(translation([3.0, 0.0, 0.0]), scene.placement)
     target = targets[40]  # near the junction, where slices are distinctive
     truth = scene.placement.apply(target)
@@ -318,7 +318,7 @@ def _waypoint_omias(scene, noise, sm, branch_pos, template):
 
 def test_slice_match_scores_are_exact_or_a_bound_below_the_winner(scene, found, ct_veins):
     noise = NoiseModel(seed=12)
-    targets = target_grid(scene)
+    targets = target_grid()
     bad = compose(translation([2.0, 0.0, 0.0]), scene.placement)
     for ti in (40, 55):
         sm = slice_match(scene, noise, targets[ti], bad, found.position, ct_veins)
@@ -342,7 +342,7 @@ def _exhaustive_winner(xs, scores, mapped_x):
 @pytest.mark.parametrize("noise", [NoiseModel(seed=12), NoiseModel(seed=13), None],
                          ids=["seed12", "seed13", "zero"])
 def test_slice_match_picks_the_exhaustive_winner(scene, found, ct_veins, noise):
-    targets = target_grid(scene)
+    targets = target_grid()
     xs = np.nonzero(ct_veins.data.any(axis=(1, 2)))[0]
     x_lo = ct_veins.origin[0] + ct_veins.spacing[0] * xs.min()
     outside = np.array([x_lo - 10.0, 95.0, 58.0])  # an empty template

@@ -302,7 +302,7 @@ def test_segmenters_match_eager_capture(monkeypatch, offset, yaw):
     dense = (np.random.default_rng(23).random(ann.shape) < 0.5).astype(np.uint8)
     scene = dataclasses.replace(
         scene, hv_branch_annotation=Volume3(dense, ann.spacing, ann.origin, ann.axes))
-    bp = scene.tree.branch_point
+    bp = scene.placement.apply(np.asarray(PhantomParams.branch_point, dtype=float))
     rng = np.random.default_rng(17)
     positions = [move_to(scene, bp[0] + dx, bp[1] + dy)
                  for dx in np.linspace(-30.0, 30.0, 10) for dy in (-6.0, 0.0, 6.0)]
