@@ -86,10 +86,9 @@ class SweepConfig:
     ``targets_limit`` caps how many grid targets each trial evaluates
     (evenly subsampled); the default covers the whole grid.
 
-    Construction also builds the shared phantom and imports ``scipy.fft``
-    and ``scipy.ndimage``, which a trial's search and slice matching use,
-    so a sweep pays for both before its pool forks and every worker
-    inherits them.
+    Construction also builds the shared phantom, so a sweep pays for it
+    before its pool forks and every worker inherits it. A trial runs on
+    numpy alone: no sweep loads scipy.
     """
 
     trials: int = 5
@@ -129,8 +128,6 @@ class SweepConfig:
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         generate_phantom(0)
-        import scipy.fft  # noqa: F401
-        import scipy.ndimage  # noqa: F401
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -17,6 +17,7 @@ from .volume import (
     require_binary,
     resample_crop,
     sample_at_physical,
+    sample_slab,
     voxel_to_physical,
 )
 from .metrics import PreparedTruth, dice, omia, omia_bound, precision, prepare_truth, recall
@@ -27,7 +28,7 @@ __all__ = [
     "rotation_z", "translation",
     "Volume3", "centroid", "gather_nearest", "largest_connected_component",
     "physical_to_voxel", "require_binary", "resample_crop",
-    "sample_at_physical", "voxel_to_physical",
+    "sample_at_physical", "sample_slab", "voxel_to_physical",
     "PreparedTruth", "dice", "omia", "omia_bound", "precision", "prepare_truth", "recall",
     "load_volume", "save_volume",
 ]

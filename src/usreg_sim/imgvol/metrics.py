@@ -5,11 +5,11 @@ precision = |G & Y| / |Y|, recall = |G & Y| / |G|, dice = 2|G & Y| / (|Y| + |G|)
 If both masks are empty all three are 1.0; if exactly one is empty, a metric
 whose denominator is zero is 0.0.
 
-``prepare_truth`` and ``omia`` import ``scipy.fft`` when first called, so
-code that uses only the ratio metrics (registration among it) never loads
-it. ``omia_bound`` is a cheap upper bound on ``omia`` from foreground
-counts and row and column projections, for skipping predictions that
-cannot reach a score already found.
+``omia`` scores a prediction by its best overlap under integer
+translation, through ``numpy.fft`` in single precision; ``prepare_truth``
+readies a truth mask for many such scores. ``omia_bound`` is a cheap upper
+bound on ``omia`` from foreground counts and row and column projections,
+for skipping predictions that cannot reach a score already found.
 """
 from __future__ import annotations
 
@@ -55,10 +55,12 @@ class PreparedTruth:
     """A truth mask readied for many ``omia`` calls; build with ``prepare_truth``.
 
     ``shape`` is the truth frame, ``fft_shape`` the fixed transform size and
-    ``spectrum`` the conjugate single-precision (complex64) ``rfft2`` of the
-    truth's content bounding box at that size, or None when the truth is
-    empty. Single precision is enough because every correlation value is an
-    integer count; ``omia`` states the error bound. ``count`` is the truth's
+    ``spectrum`` the conjugate ``rfft2`` of the truth's content bounding box
+    at that size, times the size's cell count, held in single precision
+    (complex64); it is None when the truth is empty. The factor undoes the
+    ``1/N`` that ``omia`` applies to the prediction's transform. Single
+    precision is enough because every correlation value is an integer
+    count; ``omia`` states the error bound. ``count`` is the truth's
     foreground pixel count, and ``rows`` and ``cols`` are its per-row and
     per-column pixel counts over the bounding box (empty when the truth is),
     which ``omia_bound`` reads.
@@ -72,16 +74,43 @@ class PreparedTruth:
     cols: np.ndarray
 
 
+def _fft_len(n: int) -> int:
+    """The smallest 5-smooth length (``2**a * 3**b * 5**c``) at least ``n``.
+
+    Transforms of such lengths run fastest; it is the length
+    ``scipy.fft.next_fast_len(n, real=True)`` gives.
+    """
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _padded(mask: np.ndarray, shape: tuple[int, int], dtype) -> np.ndarray:
+    """``mask`` in the first rows and columns of a zero array of ``shape``.
+
+    ``rfft2`` gives the same bits on it as on ``mask`` with ``s=shape``, and
+    runs faster than through its own padding.
+    """
+    out = np.zeros(shape, dtype=dtype)
+    out[:mask.shape[0], :mask.shape[1]] = mask
+    return out
+
+
 def prepare_truth(truth: np.ndarray) -> PreparedTruth:
     """Check a 2D binary truth mask and transform its bounding box once.
 
-    The transform size is ``next_fast_len(bbox + frame - 1)`` per axis: a
+    The transform size is ``_fft_len(bbox + frame - 1)`` per axis: a
     prediction is never larger than the truth frame, so every prediction's
-    correlation with the box fits without wrapping. The projections are
-    held in the smallest unsigned type that fits the frame's longer side.
+    correlation with the box fits without wrapping. The box is transformed
+    in double precision and scaled by the size's cell count before it is
+    rounded to complex64. The projections are held in the smallest unsigned
+    type that fits the frame's longer side.
     """
-    from scipy import fft as sp_fft
-
     truth = require_binary(truth, "truth")
     if truth.ndim != 2:
         raise ValueError("omia expects 2D masks")
@@ -91,10 +120,9 @@ def prepare_truth(truth: np.ndarray) -> PreparedTruth:
         empty = np.zeros(0, dtype=count_type)
         return PreparedTruth(truth.shape, truth.shape, None, 0, empty, empty)
     box = truth[nz[0].min():nz[0].max() + 1, nz[1].min():nz[1].max() + 1]
-    fft_shape = tuple(
-        sp_fft.next_fast_len(b + n - 1, real=True) for b, n in zip(box.shape, truth.shape)
-    )
-    spectrum = np.conj(sp_fft.rfft2(box.astype(np.float32), s=fft_shape))
+    fft_shape = tuple(_fft_len(b + n - 1) for b, n in zip(box.shape, truth.shape))
+    spectrum = np.conj(np.fft.rfft2(_padded(box, fft_shape, np.float64)))
+    spectrum = (spectrum * (fft_shape[0] * fft_shape[1])).astype(np.complex64)
     rows = np.add.reduce(box, axis=1, dtype=count_type)
     cols = np.add.reduce(box, axis=0, dtype=count_type)
     return PreparedTruth(truth.shape, fft_shape, spectrum, nz[0].size, rows, cols)
@@ -124,23 +152,25 @@ def omia(pred: np.ndarray, truth: np.ndarray | PreparedTruth) -> int:
     is computed once. The correlation is circular at the prepared size,
     which is at least box + prediction - 1 along each axis, so no two shifts
     share a cell. Both transforms run in single precision (float32 in,
-    complex64 spectra). Each correlation value is an integer count, and the
-    rounding error of a cell is of order 6e-8 x log2(size) x the product of
-    the two masks' L2 norms: at most about 0.02 even for two full 216x100
-    frames (norms sqrt(21600) each), and about 1e-4 at slice-match sizes.
-    Every cell therefore lies within 0.5 of its count, so ``rint`` of the
-    peak is the exact maximum overlap; counts up to 2**24 are exact in
-    float32.
+    complex64 spectra). The prediction's forward transform is scaled by
+    ``1/N`` (``norm="forward"``, N the size's cell count), which the
+    prepared spectrum's factor N cancels: numpy applies the unscaled
+    default as a Python int, which selects its complex128 loop, several
+    times slower. Each correlation value is an integer count, and the
+    rounding error of a cell is of order 6e-8 x (log2(size) + 3) x the
+    product of the two masks' L2 norms, the 3 for the scalings: at most
+    about 0.03 even for two full 216x100 frames (norms sqrt(21600) each),
+    and about 1e-4 at slice-match sizes. Every cell therefore lies within
+    0.5 of its count, so ``rint`` of the peak is the exact maximum overlap;
+    counts up to 2**24 are exact in float32.
     """
     if not isinstance(truth, PreparedTruth):
         truth = prepare_truth(truth)
     pred = _check_pred(pred, truth)
     if truth.spectrum is None or not pred.any():
         return 0
-    from scipy import fft as sp_fft
-
-    spec = sp_fft.rfft2(pred.astype(np.float32), s=truth.fft_shape)
-    corr = sp_fft.irfft2(spec * truth.spectrum, s=truth.fft_shape)
+    spec = np.fft.rfft2(_padded(pred, truth.fft_shape, np.float32), norm="forward")
+    corr = np.fft.irfft2(spec * truth.spectrum, s=truth.fft_shape)
     return int(np.rint(corr.max()))
 
 

@@ -7,6 +7,7 @@ sits at ``origin + i*s0*a0 + j*s1*a1 + k*s2*a2``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,19 +125,43 @@ def largest_connected_component(mask: np.ndarray) -> np.ndarray:
     Connectivity is 4-neighborhood in 2D and 6-neighborhood in 3D. Ties go
     to the component whose first voxel comes earliest in scan order, i.e.
     the smallest lexicographic seed. An empty mask is returned unchanged.
-    ``scipy.ndimage`` is imported on the first call, so registration alone
-    never loads it.
-    """
-    from scipy import ndimage
 
+    Each foreground voxel is labelled with its rank in scan order. Along
+    every axis the voxels fall into runs of face neighbours; each run takes
+    its smallest label, then every label jumps to the label of the voxel it
+    names (``lab = lab[lab]``) until none moves, and the passes repeat
+    until a pass changes nothing. A label only ever names a voxel of the
+    same component with a rank no larger, so at the end every voxel holds
+    its component's smallest rank, its first voxel in scan order. The
+    largest count wins, and a tie goes to the smallest label.
+    """
     mask = require_binary(mask)
-    labels, n = ndimage.label(mask)
-    if n == 0:
+    fg = mask.ravel() != 0
+    if not fg.any():
         return np.zeros_like(mask)
-    counts = np.bincount(labels.ravel())
-    counts[0] = 0
-    best = int(np.argmax(counts))  # first max = smallest label = earliest seed
-    return (labels == best).astype(np.uint8)
+    rank = np.cumsum(fg) - 1
+    index = np.arange(mask.size).reshape(mask.shape)
+    runs = []
+    for ax, n in enumerate(mask.shape):
+        # the foreground's flat indices, line by line along ax
+        line = np.moveaxis(index, ax, -1).ravel()
+        line = line[fg[line]]
+        step = math.prod(mask.shape[ax + 1:])
+        # a run breaks where the next voxel is not the face neighbour along ax
+        starts = np.flatnonzero(np.r_[True, (np.diff(line) != step) | (line[1:] // step % n == 0)])
+        runs.append((rank[line], starts, np.diff(np.r_[starts, line.size])))
+    lab = np.arange(rank[-1] + 1)
+    while True:
+        before = lab.copy()
+        for members, starts, lengths in runs:
+            lab[members] = np.repeat(np.minimum.reduceat(lab[members], starts), lengths)
+        while not np.array_equal(jumped := lab[lab], lab):
+            lab = jumped
+        if np.array_equal(lab, before):
+            break
+    out = np.zeros(mask.shape, dtype=np.uint8)
+    out.flat[np.flatnonzero(fg)[lab == np.bincount(lab).argmax()]] = 1
+    return out
 
 
 def resample_crop(vol: Volume3, target_spacing, target_shape, center) -> Volume3:
@@ -196,6 +221,34 @@ def gather_nearest(vol: Volume3, i0, i1, i2) -> np.ndarray:
     out[outside] = 0
     out[:, n2.view(np.uint64) >= s2] = 0
     return out
+
+
+def sample_slab(vol: Volume3, x: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Nearest samples of an axis-aligned volume at physical points (x, y[i], z[i]).
+
+    ``y`` and ``z`` are equal-shape arrays and every point shares ``x``.
+    ``vol``'s axes must be the identity to within rounding
+    (``np.allclose``) and are read as exactly the identity, so a point's
+    index along axis k is ``(c - origin[k]) / spacing[k]``: with exact
+    identity axes that is the index ``sample_at_physical`` computes, bit for
+    bit. Axes off the identity by rounding (a yawed scene's CT frame) can
+    move only an index that lies within that rounding of a half-voxel tie.
+    Every point reads voxel ``floor(index + 0.5)`` of the one x slab, or 0
+    outside; the fresh result keeps the volume's dtype.
+    """
+    if not np.allclose(vol.axes, np.eye(3)):
+        raise ValueError("a slab read needs a volume whose axes are the identity")
+    y, z = np.asarray(y, dtype=np.float64), np.asarray(z, dtype=np.float64)
+    _, n1, n2 = vol.shape
+    slab = math.floor((x - vol.origin[0]) / vol.spacing[0] + 0.5)
+    if not 0 <= slab < vol.shape[0] or n1 * n2 == 0:  # take() cannot read an empty slab
+        return np.zeros(y.shape, dtype=vol.data.dtype)
+    i1, i2 = (np.floor((c - vol.origin[k]) / vol.spacing[k] + 0.5).astype(np.int64) for k, c in ((1, y), (2, z)))
+    # a negative index wraps to a huge unsigned one, so one compare tests both bounds
+    outside = (i1.view(np.uint64) >= n1) | (i2.view(np.uint64) >= n2)
+    vals = vol.data[slab].take(i1 * n2 + i2, mode="clip")
+    vals[outside] = 0
+    return vals
 
 
 def sample_at_physical(vol: Volume3, points: np.ndarray) -> np.ndarray:

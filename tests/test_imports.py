@@ -1,8 +1,8 @@
-"""Which scipy modules each entry point loads, checked in fresh interpreters.
+"""The package runs on numpy alone: no entry point loads scipy.
 
-Registration (``register_rigid``, ``coordinate_map`` and ``usreg-sim
-register``) runs on numpy alone; a sweep imports ``scipy.fft`` and
-``scipy.ndimage`` when its ``SweepConfig`` is built, before any pool forks.
+Each check runs in a fresh interpreter: registration (``register_rigid``,
+``coordinate_map`` and ``usreg-sim register``), a pooled sweep with its
+reports, and ``usreg-sim run-trial``. Only the tests' oracles use scipy.
 """
 import json
 import os
@@ -58,15 +58,21 @@ def test_registration_path_loads_no_scipy(tmp_path):
     assert out == {"code": 0, "scipy": []}
 
 
-def test_sweep_config_loads_the_scipy_modules_a_trial_uses():
-    out = _run("""
-        import json, sys
+def test_sweep_and_run_trial_load_no_scipy(tmp_path):
+    # the pool's workers fork from a parent that holds no scipy module and
+    # run the same run_trial that run-trial runs here, in this process
+    (tmp_path / "cfg.json").write_text(json.dumps({"targets_limit": 2}))
+    out = _run(f"""
+        import contextlib, io, json, sys
 
-        from usreg_sim import SweepConfig
+        from usreg_sim import cli
+        from usreg_sim.harness import SweepConfig, emit_reports, run_sweep
 
-        before = [m in sys.modules for m in ("scipy.fft", "scipy.ndimage")]
-        SweepConfig()
-        after = [m in sys.modules for m in ("scipy.fft", "scipy.ndimage")]
-        print(json.dumps({"before": before, "after": after}))
+        result = run_sweep(SweepConfig(trials=2, targets_limit=2), workers=2)
+        emit_reports(result, {str(tmp_path / "reports")!r})
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["run-trial", "--config", {str(tmp_path / "cfg.json")!r}, "--index", "1"])
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        print(json.dumps({{"trials": len(result.trials), "code": code, "scipy": loaded}}))
     """)
-    assert out == {"before": [False, False], "after": [True, True]}
+    assert out == {"trials": 2, "code": 0, "scipy": []}

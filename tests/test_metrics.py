@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from usreg_sim.imgvol import dice, omia, omia_bound, precision, prepare_truth, recall
+from usreg_sim.imgvol.metrics import _fft_len
 
 
 from _oracles import brute_force_omia, brute_ratio_metrics, reference_omia
@@ -175,6 +176,7 @@ def test_single_precision_omia_is_exact_at_dense_extremes():
     half = [(rng.random(shape) < 0.5).astype(np.uint8) for _ in range(3)]
     cases = [(full, full), (single, full), (single, tall)]
     cases += [(pred, truth) for pred in half for truth in (full, tall)]
+    cases += [(pred, truth) for pred, truth in zip(half, half[1:] + half[:1])]
     for pred, truth in cases:
         want = reference_omia(pred, truth)  # float64 correlation, rint
         assert omia(pred, truth) == omia(pred, prepare_truth(truth)) == want
@@ -188,6 +190,13 @@ def test_single_precision_omia_is_exact_at_dense_extremes():
         pred = (rng.random(small) < rng.choice([0.5, 1.0])).astype(np.uint8)
         want = brute_force_omia(pred, truth)
         assert omia(pred, truth) == omia(pred, prepare_truth(truth)) == want
+
+
+def test_fft_len_is_the_5_smooth_length_scipy_picks():
+    from scipy import fft as sp_fft
+
+    want = [sp_fft.next_fast_len(n, real=True) for n in range(1, 1025)]
+    assert [_fft_len(n) for n in range(1, 1025)] == want
 
 
 def test_omia_bound_hand_example():

@@ -15,9 +15,12 @@ from usreg_sim import harness, pipeline
 from usreg_sim.imgvol import (
     Volume3,
     compose,
+    euler_zyx,
+    inverse,
     largest_connected_component,
     omia,
     physical_to_voxel,
+    rotation_about,
     sample_at_physical,
     translation,
     voxel_to_physical,
@@ -47,6 +50,7 @@ from usreg_sim.pipeline import (
 from usreg_sim.probe import (
     NoiseModel,
     ProbeParams,
+    capture_grid,
     capture_us,
     initial_contact,
     move_to,
@@ -331,6 +335,49 @@ def test_slice_match_scores_are_exact_or_a_bound_below_the_winner(scene, found, 
             assert score == want or want < score < sm.scores.max()
         assert sm.scores.max() == exact.max() > 0
         assert np.any(sm.scores > exact)
+
+
+def _full_grid_template(scene, target_ct, mapped, ct_to_physical, branch_pos, ct_veins):
+    """The template as first written: every frame pixel mapped to CT, x set to the target's."""
+    pts = capture_grid(move_to(scene, mapped[0], branch_pos[1]))
+    pts_ct = inverse(ct_to_physical).apply(pts.reshape(-1, 3)).reshape(pts.shape)
+    pts_ct[..., 0] = target_ct[0]
+    return sample_at_physical(ct_veins, pts_ct).astype(np.uint8)
+
+
+@pytest.mark.parametrize("yaw", [0.0, 7.0])
+def test_target_template_matches_full_grid_sampling(yaw, monkeypatch):
+    # the exact placement and seeded random rigid mis-maps around it; on
+    # the unyawed scene the CT axes are exactly the identity
+    reads = []
+    slab_reader = pipeline.sample_slab
+    monkeypatch.setattr(pipeline, "sample_slab", lambda *a: reads.append(a) or slab_reader(*a))
+    placed = place_phantom(generate_phantom(3), SCENE_OFFSET, yaw_deg=yaw)
+    ct = ct_frame_volume(placed.hv_annotation, placed.placement)
+    assert np.array_equal(ct.axes, np.eye(3)) == (yaw == 0.0)
+    branch = placed.placement.apply(np.asarray(PhantomParams.branch_point, dtype=np.float64))
+    rng = np.random.default_rng(41)
+    maps = [placed.placement] + [
+        compose(rotation_about(euler_zyx(*rng.normal(0.0, 4.0, 3)), branch, rng.normal(0.0, 3.0, 3)),
+                placed.placement)
+        for _ in range(5)
+    ]
+    targets = target_grid()
+    nonempty = 0
+    for ct_to_physical in maps:
+        for ti in rng.choice(len(targets), 10, replace=False):
+            mapped = ct_to_physical.apply(targets[ti])
+            args = (placed, targets[ti], mapped, ct_to_physical, branch, ct)
+            got = _target_template(*args)
+            assert got.dtype == np.uint8 and got.shape == ProbeParams.image_shape
+            assert np.array_equal(got, _full_grid_template(*args))
+            nonempty += bool(got.any())
+            # the slab read takes the y and z of the full inverse map, bit for bit
+            pts = capture_grid(move_to(placed, mapped[0], branch[1])).reshape(-1, 3)
+            full = inverse(ct_to_physical).apply(pts)
+            _, x, y, z = reads.pop()
+            assert x == targets[ti][0] and np.array_equal(y, full[:, 1]) and np.array_equal(z, full[:, 2])
+    assert nonempty >= 40
 
 
 def _exhaustive_winner(xs, scores, mapped_x):

@@ -11,6 +11,7 @@ from usreg_sim.imgvol import (
     require_binary,
     resample_crop,
     sample_at_physical,
+    sample_slab,
     voxel_to_physical,
 )
 
@@ -229,6 +230,65 @@ def test_lcc_idempotent_and_empty():
     np.testing.assert_array_equal(largest_connected_component(empty), empty)
 
 
+def _serpentine(rows, cols):
+    """Every other row full, joined at alternating ends: one path of maximal length."""
+    mask = np.zeros((rows, cols), dtype=np.uint8)
+    mask[::2] = 1
+    mask[1::4, -1] = 1
+    mask[3::4, 0] = 1
+    return mask
+
+
+def test_lcc_matches_brute_force_on_a_serpentine_frame():
+    # the longest chain a label must travel in a 216x100 frame, in both
+    # orientations, and cut in two so that the lower, later half wins
+    snake = _serpentine(216, 100)
+    assert snake.sum() == 108 * 100 + 108
+    for mask in (snake, np.ascontiguousarray(_serpentine(100, 216).T)):
+        out = largest_connected_component(mask)
+        np.testing.assert_array_equal(out, mask)
+        np.testing.assert_array_equal(out, brute_force_lcc(mask))
+    cut = snake.copy()
+    cut[105] = 0  # rows 0-104 above (5352 pixels), 106-215 below (5555)
+    np.testing.assert_array_equal(largest_connected_component(cut), brute_force_lcc(cut))
+    assert largest_connected_component(cut)[:105].sum() == 0
+
+
+def test_lcc_ties_go_to_the_earliest_first_voxel():
+    # equal-size components: the one whose first voxel comes first in scan
+    # order wins, even when its other voxels come later than the rival's
+    flat = np.zeros((6, 7), dtype=np.uint8)
+    flat[0, 5:7] = flat[1, 6] = 1  # first voxel (0, 5), size 3
+    flat[1, 0:3] = 1  # first voxel (1, 0), size 3
+    vol = np.zeros((4, 5, 6), dtype=np.uint8)
+    vol[1:4, 4, 5] = 1  # first voxel (1, 4, 5), size 3
+    vol[2, 0, 0:3] = 1  # first voxel (2, 0, 0), size 3
+    vol[3, 0, 0] = 1  # joins the second: now size 4, and it wins
+    tie3 = vol.copy()
+    tie3[3, 0, 0] = 0
+    for mask in (flat, tie3, vol):
+        np.testing.assert_array_equal(largest_connected_component(mask), brute_force_lcc(mask))
+    assert largest_connected_component(flat)[0, 5] == 1
+    assert largest_connected_component(tie3)[1, 4, 5] == 1
+    assert largest_connected_component(vol)[2, 0, 0] == 1
+
+
+def test_lcc_largest_component_may_start_late():
+    # a small component first in scan order, the largest one starting later
+    # and wrapping back above it
+    mask = np.zeros((9, 12), dtype=np.uint8)
+    mask[0, 0:2] = 1  # size 2, first
+    mask[1, 3:12] = mask[0:9, 11] = mask[8, 0:12] = 1  # a large U-turn from (0, 11)
+    mask[3:7, 5] = 1  # size 4, inside the turn
+    out = largest_connected_component(mask)
+    np.testing.assert_array_equal(out, brute_force_lcc(mask))
+    assert out[0, 11] == 1 and out[0, 0] == 0 and out[3, 5] == 0
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        grown = mask | (rng.random(mask.shape) < 0.15).astype(np.uint8)
+        np.testing.assert_array_equal(largest_connected_component(grown), brute_force_lcc(grown))
+
+
 def test_require_binary_rejects_other_values():
     with pytest.raises(ValueError):
         require_binary(np.array([0, 1, 2], dtype=np.uint8))
@@ -428,6 +488,32 @@ def test_sample_at_physical_nearest_rounds_half_up_at_the_edges():
     empty = make_vol(np.zeros((0, 4, 5), dtype=np.uint8))
     got = sample_at_physical(empty, grid)
     assert np.array_equal(got, reference_sample_at_physical(empty, grid))
+
+
+def test_sample_slab_matches_sample_at_physical_at_ties():
+    rng = np.random.default_rng(31)
+    ties = 0
+    for case in range(12):
+        shape = tuple(int(n) for n in rng.integers(3, 12, size=3))
+        spacing = rng.choice([0.5, 1.0, 1.5], size=3)
+        vol = make_vol((rng.random(shape) * 4).astype(np.uint8), spacing, rng.integers(-20, 20, 3) * 0.5)
+        # x on every slab's tie and centre, and just outside either end
+        for i0 in np.arange(-1.0, shape[0] + 0.5, 0.5):
+            x = vol.origin[0] + i0 * spacing[0]
+            if case % 2:  # (y, z) on the half-voxel lattice, hanging off every side
+                y, z = (vol.origin[k] + rng.integers(-4, 2 * shape[k] + 4, 300) * 0.5 * spacing[k] for k in (1, 2))
+            else:
+                y, z = (vol.origin[k] + rng.uniform(-2, shape[k] + 1, (30, 10)) * spacing[k] for k in (1, 2))
+            got = sample_slab(vol, x, y, z)
+            pts = np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+            assert got.dtype == np.uint8 and got.shape == y.shape
+            assert np.array_equal(got, sample_at_physical(vol, pts))
+            ties += int(np.count_nonzero(np.mod((y - vol.origin[1]) / spacing[1], 1.0) == 0.5))
+    assert ties > 100
+    empty = make_vol(np.zeros((3, 0, 4), dtype=np.uint8))
+    assert sample_slab(empty, 1.0, np.zeros(5), np.zeros(5)).tolist() == [0] * 5
+    with pytest.raises(ValueError, match="identity"):
+        sample_slab(make_vol(np.zeros((2, 2, 2), dtype=np.uint8), axes=random_orthonormal(rng)), 0.0, [0.0], [0.0])
 
 
 def _gather_axes(rng, n):
