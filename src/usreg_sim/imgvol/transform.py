@@ -46,6 +46,12 @@ def _writable_memory(arr: np.ndarray) -> bool:
         return True
 
 
+def _ortho_residual(m: np.ndarray) -> float:
+    """Largest entry of ``|m @ m.T - I|``: NaN on overflow, which fails ``err <= ORTHO_TOL``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(m @ m.T - np.eye(3)).max()
+
+
 @dataclass(frozen=True)
 class RigidTransform3:
     """Proper rigid motion of 3D space: ``apply(p) = rotation @ p + translation``."""
@@ -62,9 +68,7 @@ class RigidTransform3:
             raise ValueError(f"translation must be a 3-vector, got {tra.shape}")
         if not (np.isfinite(rot).all() and np.isfinite(tra).all()):
             raise ValueError("rotation and translation must be finite")
-        # a residual that overflowed to NaN fails every comparison, so test for passing
-        with np.errstate(over="ignore", invalid="ignore"):
-            err = np.abs(rot @ rot.T - np.eye(3)).max()
+        err = _ortho_residual(rot)
         if not err <= ORTHO_TOL:
             raise ValueError(f"rotation is not orthonormal (max residual {err:.3e})")
         det = np.linalg.det(rot)

@@ -58,7 +58,9 @@ def load_volume(path: str | Path) -> Volume3:
         if tag is not None and (not isinstance(tag, str) or tag not in _DTYPES):
             raise ValueError(f"unsupported dtype {tag!r}; accepted: {sorted(_DTYPES)}")
         dtype = _DTYPES[header["dtype"]]
-        shape = tuple(int(n) for n in header["shape"])
+        shape = header["shape"]
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):  # no bool
+            raise ValueError(f"shape must be a list of non-negative integers, got {shape!r}")
         geometry = [np.asarray(header[k], dtype=np.float64) for k in ("spacing", "origin", "axes")]
         raw = (path.parent / header["data_file"]).read_bytes()
         expected = int(np.prod(shape)) * dtype.itemsize

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .transform import ORTHO_TOL, _freeze
+from .transform import ORTHO_TOL, RigidTransform3, _freeze, _ortho_residual
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,7 @@ class Volume3:
             raise ValueError("spacing, origin and axes must be finite")
         if not np.all(spacing > 0):
             raise ValueError(f"spacing must be strictly positive, got {spacing}")
-        # a residual that overflowed to NaN fails every comparison, so test for passing
-        with np.errstate(over="ignore", invalid="ignore"):
-            err = np.abs(axes @ axes.T - np.eye(3)).max()
-        if not err <= ORTHO_TOL:
+        if not _ortho_residual(axes) <= ORTHO_TOL:
             raise ValueError("axis directions must be mutually orthogonal unit vectors")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "spacing", spacing)
@@ -76,21 +73,22 @@ def require_binary(arr: np.ndarray, name: str = "mask") -> np.ndarray:
 
 
 def voxel_to_physical(vol: Volume3, index) -> np.ndarray:
-    """Physical mm position of a voxel index (3,) or batch (..., 3).
+    """Physical mm position of a voxel index (3,) or batch (..., 3): the one index-to-mm map.
 
     Indices may be fractional but must lie within the array bounds.
     """
-    idx = np.asarray(index, dtype=np.float64)
+    idx = np.asarray(index)
     if idx.shape[-1] != 3:
         raise ValueError("index must have 3 components")
     shape = np.asarray(vol.shape, dtype=np.float64)
     if np.any(idx < 0) or np.any(idx > shape - 1):
         raise IndexError(f"index out of bounds for volume of shape {vol.shape}")
-    return vol.origin + (idx * vol.spacing) @ vol.axes
+    # the float copy is a temporary, freed before the product allocates
+    return vol.origin + (idx.astype(np.float64) * vol.spacing) @ vol.axes
 
 
 def physical_to_voxel(vol: Volume3, point) -> np.ndarray:
-    """Continuous voxel coordinates of a physical point (3,) or batch (..., 3)."""
+    """Continuous voxel index of a physical point (3,) or batch (..., 3): the one mm-to-index map."""
     pts = np.asarray(point, dtype=np.float64)
     return ((pts - vol.origin) @ vol.axes.T) / vol.spacing
 
@@ -116,7 +114,7 @@ def centroid(vol: Volume3) -> np.ndarray:
     if total == 0:
         raise ValueError("centroid of an empty mask is undefined")
     mean_idx = np.array([c @ np.arange(c.size) for c in counts]) / total
-    return vol.origin + (mean_idx * vol.spacing) @ vol.axes
+    return voxel_to_physical(vol, mean_idx)
 
 
 def largest_connected_component(mask: np.ndarray) -> np.ndarray:
@@ -187,7 +185,7 @@ def resample_crop(vol: Volume3, target_spacing, target_shape, center) -> Volume3
     half = (np.asarray(target_shape, dtype=np.float64) - 1.0) / 2.0
     out_origin = center - (half * target_spacing) @ vol.axes
 
-    offset = (vol.axes @ (out_origin - vol.origin)) / vol.spacing
+    offset = physical_to_voxel(vol, out_origin)
     ratio = target_spacing / vol.spacing
     i0, i1, i2 = (o + np.arange(n, dtype=np.float64) * r for o, n, r in zip(offset, target_shape, ratio))
     n0, n1, _ = target_shape
@@ -202,14 +200,12 @@ def gather_nearest(vol: Volume3, i0, i1, i2) -> np.ndarray:
     ``i0`` and ``i1`` are equal-length 1-D arrays of fractional indices
     along array axes 0 and 1, read as pairs, and ``i2`` a 1-D array along
     axis 2. Entry ``[j, c]`` of the fresh ``(len(i0), len(i2))`` result,
-    in the volume's dtype, reads voxel ``floor(index + 0.5)`` of
-    ``(i0[j], i1[j], i2[c])`` on every axis (half-voxel ties round up, as
-    in ``sample_at_physical``), or 0 where any of the three falls outside.
+    in the volume's dtype, reads the nearest voxel of ``(i0[j], i1[j],
+    i2[c])``, as ``sample_at_physical`` does, or 0 where any falls outside.
     """
-    n0, n1, n2 = (np.floor(np.asarray(i, dtype=np.float64) + 0.5).astype(np.int64) for i in (i0, i1, i2))
+    (n0, out0), (n1, out1), (n2, out2) = (_nearest(i, s) for i, s in zip((i0, i1, i2), vol.shape))
     s0, s1, s2 = vol.shape
-    # one unsigned compare tests both bounds: a negative index wraps to a huge one
-    outside = (n0.view(np.uint64) >= s0) | (n1.view(np.uint64) >= s1)
+    outside = out0 | out1
     rows = n0 * s1 + n1
     held = rows[~outside]
     if s2 == 0 or held.size == 0:  # every read is outside; take() cannot read an empty run
@@ -219,7 +215,7 @@ def gather_nearest(vol: Volume3, i0, i1, i2) -> np.ndarray:
     span = vol.data.reshape(s0 * s1, s2)[lo : held.max() + 1].take(n2, axis=1, mode="clip")
     out = span.take(rows - lo, axis=0, mode="clip")
     out[outside] = 0
-    out[:, n2.view(np.uint64) >= s2] = 0
+    out[:, out2] = 0
     return out
 
 
@@ -227,45 +223,49 @@ def sample_slab(vol: Volume3, x: float, y: np.ndarray, z: np.ndarray) -> np.ndar
     """Nearest samples of an axis-aligned volume at physical points (x, y[i], z[i]).
 
     ``y`` and ``z`` are equal-shape arrays and every point shares ``x``.
-    ``vol``'s axes must be the identity to within rounding
-    (``np.allclose``) and are read as exactly the identity, so a point's
-    index along axis k is ``(c - origin[k]) / spacing[k]``: with exact
-    identity axes that is the index ``sample_at_physical`` computes, bit for
-    bit. Axes off the identity by rounding (a yawed scene's CT frame) can
-    move only an index that lies within that rounding of a half-voxel tie.
-    Every point reads voxel ``floor(index + 0.5)`` of the one x slab, or 0
-    outside; the fresh result keeps the volume's dtype.
+    ``vol``'s axes must be the identity to within rounding (``np.allclose``)
+    and are read as exactly the identity: a point's index along axis k is
+    ``(c - origin[k]) / spacing[k]``, bit for bit ``sample_at_physical``'s
+    when the axes are exact. Axes off it by rounding (a yawed scene's CT
+    frame) can move only an index within that rounding of a half-voxel tie.
+    Points read as in ``sample_at_physical``; the fresh result keeps the volume's dtype.
     """
     if not np.allclose(vol.axes, np.eye(3)):
         raise ValueError("a slab read needs a volume whose axes are the identity")
     y, z = np.asarray(y, dtype=np.float64), np.asarray(z, dtype=np.float64)
     _, n1, n2 = vol.shape
-    slab = math.floor((x - vol.origin[0]) / vol.spacing[0] + 0.5)
-    if not 0 <= slab < vol.shape[0] or n1 * n2 == 0:  # take() cannot read an empty slab
+    (slab, off), (i1, out1), (i2, out2) = (
+        _nearest((c - vol.origin[k]) / vol.spacing[k], vol.shape[k]) for k, c in enumerate((x, y, z)))
+    if off or n1 * n2 == 0:  # take() cannot read an empty slab
         return np.zeros(y.shape, dtype=vol.data.dtype)
-    i1, i2 = (np.floor((c - vol.origin[k]) / vol.spacing[k] + 0.5).astype(np.int64) for k, c in ((1, y), (2, z)))
-    # a negative index wraps to a huge unsigned one, so one compare tests both bounds
-    outside = (i1.view(np.uint64) >= n1) | (i2.view(np.uint64) >= n2)
     vals = vol.data[slab].take(i1 * n2 + i2, mode="clip")
-    vals[outside] = 0
+    vals[out1 | out2] = 0
     return vals
 
 
 def sample_at_physical(vol: Volume3, points: np.ndarray) -> np.ndarray:
     """Nearest samples of a volume at physical points (..., 3); outside reads 0.
 
-    Each point reads voxel ``floor(index + 0.5)``, so half-voxel ties round
-    up. The output keeps the volume's dtype.
+    Each point reads the voxel nearest its ``physical_to_voxel`` index,
+    half-voxel ties rounding up. The output keeps the volume's dtype.
     """
     pts = np.asarray(points, dtype=np.float64)
     if vol.data.size == 0:  # every point is outside; take() cannot read an empty array
         return np.zeros(pts.shape[:-1], dtype=vol.data.dtype)
-    idx = ((pts.reshape(-1, 3) - vol.origin) @ vol.axes.T) / vol.spacing
-    near = np.floor(idx + 0.5).astype(np.int64)
-    # a negative index wraps to a huge unsigned one, so a single
-    # unsigned compare tests both bounds
-    outside = ~(near.view(np.uint64) < np.asarray(vol.shape, dtype=np.uint64)).all(axis=1)
+    near, outside = _nearest(physical_to_voxel(vol, pts.reshape(-1, 3)), vol.shape)
     _, n1, n2 = vol.shape
     vals = vol.data.take((near[:, 0] * n1 + near[:, 1]) * n2 + near[:, 2], mode="clip")
-    vals[outside] = 0
+    vals[outside.any(axis=1)] = 0
     return vals.reshape(pts.shape[:-1])
+
+
+def _nearest(index, size):
+    """The nearest voxel ``floor(index + 0.5)`` (ties round up) and whether it is outside ``[0, size)``."""
+    near = np.floor(np.asarray(index, dtype=np.float64) + 0.5).astype(np.int64)
+    # a negative index wraps to a huge unsigned one, so one compare tests both bounds
+    return near, near.view(np.uint64) >= np.asarray(size, dtype=np.uint64)
+
+
+def _moved(vol: Volume3, motion: RigidTransform3) -> Volume3:
+    """``vol`` carried by a rigid ``motion``: same voxels, moved origin and turned axes."""
+    return Volume3(vol.data, vol.spacing, motion.apply(vol.origin), vol.axes @ motion.rotation.T)

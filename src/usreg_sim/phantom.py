@@ -30,8 +30,10 @@ from .imgvol import (
     rotation_z,
     save_volume,
     translation,
+    voxel_to_physical,
 )
 from .imgvol.transform import _freeze
+from .imgvol.volume import _moved as _moved_volume
 
 
 class PhantomParams:
@@ -122,8 +124,8 @@ class PhantomScene:
         symmetric in y, so the centroid is the grid's middle x at ``body_center_y``.
         """
         vol = self.hv_annotation
-        mid_x = (vol.shape[0] - 1) * vol.spacing[0] / 2.0
-        return vol.origin + np.array([mid_x, PhantomParams.body_center_y, 0.0]) @ vol.axes
+        middle = [(vol.shape[0] - 1) / 2.0, PhantomParams.body_center_y / vol.spacing[1], 0.0]
+        return voxel_to_physical(vol, middle)
 
 
 def _sample_curve(fn, length_hint: float) -> np.ndarray:
@@ -269,13 +271,9 @@ def place_phantom(scene: PhantomScene, offset, yaw_deg: float = 0.0) -> PhantomS
 
 def _moved(scene: PhantomScene, motion: RigidTransform3) -> PhantomScene:
     """``scene`` with its volumes and placement carried by ``motion``."""
-
-    def move_vol(vol: Volume3) -> Volume3:
-        return Volume3(vol.data, vol.spacing, motion.apply(vol.origin), vol.axes @ motion.rotation.T)
-
     return PhantomScene(
-        hv_annotation=move_vol(scene.hv_annotation),
-        hv_branch_annotation=move_vol(scene.hv_branch_annotation),
+        hv_annotation=_moved_volume(scene.hv_annotation, motion),
+        hv_branch_annotation=_moved_volume(scene.hv_branch_annotation, motion),
         placement=compose(motion, scene.placement),
         seed=scene.seed,
     )
@@ -283,8 +281,7 @@ def _moved(scene: PhantomScene, motion: RigidTransform3) -> PhantomScene:
 
 def ct_frame_volume(vol: Volume3, placement: RigidTransform3) -> Volume3:
     """Undo a placement: the volume as it sits in the CT (intrinsic) frame."""
-    inv = inverse(placement)
-    return Volume3(vol.data, vol.spacing, inv.apply(vol.origin), vol.axes @ inv.rotation.T)
+    return _moved_volume(vol, inverse(placement))
 
 
 @functools.cache

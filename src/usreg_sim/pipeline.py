@@ -367,7 +367,7 @@ def slice_match(
 
 
 def target_imaging(scene: PhantomScene, target_phys: np.ndarray, eps_mm: float) -> np.ndarray:
-    """Positions of the waypoints sweeping target.x - eps .. target.x + eps.
+    """Positions of the waypoints sweeping from target.x - eps to one pitch short of target.x + eps.
 
     There are n = ``frames_for_eps(eps)`` of them, and waypoint i sits at
     x = target.x - eps + 2*eps*i/n; the probe rides the skin, so frame
@@ -407,9 +407,9 @@ def judge_success(positions, true_target_physical) -> bool:
 def frames_for_eps(eps_mm: float) -> int:
     """Frame count keeping the sweep pitch at or below the judging tolerance.
 
-    2*eps/n <= ``JUDGE_TOL_X_MM`` guarantees gap-free coverage, which makes
-    per-target success monotone in the scan range (covered intervals nest
-    as eps grows) rather than statistically likely; a sweep has at least
-    ``MIN_FRAMES`` frames.
+    2*eps/n <= ``JUDGE_TOL_X_MM`` (tol) leaves no gap between the frames'
+    windows: a sweep images a target iff its x lies in [est.x - eps - tol,
+    est.x + eps - 2*eps/n + tol], which grows with eps, so per-target success
+    is monotone in the scan range; a sweep has at least ``MIN_FRAMES`` frames.
     """
     return max(MIN_FRAMES, int(math.ceil(2.0 * eps_mm / JUDGE_TOL_X_MM)))

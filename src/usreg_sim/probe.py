@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .imgvol import Volume3, gather_nearest
+from .imgvol import Volume3, gather_nearest, physical_to_voxel
 from .phantom import PhantomScene
 
 
@@ -158,7 +158,7 @@ def _truth(vol: Volume3, position: np.ndarray) -> np.ndarray:
     ys, zs = _capture_axes(position)
     lateral = np.empty((len(ys), 3))
     lateral[:, 0], lateral[:, 1], lateral[:, 2] = position[0], ys, zs[0]
-    i0, i1, _ = (((lateral - vol.origin) @ vol.axes.T) / vol.spacing).T
+    i0, i1, _ = physical_to_voxel(vol, lateral).T
     vals = gather_nearest(vol, i0, i1, (zs - vol.origin[2]) / vol.spacing[2])
     return _read_only(vals.astype(np.uint8, copy=False))
 

@@ -41,6 +41,7 @@ from .imgvol import (
     Volume3,
     centroid,
     inverse,
+    physical_to_voxel,
     require_binary,
     sample_at_physical,
     voxel_to_physical,
@@ -360,8 +361,7 @@ def _batch_mi(counts: np.ndarray) -> np.ndarray:
 
 def _content_bbox_in_fixed(vol: Volume3, fg: np.ndarray, to_fixed: RigidTransform3, fixed: Volume3):
     """Index-space bbox (lo, hi inclusive) of vol's content, voxels ``fg``, mapped into fixed."""
-    pts = vol.origin + (fg.astype(np.float64) * vol.spacing) @ vol.axes
-    fidx = ((to_fixed.apply(pts) - fixed.origin) @ fixed.axes.T) / fixed.spacing
+    fidx = physical_to_voxel(fixed, to_fixed.apply(voxel_to_physical(vol, fg)))
     return np.floor(fidx.min(axis=0)).astype(int), np.ceil(fidx.max(axis=0)).astype(int)
 
 
@@ -399,17 +399,13 @@ def _eval_points(masks: _ScoreInputs, inits, pad_vox: np.ndarray, stride: int):
     lo, hi = _content_bbox_in_fixed(fixed, masks.fixed_fg, RigidTransform3.identity(), fixed)
     for t in inits:
         lo_m, hi_m = _content_bbox_in_fixed(masks.moving, masks.moving_fg, t, fixed)
-        lo = np.minimum(lo, lo_m)
-        hi = np.maximum(hi, hi_m)
-    lo = lo - pad_vox
-    hi = hi + pad_vox
-    shape = np.array(fixed.data.shape)
-    lo = np.maximum(lo, 0)
-    hi = np.minimum(hi, shape - 1)
+        lo, hi = np.minimum(lo, lo_m), np.maximum(hi, hi_m)
+    lo = np.maximum(lo - pad_vox, 0)
+    hi = np.minimum(hi + pad_vox, np.array(fixed.shape) - 1)
     axes_idx = [np.arange(lo[d], hi[d] + 1, stride) for d in range(3)]
     ii, jj, kk = np.meshgrid(*axes_idx, indexing="ij")
     idx = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3)
-    pts = fixed.origin + (idx.astype(np.float64) * fixed.spacing) @ fixed.axes
+    pts = voxel_to_physical(fixed, idx)
     fvals = fixed.data[idx[:, 0], idx[:, 1], idx[:, 2]]
     return pts, fvals, ii.shape
 

@@ -159,9 +159,13 @@ def test_run_trial_prints_report(cfg_file, capsys):
 
 # sha256 of the CLI's JSON outputs, so a refactor that must not change
 # behaviour is checked byte for byte. Like DEFAULT_SWEEP_DIGESTS in
-# test_acceptance.py they hold only for the numpy and scipy versions pinned
-# in .github/workflows/tier1.yml: the outputs print floats whose last bits
-# depend on them.
+# test_acceptance.py they hold only for the numpy version pinned in
+# .github/workflows/tier1.yml: the outputs print floats whose last bits
+# depend on it. RUN_TRIAL_DIGEST and REGISTER_DIGESTS[0.0] held under the
+# SkylakeX, Haswell, SandyBridge and Prescott OpenBLAS kernels alike
+# (OPENBLAS_CORETYPE); REGISTER_DIGESTS[7.0] registers a yawed pair, holds
+# under SkylakeX and Haswell, and fails under SandyBridge and Prescott
+# (ROADMAP item 13).
 RUN_TRIAL_DIGEST = "4bfd9140dd5e16cd03b552e09ef568af5918899081339386ea1ad8b9929ff045"
 REGISTER_DIGESTS = {
     0.0: "09bec731f4699a2c4e40f8b5c45566ed70c7db85a030f1a0e0beb21ee2c33d88",

@@ -516,6 +516,41 @@ def test_frames_for_eps_covers_judging_tolerance():
         assert 2.0 * eps / n <= 2.0
 
 
+def test_a_verdict_is_an_interval_on_the_x_error():
+    """A grid target's verdict is ``-eps - tol <= truth.x - est.x <= eps - 2*eps/n + tol``.
+
+    ``tol`` is ``JUDGE_TOL_X_MM`` and ``n`` is ``frames_for_eps(eps)``.
+    Waypoint i of n sits at ``est.x - eps + 2*eps*i/n``, so the sweep
+    starts at ``est.x - eps`` and stops one pitch short of ``est.x + eps``;
+    with a pitch at most ``tol`` the frames' windows leave no gap. Lateral
+    and depth errors of a few mm never move a grid target out of view, so
+    the field of view never decides. Draws within 1e-9 mm of an end of the
+    interval are skipped: there the sum that places a waypoint decides.
+    """
+    rng = np.random.default_rng(15)
+    tol = JUDGE_TOL_X_MM
+    grid = target_grid()
+    base = generate_phantom(0)
+    verdicts = []
+    for _ in range(20):
+        offset = [rng.uniform(-harness.PLACEMENT_X_MM, harness.PLACEMENT_X_MM),
+                  rng.uniform(-harness.PLACEMENT_Y_MM, harness.PLACEMENT_Y_MM), 0.0]
+        scene = place_phantom(base, offset, rng.uniform(-10.0, 10.0))
+        for _ in range(20):
+            truth = scene.placement.apply(grid[rng.integers(len(grid))])
+            eps = rng.choice([rng.uniform(0.0, 24.0), *harness.SweepConfig().epsilons])
+            n = frames_for_eps(eps)
+            lo, hi = -eps - tol, eps - 2.0 * eps / n + tol
+            est = truth - [rng.uniform(lo - tol, hi + tol), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)]
+            err = truth[0] - est[0]
+            if min(abs(err - lo), abs(err - hi)) < 1e-9:
+                continue
+            verdict = judge_success(target_imaging(scene, est, eps), truth)
+            assert verdict == (lo <= err <= hi), (offset, eps, err, lo, hi)
+            verdicts.append(verdict)
+    assert len(verdicts) > 350 and 0.3 < np.mean(verdicts) < 0.9
+
+
 # ----------------------------------------------------------- housekeeping
 
 

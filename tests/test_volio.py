@@ -115,6 +115,18 @@ def test_vol_header_with_bad_geometry_is_named(tmp_path, key, bad, why):
         load_volume(path)
 
 
+@pytest.mark.parametrize("shape", [
+    [2.7, 2, 2], [2.0, 2, 2], [True, 8, 1], ["2", 2, 2], [-2, -2, 2], "222", {"0": 2},
+], ids=["fraction", "float", "bool", "string", "negative", "not-a-list", "object"])
+def test_vol_header_shape_must_be_non_negative_json_integers(tmp_path, shape):
+    # each of these used to pass through int() and load a volume, or fail elsewhere
+    vol = Volume3(np.zeros((2, 2, 2), dtype=np.uint8), (1, 1, 1), (0, 0, 0), np.eye(3))
+    path = save_volume(vol, tmp_path / "v.vol")
+    path.write_text(json.dumps({**json.loads(path.read_text()), "shape": shape}))
+    with pytest.raises(ValueError, match=f"malformed volume header {re.escape(str(path))}: shape must be a list"):
+        load_volume(path)
+
+
 @pytest.mark.parametrize("text, why", [
     (b"", "Expecting value"),
     (b"shape: [2, 2, 2]\n", "Expecting value"),
