@@ -86,8 +86,7 @@ class SweepConfig:
     ``targets_limit`` caps how many grid targets each trial evaluates
     (evenly subsampled); the default covers the whole grid.
 
-    Construction also builds the shared phantom, so a sweep pays for it
-    before its pool forks and every worker inherits it. A trial runs on
+    Construction only validates: it builds no phantom. A trial runs on
     numpy alone: no sweep loads scipy.
     """
 
@@ -127,7 +126,6 @@ class SweepConfig:
             raise ConfigError("targets_limit must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        generate_phantom(0)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -276,7 +274,8 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
     worker is available. ``workers`` defaults to one per CPU; any count is
     capped at the trial count, and one that is not an integer (a bool
     among them) or is below 1 is a ConfigError. Results are identical for
-    any worker count.
+    any worker count. A pooled sweep builds the shared phantom before its
+    pool forks, so every worker inherits it.
     """
     if workers is None:
         workers = os.cpu_count() or 1
@@ -289,6 +288,7 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
     if workers == 1:
         trials = tuple(run_trial(cfg, i) for i in range(cfg.trials))
     else:
+        generate_phantom(0)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             trials = tuple(pool.map(run_trial, [cfg] * cfg.trials, range(cfg.trials)))
     return SweepResult(config=cfg, trials=trials, elapsed_s=time.perf_counter() - start)

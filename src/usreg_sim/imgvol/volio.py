@@ -46,6 +46,15 @@ def save_volume(vol: Volume3, path: str | Path) -> Path:
     return path
 
 
+def _json_numbers(header: dict, key: str, depth: int) -> np.ndarray:
+    """Field ``key`` as float64: a list of JSON numbers (``depth`` 1) or of such lists (2); a bool is not a number."""
+    value = header[key]
+    rows = value if depth == 2 and isinstance(value, list) else [value]
+    if not all(isinstance(row, list) and all(type(v) in (int, float) for v in row) for row in rows):
+        raise ValueError(f"{key} must be a list{' of lists' * (depth - 1)} of numbers, got {value!r}")
+    return np.asarray(value, dtype=np.float64)
+
+
 def load_volume(path: str | Path) -> Volume3:
     path = Path(path)
     try:
@@ -61,7 +70,7 @@ def load_volume(path: str | Path) -> Volume3:
         shape = header["shape"]
         if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):  # no bool
             raise ValueError(f"shape must be a list of non-negative integers, got {shape!r}")
-        geometry = [np.asarray(header[k], dtype=np.float64) for k in ("spacing", "origin", "axes")]
+        geometry = [_json_numbers(header, key, depth) for key, depth in (("spacing", 1), ("origin", 1), ("axes", 2))]
         raw = (path.parent / header["data_file"]).read_bytes()
         expected = int(np.prod(shape)) * dtype.itemsize
         if len(raw) != expected:

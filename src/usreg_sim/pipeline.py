@@ -210,8 +210,10 @@ def hv_acquire(scene: PhantomScene, noise: NoiseModel | None, branch_pos: np.nda
     spacing (pitch, lateral, depth) with pitch = length/(slices-1), axis
     directions (+x, +y, -z), and origin at the first waypoint shifted half
     the image width to the -y side. The probe tracks the skin per waypoint;
-    the volume grid uses the first waypoint's height (the skin is flat
-    along the sweep direction by construction).
+    the volume grid uses the first waypoint's height for every slice. That
+    is exact only at yaw 0, where the skin is flat along x: under yaw it
+    slopes along the sweep (up to 0.67 mm over 60 mm at 6 deg, 15 mm off
+    the footprint centre).
     """
     branch_pos = np.asarray(branch_pos, dtype=np.float64)
     pitch = ACQ_LENGTH_MM / (ACQ_SLICES - 1)

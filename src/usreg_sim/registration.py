@@ -7,12 +7,12 @@ lattice, then one refinement at full resolution. Both volumes carry their
 own origin/axes, so all geometry happens in physical millimeters and the
 returned transform maps moving-space points into fixed space.
 
-The coarse restarts run in lockstep: each round gathers the pending
-candidates of every live search and scores them as one batch, so the work
-around the per-map products (candidate maps, candidate scatter, row runs,
-the exact index route, MI) is done once per round rather than once per
-map. Each search decides from its own scores only, so its result is the
-one it would get alone.
+Each stage is one batched pattern search (``_pattern_search``): the
+searches are rows of one loop, and each round scores the candidates of
+every live row in one call, so the work around the per-map products
+(candidate maps, candidate scatter, row runs, the exact index route, MI)
+is done once per round rather than once per map. Each row decides from
+its own scores only, so its result is the one it would get alone.
 
 The score is the 2x2 partial-volume joint histogram of fixed lattice values
 against the trilinear-sampled moving mask (Maes et al., IEEE TMI 1997). It
@@ -462,64 +462,44 @@ def _make_transform(theta: np.ndarray, center: np.ndarray, init: RigidTransform3
     return RigidTransform3(a[0], b[0])
 
 
-def _pattern_search(theta0, steps0):
-    """Coordinate pattern search, as a generator of candidate batches.
+def _pattern_search(score, starts, steps0):
+    """Coordinate pattern searches from each of ``starts``, as rows of one loop.
 
-    Each ``yield`` hands out a list of thetas and receives their scores. The
-    two candidates of one axis are independent, so they go out together; the
-    next axis starts from whichever won. Returns (as the ``StopIteration``
-    value) the final theta, its score and the best score after each sweep.
+    Every live row shares each round's one ``score`` call (thetas in, their
+    scores out). The first round scores the starts; then each sweep has one
+    round per axis, in which a row asks for its +step and -step candidates,
+    clipped to ``_BOUNDS``, and takes one that beats its best by more than
+    1e-12, + checked first. A row halves both steps after a sweep with no
+    move and stops once both are below ``_TOLERANCE`` or after
+    ``_MAX_SWEEPS`` sweeps. A row reads only its own scores, so its result
+    is the one it gets alone. Returns per start the final theta, its score
+    and the best score after each sweep.
     """
-    theta = theta0.copy()
-    (best,) = yield [theta]
-    t_step, r_step = steps0
-    trace: list[float] = []
-    while (t_step >= _TOLERANCE[0] or r_step >= _TOLERANCE[1]) and len(trace) < _MAX_SWEEPS:
-        improved = False
+    theta = np.array(starts, dtype=np.float64)
+    best = np.array(score(list(theta)))
+    steps = np.tile(np.asarray(steps0, dtype=np.float64), (len(theta), 1))
+    traces: list[list[float]] = [[] for _ in theta]
+    live = np.arange(len(theta))
+    for _ in range(_MAX_SWEEPS):
+        live = live[(steps[live] >= _TOLERANCE).any(axis=1)]
+        if not len(live):
+            break
+        before = best[live]
         for axis in range(6):
-            step = t_step if axis < 3 else r_step
-            bound = _BOUNDS[0] if axis < 3 else _BOUNDS[1]
-            best_cand = None
-            best_cand_score = best
-            cands = []
-            for sign in (1.0, -1.0):
-                cand = theta.copy()
-                cand[axis] = float(np.clip(cand[axis] + sign * step, -bound, bound))
-                cands.append(cand)
-            for cand, s in zip(cands, (yield cands)):
-                if s > best_cand_score + 1e-12:
-                    best_cand, best_cand_score = cand, s
-            if best_cand is not None:
-                theta, best = best_cand, best_cand_score
-                improved = True
-        trace.append(best)
-        if not improved:
-            t_step *= 0.5
-            r_step *= 0.5
-    return theta, best, trace
-
-
-def _lockstep(score, searches) -> list:
-    """Run generator searches side by side, one ``score`` call per round.
-
-    A round gathers the pending candidates of every live search, scores them
-    in one call and sends each search its own slice of the scores. A search
-    decides from its own scores only, so its result is the one it gets
-    alone. Returns the searches' results in order.
-    """
-    results = [None] * len(searches)
-    pending = [(i, search, next(search)) for i, search in enumerate(searches)]
-    while pending:
-        scores = score([theta for _, _, cands in pending for theta in cands])
-        live = []
-        for i, search, cands in pending:
-            mine, scores = scores[:len(cands)], scores[len(cands):]
-            try:
-                live.append((i, search, search.send(mine)))
-            except StopIteration as done:
-                results[i] = done.value
-        pending = live
-    return results
+            x, step, bound = theta[live, axis], steps[live, axis // 3], _BOUNDS[axis // 3]
+            up, down = np.clip(x + step, -bound, bound), np.clip(x - step, -bound, bound)
+            cands = np.repeat(theta[live], 2, axis=0)
+            cands[0::2, axis], cands[1::2, axis] = up, down
+            s = np.reshape(score(list(cands)), (-1, 2))
+            plus = s[:, 0] > best[live] + 1e-12
+            top = np.where(plus, s[:, 0], best[live])
+            minus = s[:, 1] > top + 1e-12
+            theta[live, axis] = np.where(minus, down, np.where(plus, up, x))
+            best[live] = np.where(minus, s[:, 1], top)
+        for i in live:
+            traces[i].append(float(best[i]))
+        steps[live[best[live] == before]] *= 0.5  # a move always raises the best
+    return [(t, float(b), trace) for t, b, trace in zip(theta, best, traces)]
 
 
 def register_rigid(
@@ -548,13 +528,14 @@ def register_rigid(
     Each score is computed sparsely but exactly (see ``_SparseJointCounts``):
     the same counts, bit for bit, as trilinear-sampling the moving mask at
     every point of the stage's fixed lattice, at a cost that follows the
-    moving foreground rather than the lattice size. The four coarse searches
-    advance in lockstep rounds (``_lockstep``): a round's pending candidates,
-    up to two per live search, are scored in one batched call. A stage
-    scores each distinct candidate once: a theta asked for again (a clipped
-    step, the refinement's start, the final score) is answered from the
-    stage's record. Neither changes a result, since a score depends on its
-    map alone and each search reads only its own scores.
+    moving foreground rather than the lattice size. Each stage is one call
+    of the batched search (``_pattern_search``): the four coarse searches
+    are its rows, and a round's candidates, two per live row, are scored in
+    one call. A stage scores each distinct candidate once: a theta asked for
+    again (a clipped step, the refinement's start) is answered from the
+    stage's record. The final score is the one the refinement ends with.
+    Neither changes a result, since a score depends on its map alone and
+    each search reads only its own scores.
     """
     cfg = cfg or RegistrationConfig()
     init = init or RigidTransform3.identity()
@@ -581,22 +562,15 @@ def register_rigid(
     starts = [np.zeros(6)] + [rng.uniform(-0.5, 0.5, size=6) * scale for _ in range(_RESTARTS)]
     coarse = stage_scorer([init], pad, 2)
     # max keeps the first of equal scores: the lowest restart index
-    theta_best, _, coarse_trace = max(
-        _lockstep(coarse, [_pattern_search(start, (4.0, 3.0)) for start in starts]),
-        key=lambda run: run[1],
-    )
+    theta_best, _, coarse_trace = max(_pattern_search(coarse, starts, (4.0, 3.0)), key=lambda run: run[1])
 
     # refinement stays near the coarse winner, so its margin shrinks; it
     # never ends below the plain init: start from whichever scores higher
-    fine = stage_scorer(
-        [init, _make_transform(theta_best, center, init)], np.minimum(pad, _REFINE_PAD), 1
-    )
+    fine = stage_scorer([init, _make_transform(theta_best, center, init)], np.minimum(pad, _REFINE_PAD), 1)
     init_score, best_score = fine([np.zeros(6), theta_best])
     if init_score > best_score:
         theta_best = np.zeros(6)
-    ((theta_best, _, fine_trace),) = _lockstep(fine, [_pattern_search(theta_best, (1.0, 1.0))])
-
-    (final_score,) = fine([theta_best])
+    ((theta_best, final_score, fine_trace),) = _pattern_search(fine, [theta_best], (1.0, 1.0))
     result = _make_transform(theta_best, center, init)
     if return_trace:
         return result, final_score, [coarse_trace, fine_trace]

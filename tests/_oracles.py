@@ -339,28 +339,35 @@ def _pattern_search(score_fn, theta0, steps0):
     return theta, best, trace
 
 
+def reference_stage_score(joint_counts, center, init):
+    """A stage's score of a list of thetas on the lattice ``joint_counts``, unmemoized.
+
+    Each map is built on its own (``_theta_map``) and each MI computed on
+    its own (``_mi_from_counts``); a theta asked for again is scored again.
+    """
+
+    def score(thetas):
+        maps = [_theta_map(t, center, init) for t in thetas]
+        counts = joint_counts(np.array([a for a, _ in maps]), np.array([b for _, b in maps]))
+        return [_mi_from_counts(c) for c in counts]
+
+    return score
+
+
 def reference_register_rigid(fixed, moving, init, cfg):
     """``register_rigid`` as first written: serial searches, every candidate scored.
 
     Same schedule and sparse scorer as the package solver, but each restart
-    runs to its end before the next starts, each map and score is computed
-    on its own (``_theta_map``, ``_mi_from_counts``), and a theta asked for
-    again is scored again. Returns (transform, final score, [coarse trace,
-    fine trace]).
+    runs to its end before the next starts and each stage scores through
+    ``reference_stage_score``. Returns (transform, final score, [coarse
+    trace, fine trace]).
     """
     masks = reg._score_inputs(fixed, moving)
     center = init.apply(centroid(moving))
     pad = np.ceil(reg._BOUNDS[0] / fixed.spacing).astype(int) + 2
 
     def stage_scorer(inits, pad_vox, stride):
-        joint_counts = reg._lattice_scorer(masks, inits, pad_vox, stride)
-
-        def score(thetas):
-            maps = [_theta_map(t, center, init) for t in thetas]
-            counts = joint_counts(np.array([a for a, _ in maps]), np.array([b for _, b in maps]))
-            return [_mi_from_counts(c) for c in counts]
-
-        return score
+        return reference_stage_score(reg._lattice_scorer(masks, inits, pad_vox, stride), center, init)
 
     rng = np.random.default_rng(cfg.seed)
     scale = np.repeat(reg._BOUNDS, 3)

@@ -348,6 +348,16 @@ def test_register_nan_origin_exits_2_naming_the_file(tmp_path, capsys):
     assert err.startswith(f"error: malformed volume header {bad}: ") and "finite" in err, err
 
 
+def test_register_bool_spacing_exits_2_naming_the_file(tmp_path, capsys):
+    vol = Volume3(np.ones((2, 2, 2), dtype=np.uint8), (1, 1, 1), (0, 0, 0), np.eye(3))
+    good = save_volume(vol, tmp_path / "good.vol")
+    bad = save_volume(vol, tmp_path / "bad.vol")
+    bad.write_text(json.dumps({**json.loads(bad.read_text()), "spacing": [True, 1, 1]}))
+    assert main(["register", str(good), str(bad)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed volume header {bad}: spacing must be a list") and err.count("\n") == 1, err
+
+
 def test_register_unknown_dtype_exits_2(tmp_path, capsys):
     vol = Volume3(np.ones((2, 2, 2), dtype=np.uint8), (1, 1, 1), (0, 0, 0), np.eye(3))
     path = save_volume(vol, tmp_path / "v.vol")

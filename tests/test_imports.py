@@ -3,6 +3,7 @@
 Each check runs in a fresh interpreter: registration (``register_rigid``,
 ``coordinate_map`` and ``usreg-sim register``), a pooled sweep with its
 reports, and ``usreg-sim run-trial``. Only the tests' oracles use scipy.
+A fresh interpreter also shows when the shared phantom is built.
 """
 import json
 import os
@@ -76,3 +77,21 @@ def test_sweep_and_run_trial_load_no_scipy(tmp_path):
         print(json.dumps({{"trials": len(result.trials), "code": code, "scipy": loaded}}))
     """)
     assert out == {"trials": 2, "code": 0, "scipy": []}
+
+
+def test_config_builds_no_phantom_and_a_pooled_sweep_builds_it_before_forking():
+    # a config only validates, so parsing one (sweep --print-config) builds
+    # nothing; a pooled sweep's parent builds the phantom its workers inherit
+    out = _run("""
+        import json
+
+        from usreg_sim import phantom
+        from usreg_sim.harness import SweepConfig, run_sweep
+
+        cfg = SweepConfig(trials=2, targets_limit=2)
+        built = [phantom._phantom_geometry.cache_info().currsize]
+        run_sweep(cfg, workers=2)
+        built.append(phantom._phantom_geometry.cache_info().currsize)
+        print(json.dumps(built))
+    """)
+    assert out == [0, 1]

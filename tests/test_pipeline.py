@@ -551,6 +551,33 @@ def test_a_verdict_is_an_interval_on_the_x_error():
     assert len(verdicts) > 350 and 0.3 < np.mean(verdicts) < 0.9
 
 
+def test_unyawed_acquisition_waypoints_share_the_first_height(monkeypatch):
+    """At yaw 0 every acquisition waypoint's z equals the first one's, exactly.
+
+    ``hv_acquire`` gives every slice of its stack the first waypoint's
+    height. That is exact only while the skin is flat along x, which holds
+    at yaw 0 alone (a yawed sweep is ROADMAP item 7's to handle).
+    """
+    waypoints = []
+
+    def recording_move_to(*args):
+        waypoints.append(move_to(*args))
+        return waypoints[-1]
+
+    monkeypatch.setattr(pipeline, "move_to", recording_move_to)
+    rng = np.random.default_rng(28)
+    base = generate_phantom(0)
+    for _ in range(4):
+        offset = [rng.uniform(-harness.PLACEMENT_X_MM, harness.PLACEMENT_X_MM),
+                  rng.uniform(-harness.PLACEMENT_Y_MM, harness.PLACEMENT_Y_MM), 0.0]
+        scene = place_phantom(base, offset)
+        waypoints.clear()
+        hv_acquire(scene, None, scene.footprint_center() + [rng.uniform(-5.0, 5.0), rng.uniform(-15.0, 15.0), 0.0])
+        heights = np.array(waypoints)[:, 2]
+        assert len(heights) == pipeline.ACQ_SLICES
+        assert np.all(heights == heights[0]), (offset, heights - heights[0])
+
+
 # ----------------------------------------------------------- housekeeping
 
 

@@ -47,10 +47,12 @@ from usreg_sim.registration import (
 
 from _oracles import (
     _mi_from_counts,
+    _pattern_search as serial_pattern_search,
     _theta_map,
     dense_joint_counts,
     reference_apply_transform,
     reference_register_rigid,
+    reference_stage_score,
 )
 
 
@@ -486,30 +488,35 @@ def test_each_candidate_is_scored_once_with_unchanged_results(annotation, monkey
         scored.setdefault(self, []).append([a_t.tobytes() + b_t.tobytes() for a_t, b_t in zip(a, b)])
         return call(self, a, b)
 
-    # per lockstep run, its number of rounds
-    rounds = []
-    lockstep = registration._lockstep
+    # per batched search, its starts, steps, results and number of rounds
+    searches = []
+    search = registration._pattern_search
 
-    def counting_lockstep(score, searches):
-        rounds.append(0)
+    def counting_search(score, starts, steps0):
+        rounds = [0]
 
         def counted(thetas):
-            rounds[-1] += 1
+            rounds[0] += 1
             return score(thetas)
 
-        return lockstep(counted, searches)
+        runs = search(counted, starts, steps0)
+        searches.append((starts, steps0, runs, rounds[0]))
+        return runs
 
     monkeypatch.setattr(_SparseJointCounts, "__call__", recording_call)
-    monkeypatch.setattr(registration, "_lockstep", counting_lockstep)
+    monkeypatch.setattr(registration, "_pattern_search", counting_search)
     cases = [_acceptance_3_case(annotation, k) for k in range(3)] + [_register_yaw7_case()]
     for fixed, moving, init, cfg in cases:
         scored.clear()
-        rounds.clear()
+        searches.clear()
         t, score, traces = register_rigid(fixed, moving, init, cfg, return_trace=True)
-        assert len(scored) == 2 and len(rounds) == 2  # one scorer and one lockstep run per stage
+        assert len(scored) == 2 and len(searches) == 2  # one scorer and one search per stage
+        coarse_lattice = next(iter(scored))
         coarse_calls, fine_calls = scored.values()
+        (starts, steps0, coarse_runs, coarse_rounds), _ = searches
+        assert len(starts) == 1 + registration._RESTARTS
         # at most one coarse scorer call per round: the four searches share it
-        assert len(coarse_calls) <= rounds[0]
+        assert len(coarse_calls) <= coarse_rounds
         for calls in scored.values():
             maps = [m for c in calls for m in c]
             assert len(set(maps)) == len(maps)
@@ -523,6 +530,15 @@ def test_each_candidate_is_scored_once_with_unchanged_results(annotation, monkey
         assert t.translation.tobytes() == t_ref.translation.tobytes()
         assert score == score_ref
         assert traces == traces_ref
+
+        # every coarse restart, winner or not, ends as the serial search from
+        # its start on the same lattice: a row reads only its own scores
+        serial_score = reference_stage_score(coarse_lattice, init.apply(centroid(moving)), init)
+        for start, (theta, run_score, trace) in zip(starts, coarse_runs):
+            theta_ref, run_score_ref, trace_ref = serial_pattern_search(serial_score, start, steps0)
+            assert theta.tobytes() == theta_ref.tobytes()
+            assert run_score == run_score_ref
+            assert trace == trace_ref
 
 
 def test_validation_errors(annotation):

@@ -127,6 +127,23 @@ def test_vol_header_shape_must_be_non_negative_json_integers(tmp_path, shape):
         load_volume(path)
 
 
+@pytest.mark.parametrize("key, bad", [
+    ("spacing", ["1.5", True, 2]),
+    ("spacing", [1.0, True, 1.0]),
+    ("origin", [True, "0", False]),
+    ("origin", ["0", 0.0, 0.0]),
+    ("axes", [[True, False, False], [False, True, False], [False, False, True]]),
+    ("axes", [["1", 0, 0], [0, 1, 0], [0, 0, 1]]),
+], ids=["spacing-string-and-bool", "spacing-bool", "origin-bools", "origin-string", "axes-bools", "axes-string"])
+def test_vol_header_geometry_must_be_json_numbers(tmp_path, key, bad):
+    # each of these used to be coerced to floats and load a volume
+    vol = Volume3(np.zeros((2, 2, 2), dtype=np.uint8), (1, 1, 1), (0, 0, 0), np.eye(3))
+    path = save_volume(vol, tmp_path / "v.vol")
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: bad}))
+    with pytest.raises(ValueError, match=f"malformed volume header {re.escape(str(path))}: {key} must be a list"):
+        load_volume(path)
+
+
 @pytest.mark.parametrize("text, why", [
     (b"", "Expecting value"),
     (b"shape: [2, 2, 2]\n", "Expecting value"),
