@@ -8,9 +8,10 @@ register     register two binary .vol masks and print the estimated map
 phantom gen  generate (and optionally place) a phantom, saved to a directory
 
 Exit codes: 0 success, 2 bad config or input, 3 pipeline failure: a
-failed vein search in ``run-trial``, or a trial that raises a
-``RuntimeError`` or ``ValueError`` in ``run-trial`` or ``sweep``. Timing
-lines go to stdout only; report files stay a pure function of the config.
+``run-trial`` trial with no targets (a failed vein search, or a probe move
+off the skin after it), or a trial that raises a ``RuntimeError`` or
+``ValueError`` in ``run-trial`` or ``sweep``. Timing lines go to stdout
+only; report files stay a pure function of the config.
 """
 
 from __future__ import annotations
@@ -103,8 +104,9 @@ def _cmd_run_trial(args: argparse.Namespace) -> int:
         print(f"trial {args.index} failed: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
     print(json.dumps(asdict(trial), indent=2))
-    if not trial.search_success:
-        print(f"trial {args.index}: vessel search failed", file=sys.stderr)
+    if not trial.targets:
+        case = "vessel search failed" if not trial.search_success else "probe moved off the skin"
+        print(f"trial {args.index}: {case}, no targets attempted", file=sys.stderr)
         return EXIT_PIPELINE
     return EXIT_OK
 

@@ -9,6 +9,10 @@ position, and report files are emitted with fixed ordering and formatting
 so a rerun reproduces them byte for byte. Per-stage wall-clock timings ride
 along on the in-memory reports and go only into the ``timings.json``
 sidecar, which is outside that byte-identical set.
+
+A failed search or a later probe move off the skin fails its trial as a
+value: no targets, rate 0, no ``trials.csv`` rows; ``summary.json``'s
+``n_search_failures`` counts only the failed searches.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -40,7 +45,7 @@ from .pipeline import (
     slice_match,
     target_imaging,
 )
-from .probe import NOISE_PRESETS, initial_contact
+from .probe import NOISE_PRESETS, OffSkinError, initial_contact
 
 CONFIG_VERSION = 1
 
@@ -180,12 +185,22 @@ def _pick_targets(n: int, limit: int) -> np.ndarray:
     return np.unique(np.linspace(0, n - 1, limit).round().astype(int))
 
 
+@contextmanager
+def _timed(stage_ms: dict[str, float], name: str):
+    """Record the block's wall time in ms as ``stage_ms[name]``, even if it raises."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        stage_ms[name] = (time.perf_counter() - start) * 1e3
+
+
 def run_trial(cfg: SweepConfig, index: int) -> TrialResult:
     """One end-to-end follow-up scan; fully determined by (cfg, index).
 
-    A failed search (waypoints exhausted, or centring that loses the
-    vessel or does not settle) is recorded as a failed trial with zero
-    targets attempted, not raised. A negative or non-integer ``index``
+    A failed search, or a probe move off the skin (``OffSkinError``) after
+    it, is a failed trial with no targets, not a raise; its registration
+    record stays if the map stage ran. A negative or non-integer ``index``
     (a bool among them) is a ConfigError.
     """
     if not _is_count(index) or index < 0:
@@ -199,68 +214,51 @@ def run_trial(cfg: SweepConfig, index: int) -> TrialResult:
     noise_seed = int(rng.integers(2**31))
     noise = NOISE_PRESETS[cfg.noise](noise_seed)
     stage_ms: dict[str, float] = {}
-    clock = time.perf_counter
+    registration, outcomes = None, []
 
-    t = clock()
-    scene = place_phantom(generate_phantom(phantom_seed), [offset_x, offset_y, 0.0])
-    contact = initial_contact(scene)
-    stage_ms["setup"] = (clock() - t) * 1e3
-
-    t = clock()
-    search = hv_search(scene, noise, contact)
-    stage_ms["search"] = (clock() - t) * 1e3
-    if not search.success:
-        return TrialResult(
-            index=index,
-            phantom_seed=phantom_seed,
-            offset_x_mm=offset_x,
-            offset_y_mm=offset_y,
-            search_success=False,
-            waypoints_visited=search.waypoints_visited,
-            registration=None,
-            targets=(),
-            stage_ms=stage_ms,
-        )
-
-    t = clock()
-    acquired = hv_acquire(scene, noise, search.position)
-    stage_ms["acquire"] = (clock() - t) * 1e3
-
-    t = clock()
-    ct_veins = ct_frame_volume(scene.hv_annotation, scene.placement)
-    cmap = coordinate_map(*harmonize(acquired, ct_veins))
-    stage_ms["map"] = (clock() - t) * 1e3
-
-    t = clock()
-    all_targets = target_grid()
-    outcomes = []
-    for ti in _pick_targets(len(all_targets), cfg.targets_limit):
-        target_ct = all_targets[ti]
-        truth = scene.placement.apply(target_ct)
-        sm = slice_match(scene, noise, target_ct, cmap.ct_to_physical, search.position, ct_veins)
-        outcomes.append(
-            TargetOutcome(
-                target_index=int(ti),
-                mapped=tuple(float(v) for v in sm.mapped),
-                corrected=tuple(float(v) for v in sm.corrected),
-                x_err_mm=float(abs(sm.corrected[0] - truth[0])),
-                mapped_err_mm=float(abs(sm.mapped[0] - truth[0])),
-                successes=tuple(
-                    judge_success(target_imaging(scene, sm.corrected, eps), truth)
-                    for eps in cfg.epsilons
-                ),
-            )
-        )
-    stage_ms["targets"] = (clock() - t) * 1e3
+    with _timed(stage_ms, "setup"):
+        scene = place_phantom(generate_phantom(phantom_seed), [offset_x, offset_y, 0.0])
+        contact = initial_contact(scene)
+    with _timed(stage_ms, "search"):
+        search = hv_search(scene, noise, contact)
+    try:
+        if search.success:
+            with _timed(stage_ms, "acquire"):
+                acquired = hv_acquire(scene, noise, search.position)
+            with _timed(stage_ms, "map"):
+                ct_veins = ct_frame_volume(scene.hv_annotation, scene.placement)
+                cmap = coordinate_map(*harmonize(acquired, ct_veins))
+                registration = cmap.registration
+            with _timed(stage_ms, "targets"):
+                all_targets = target_grid()
+                for ti in _pick_targets(len(all_targets), cfg.targets_limit):
+                    target_ct = all_targets[ti]
+                    truth = scene.placement.apply(target_ct)
+                    sm = slice_match(scene, noise, target_ct, cmap.ct_to_physical, search.position, ct_veins)
+                    outcomes.append(
+                        TargetOutcome(
+                            target_index=int(ti),
+                            mapped=tuple(float(v) for v in sm.mapped),
+                            corrected=tuple(float(v) for v in sm.corrected),
+                            x_err_mm=float(abs(sm.corrected[0] - truth[0])),
+                            mapped_err_mm=float(abs(sm.mapped[0] - truth[0])),
+                            successes=tuple(
+                                judge_success(target_imaging(scene, sm.corrected, eps), truth)
+                                for eps in cfg.epsilons
+                            ),
+                        )
+                    )
+    except OffSkinError:
+        outcomes = []
 
     return TrialResult(
         index=index,
         phantom_seed=phantom_seed,
         offset_x_mm=offset_x,
         offset_y_mm=offset_y,
-        search_success=True,
+        search_success=search.success,
         waypoints_visited=search.waypoints_visited,
-        registration=cmap.registration,
+        registration=registration,
         targets=tuple(outcomes),
         stage_ms=stage_ms,
     )
@@ -300,14 +298,14 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
 def success_rates(result: SweepResult) -> list[dict]:
     """Per-epsilon mean/min/max of per-trial success rates.
 
-    A trial whose search failed counts as rate zero across the board; the
-    follow-up scan never happened.
+    A trial with no targets (a failed search or a move off the skin)
+    counts as rate zero across the board; the follow-up scan never finished.
     """
     rows = []
     for k, eps in enumerate(result.config.epsilons):
         rates = []
         for trial in result.trials:
-            if not trial.search_success or not trial.targets:
+            if not trial.targets:
                 rates.append(0.0)
                 continue
             rates.append(

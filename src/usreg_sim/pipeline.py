@@ -46,6 +46,7 @@ from .imgvol import (
 from .phantom import PhantomScene
 from .probe import (
     NoiseModel,
+    OffSkinError,
     ProbeParams,
     capture_grid,
     capture_us,
@@ -129,13 +130,18 @@ def _center_out(n: int) -> list[int]:
     return sorted(range(n), key=lambda k: (abs(2 * k - (n - 1)), k))
 
 
-def _largest_component_stats(mask: np.ndarray) -> tuple[float, float]:
-    comp = largest_connected_component(mask)
+def _look(scene: PhantomScene, noise: NoiseModel | None, x: float, y: float):
+    """Move to (x, y) and segment the junction.
+
+    Returns the position, the largest component's area and its column
+    centroid's offset from the image centre (NaN when there is none).
+    """
+    pos = move_to(scene, x, y)
+    comp = largest_connected_component(segment_branch(capture_us(scene, pos), noise))
     area = float(comp.sum())
     if area == 0:
-        return 0.0, math.nan
-    cols = np.argwhere(comp)[:, 0]
-    return area, float(cols.mean())
+        return pos, 0.0, math.nan
+    return pos, area, float(np.argwhere(comp)[:, 0].mean()) - ProbeParams.image_shape[0] / 2.0
 
 
 def hv_search(scene: PhantomScene, noise: NoiseModel | None, p0: np.ndarray) -> SearchResult:
@@ -148,56 +154,40 @@ def hv_search(scene: PhantomScene, noise: NoiseModel | None, p0: np.ndarray) -> 
     until the component's column centroid sits within tolerance of the
     image center. Exhausting the waypoints returns a failure value with the
     best area seen; so does centring that loses the vessel or does not
-    settle, with the last frame's area and offset (NaN once it is lost).
+    settle, and a move off the skin (``OffSkinError``), each with the last
+    frame's area and offset (NaN once the vessel is lost, or before any frame).
     """
     p0 = np.asarray(p0, dtype=np.float64)
-    center_px = ProbeParams.image_shape[0] / 2.0
-
     steps = int(math.floor(SEARCH_EXTENT_MM / 2.0 / SEARCH_SPACING_MM))
     ticks = [k * SEARCH_SPACING_MM for k in range(-steps, steps + 1)]
-    visited = 0
-    best_area = 0.0
-    for k in _center_out(len(ticks)):
-        pos = move_to(scene, p0[0] + ticks[k], p0[1])
-        visited += 1
-        mask = segment_branch(capture_us(scene, pos), noise)
-        area, col = _largest_component_stats(mask)
-        best_area = max(best_area, area)
-        if area < SEARCH_DETECT_AREA_PX:
-            continue
-
-        # detected: center the component laterally
-        offset = col - center_px
-        for _ in range(SEARCH_MAX_CENTER_ITERATIONS):
-            if abs(offset) <= SEARCH_CENTER_TOL_PX:
-                return SearchResult(
-                    success=True,
-                    position=pos,
-                    waypoints_visited=visited,
-                    final_area=area,
-                    final_center_offset_px=abs(offset),
-                )
+    visited, best_area, settled = 0, 0.0, False
+    area, offset = 0.0, math.nan
+    try:
+        for k in _center_out(len(ticks)):
+            pos, area, offset = _look(scene, noise, p0[0] + ticks[k], p0[1])
+            visited += 1
+            best_area = max(best_area, area)
+            if area >= SEARCH_DETECT_AREA_PX:
+                break
+        else:  # waypoints exhausted
+            area, offset = best_area, math.nan
+        # detected: bang-bang steps center the component laterally
+        for _ in range(SEARCH_MAX_CENTER_ITERATIONS if area >= SEARCH_DETECT_AREA_PX else 0):
+            settled = abs(offset) <= SEARCH_CENTER_TOL_PX
+            if settled:
+                break
             step = math.copysign(SEARCH_STEP_MM, offset)
-            pos = move_to(scene, pos[0], pos[1] + step)
-            mask = segment_branch(capture_us(scene, pos), noise)
-            area, col = _largest_component_stats(mask)
+            pos, area, offset = _look(scene, noise, pos[0], pos[1] + step)
             if area == 0.0:
                 break
-            offset = col - center_px
-        return SearchResult(
-            success=False,
-            position=None,
-            waypoints_visited=visited,
-            final_area=area,
-            final_center_offset_px=abs(col - center_px),
-        )
-
+    except OffSkinError:
+        pass  # the search fails where the probe left the skin
     return SearchResult(
-        success=False,
-        position=None,
+        success=settled,
+        position=pos if settled else None,
         waypoints_visited=visited,
-        final_area=best_area,
-        final_center_offset_px=math.nan,
+        final_area=area,
+        final_center_offset_px=abs(offset),
     )
 
 

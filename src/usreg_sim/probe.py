@@ -106,11 +106,15 @@ def initial_contact(scene: PhantomScene) -> np.ndarray:
     return np.array([x, y, scene.surface_height(x, y)])
 
 
+class OffSkinError(ValueError):
+    """A probe move to a point with no skin beneath it."""
+
+
 def move_to(scene: PhantomScene, x: float, y: float) -> np.ndarray:
-    """The probe position on the surface above (x, y)."""
+    """The probe position on the surface above (x, y); ``OffSkinError`` off the skin."""
     z = scene.surface_height(x, y)
     if math.isnan(z):
-        raise ValueError(f"({x:.1f}, {y:.1f}) is off the skin surface")
+        raise OffSkinError(f"({x:.1f}, {y:.1f}) is off the skin surface")
     return np.array([float(x), float(y), z])
 
 

@@ -218,6 +218,68 @@ def test_run_trial_search_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert "search failed" in captured.err
 
 
+def _off_skin_slice_match(call: int, offset=None):
+    """``slice_match`` whose ``call``-th run starts off the skin.
+
+    With ``offset``, only in the trial whose placement moves the phantom by
+    that (x, y), so it picks the same trial in every process of a forked
+    pool. The real ``move_to`` raises the error.
+    """
+    calls = []
+
+    def match(scene, noise, target_ct, ct_to_physical, branch_pos, ct_veins):
+        if offset is None or np.allclose(scene.placement.translation[:2], offset, atol=1e-6):
+            calls.append(target_ct)
+            if len(calls) == call:
+                branch_pos = branch_pos + np.array([0.0, 1000.0, 0.0])
+        return pipeline.slice_match(scene, noise, target_ct, ct_to_physical, branch_pos, ct_veins)
+
+    return match
+
+
+def test_sweep_with_an_off_skin_trial_exits_0_with_its_reports(tmp_path, capsys, monkeypatch):
+    """A probe move off the skin fails its trial as a value, in a pooled sweep.
+
+    Trial 1's second slice match starts off the skin in a forked worker:
+    the sweep exits 0, trial 1 keeps its registration row and writes no
+    target rows, and trials 0 and 2 write exactly a clean run's rows.
+    """
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**SMALL_CFG, "trials": 3}))
+    run = ["sweep", "--config", str(cfg), "--workers", "2", "--out"]
+    assert main(run + [str(tmp_path / "clean")]) == EXIT_OK
+
+    def lines(run, name):
+        return (tmp_path / run / name).read_text().splitlines()
+
+    trial_1 = next(row for row in lines("clean", "registration.csv") if row.startswith("1,"))
+    offset = [float(v) for v in trial_1.split(",")[2:4]]
+    monkeypatch.setattr(harness, "slice_match", _off_skin_slice_match(call=2, offset=offset))
+    assert main(run + [str(tmp_path / "faulty")]) == EXIT_OK
+    capsys.readouterr()
+
+    clean, faulty = lines("clean", "trials.csv"), lines("faulty", "trials.csv")
+    assert faulty == [row for row in clean if not row.startswith("1,")]
+    assert len(faulty) == 1 + 2 * SMALL_CFG["targets_limit"] * len(SMALL_CFG["epsilons"])
+    assert lines("faulty", "registration.csv") == lines("clean", "registration.csv")
+    summary = json.loads((tmp_path / "faulty" / "summary.json").read_text())
+    assert summary["n_search_failures"] == 0 and summary["registration"]["trials"] == 3
+    assert min(row["min"] for row in summary["success"]) == 0.0
+    timings = json.loads((tmp_path / "faulty" / "timings.json").read_text())
+    assert [t["index"] for t in timings["trials"]] == [0, 1, 2]
+    assert list(timings["trials"][1]["stage_ms"]) == ["setup", "search", "acquire", "map", "targets"]
+
+
+def test_run_trial_off_skin_after_the_search_exits_3(cfg_file, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "slice_match", _off_skin_slice_match(call=1))
+    assert main(["run-trial", "--config", str(cfg_file)]) == EXIT_PIPELINE
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["search_success"] is True and report["targets"] == []
+    assert report["registration"] is not None
+    assert captured.err.count("\n") == 1 and "off the skin" in captured.err
+
+
 @pytest.fixture(params=[0.0, 7.0], ids=["yaw0", "yaw7"])
 def register_pair(request, tmp_path):
     """The phantom-3 annotation in the CT frame (fixed) and placed (moving).

@@ -227,6 +227,23 @@ def test_search_failure_recorded_not_raised(monkeypatch):
     assert trial.waypoints_visited > 0
 
 
+def test_acquisition_off_the_skin_recorded_not_raised(monkeypatch):
+    """A move off the skin after the search fails the trial as a value.
+
+    The acquisition sweep starts off the skin: the trial keeps its search,
+    has no registration and no targets, and times the stage that raised.
+    """
+    def off_skin_acquire(scene, noise, branch_pos):
+        return pipeline.hv_acquire(scene, noise, branch_pos + np.array([0.0, 1000.0, 0.0]))
+
+    monkeypatch.setattr(harness, "hv_acquire", off_skin_acquire)
+    result = run_sweep(SweepConfig(trials=1, noise="zero", epsilons=(2.0, 6.0)))
+    (trial,) = result.trials
+    assert trial.search_success and trial.registration is None and trial.targets == ()
+    assert tuple(trial.stage_ms) == STAGES[:3]
+    assert [r["mean"] for r in success_rates(result)] == [0.0, 0.0]
+
+
 def test_success_rates_count_failed_search_as_zero(monkeypatch):
     monkeypatch.setattr(pipeline, "SEARCH_DETECT_AREA_PX", 1e9)
     cfg = SweepConfig(trials=1, noise="zero", epsilons=(2.0, 6.0))

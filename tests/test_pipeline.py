@@ -49,6 +49,7 @@ from usreg_sim.pipeline import (
 )
 from usreg_sim.probe import (
     NoiseModel,
+    OffSkinError,
     ProbeParams,
     capture_grid,
     capture_us,
@@ -136,6 +137,36 @@ def test_search_failure_when_annotation_empty(scene, contact, monkeypatch):
     assert xs == [contact[0] + dx for dx in offsets]
     assert result.final_area == 0.0
     assert math.isnan(result.final_center_offset_px)
+
+
+def test_search_off_the_skin_is_a_failure_value(scene, contact):
+    result = hv_search(scene, None, contact + np.array([0.0, 200.0, 0.0]))
+    assert not result.success and result.position is None
+    assert result.waypoints_visited == 0 and result.final_area == 0.0
+    assert math.isnan(result.final_center_offset_px)
+
+
+def test_search_centring_off_the_skin_is_a_failure_value(scene, contact, monkeypatch):
+    # the start needs centring; its first lateral step leaves the skin
+    start = contact + np.array([0.0, 7.0, 0.0])
+    moves = []
+
+    def first_step_off_skin(scene, x, y):
+        moves.append((x, y))
+        if len(moves) == 2:
+            raise OffSkinError(f"({x:.1f}, {y:.1f}) is off the skin surface")
+        return move_to(scene, x, y)
+
+    monkeypatch.setattr(pipeline, "move_to", first_step_off_skin)
+    result = hv_search(scene, None, start)
+    assert len(moves) == 2 and moves[1][0] == moves[0][0] and abs(moves[1][1] - moves[0][1]) == 1.0
+    assert not result.success and result.position is None and result.waypoints_visited == 1
+    # the first frame's, which detected the junction off centre
+    pos = move_to(scene, *moves[0])
+    comp = largest_connected_component(segment_branch(capture_us(scene, pos), None))
+    assert result.final_area == comp.sum() >= SEARCH_DETECT_AREA_PX
+    offset = abs(np.argwhere(comp)[:, 0].mean() - ProbeParams.image_shape[0] / 2.0)
+    assert result.final_center_offset_px == pytest.approx(offset) and offset > SEARCH_CENTER_TOL_PX
 
 
 def test_center_out_order():
