@@ -84,8 +84,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"sweep failed: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
     paths = emit_reports(result, args.out)
+    # a trial whose search succeeded ends with no targets only off the skin
+    failed = sum(not t.search_success for t in result.trials)
+    off_skin = sum(t.search_success and not t.targets for t in result.trials)
     print(f"{cfg.trials} trials in {result.elapsed_s:.1f}s "
-          f"({sum(not t.search_success for t in result.trials)} search failures)")
+          f"({failed} search failures, {off_skin} off the skin after the search)")
     for row in success_rates(result):
         print(f"  eps {row['eps_mm']:g} mm: success mean {row['mean']:.3f} "
               f"(min {row['min']:.3f}, max {row['max']:.3f})")

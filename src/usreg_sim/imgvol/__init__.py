@@ -20,7 +20,7 @@ from .volume import (
     sample_slab,
     voxel_to_physical,
 )
-from .metrics import PreparedTruth, dice, omia, omia_bound, precision, prepare_truth, recall
+from .metrics import PreparedTruth, dice, omia, precision, prepare_truth, recall
 from .volio import load_volume, save_volume
 
 __all__ = [
@@ -29,6 +29,6 @@ __all__ = [
     "Volume3", "centroid", "gather_nearest", "largest_connected_component",
     "physical_to_voxel", "require_binary", "resample_crop",
     "sample_at_physical", "sample_slab", "voxel_to_physical",
-    "PreparedTruth", "dice", "omia", "omia_bound", "precision", "prepare_truth", "recall",
+    "PreparedTruth", "dice", "omia", "precision", "prepare_truth", "recall",
     "load_volume", "save_volume",
 ]

@@ -34,7 +34,6 @@ from .imgvol import (
     inverse,
     largest_connected_component,
     omia,
-    omia_bound,
     precision,
     prepare_truth,
     recall,
@@ -108,11 +107,13 @@ class CoordinateMap:
 class SliceMatchResult:
     """One target's slice match, waypoints in increasing x.
 
-    ``scores[i]`` is the ``omia`` of the frame at ``waypoint_xs[i]`` where
-    that frame was scored; where it was skipped, it is the frame's
-    ``omia_bound``, an upper bound on its ``omia`` and strictly below
-    ``scores.max()``, which is always exact and, first in ``_center_out``
-    order, gives ``corrected``.
+    ``scores[i]`` bounds the ``omia`` of the frame at ``waypoint_xs[i]``
+    from above, and is exact where it could win or tie: a captured frame
+    holds its exact ``omia`` or a bound strictly below the best score
+    reached before it; a frame never captured, because an earlier one in
+    ``_center_out`` order overlapped the whole template, holds the
+    template's pixel count. ``scores.max()`` is always exact and, first in
+    ``_center_out`` order, gives ``corrected``.
     """
 
     corrected: np.ndarray
@@ -325,10 +326,12 @@ def slice_match(
     slice prepared once per target). Waypoints are visited in
     ``_center_out`` order; the first best score in it wins.
 
-    A frame whose ``omia_bound`` falls strictly below the best score
-    already reached cannot win or tie, so its FFT pair is skipped and the
-    bound is stored as its score; every frame that could win or tie is
-    scored exactly, so the winner is the one exhaustive scoring picks.
+    Each frame is scored with the best score already reached as ``omia``'s
+    floor: a frame below it cannot win or tie, and keeps the bound ``omia``
+    returns. Capture stops once a frame overlaps the whole template (an
+    empty template captures none): no later frame can score more, so the
+    first best in ``_center_out`` order is already found. The winner is the
+    one exhaustive scoring picks.
     """
     target_ct = np.asarray(target_ct, dtype=np.float64)
     branch_pos = np.asarray(branch_pos, dtype=np.float64)
@@ -343,14 +346,15 @@ def slice_match(
     template = prepare_truth(
         _target_template(scene, target_ct, mapped, ct_to_physical, branch_pos, ct_veins)
     )
-    scores = np.empty(len(xs))
+    # uncaptured frames keep the template's count, a bound on their score
+    scores = np.full(len(xs), float(template.count))
     reached = 0
     order = _center_out(len(xs))
     for i in order:
+        if reached == template.count:
+            break
         pos = move_to(scene, float(xs[i]), branch_pos[1])
-        pred = segment_full(capture_us(scene, pos), noise)
-        bound = omia_bound(pred, template, reached)
-        scores[i] = bound if bound < reached else omia(pred, template)
+        scores[i] = omia(segment_full(capture_us(scene, pos), noise), template, reached)
         reached = max(reached, int(scores[i]))
 
     best = max(order, key=scores.__getitem__)

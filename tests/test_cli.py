@@ -256,7 +256,7 @@ def test_sweep_with_an_off_skin_trial_exits_0_with_its_reports(tmp_path, capsys,
     offset = [float(v) for v in trial_1.split(",")[2:4]]
     monkeypatch.setattr(harness, "slice_match", _off_skin_slice_match(call=2, offset=offset))
     assert main(run + [str(tmp_path / "faulty")]) == EXIT_OK
-    capsys.readouterr()
+    assert "(0 search failures, 1 off the skin after the search)" in capsys.readouterr().out
 
     clean, faulty = lines("clean", "trials.csv"), lines("faulty", "trials.csv")
     assert faulty == [row for row in clean if not row.startswith("1,")]

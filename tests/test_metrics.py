@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from usreg_sim.imgvol import dice, omia, omia_bound, precision, prepare_truth, recall
-from usreg_sim.imgvol.metrics import _fft_len
+from usreg_sim.imgvol import dice, metrics, omia, precision, prepare_truth, recall
+from usreg_sim.imgvol.metrics import _fft_len, _fft_omia
 
 
 from _oracles import brute_force_omia, brute_ratio_metrics, reference_omia
@@ -180,6 +180,7 @@ def test_single_precision_omia_is_exact_at_dense_extremes():
     for pred, truth in cases:
         want = reference_omia(pred, truth)  # float64 correlation, rint
         assert omia(pred, truth) == omia(pred, prepare_truth(truth)) == want
+        assert _fft_omia(pred, prepare_truth(truth)) == want
     assert omia(full, full) == 21600
     assert omia(single, full) == omia(single, tall) == 1
     # on small frames, against the exhaustive integer scan
@@ -190,6 +191,7 @@ def test_single_precision_omia_is_exact_at_dense_extremes():
         pred = (rng.random(small) < rng.choice([0.5, 1.0])).astype(np.uint8)
         want = brute_force_omia(pred, truth)
         assert omia(pred, truth) == omia(pred, prepare_truth(truth)) == want
+        assert _fft_omia(pred, prepare_truth(truth)) == want
 
 
 def test_fft_len_is_the_5_smooth_length_scipy_picks():
@@ -197,6 +199,11 @@ def test_fft_len_is_the_5_smooth_length_scipy_picks():
 
     want = [sp_fft.next_fast_len(n, real=True) for n in range(1, 1025)]
     assert [_fft_len(n) for n in range(1, 1025)] == want
+
+
+def _exact_or_below(got: int, want: int, floor: int) -> bool:
+    """``omia``'s contract with a floor: exact at or above it, else a bound below it."""
+    return got == want if want >= floor else want <= got < floor
 
 
 def test_omia_bound_hand_example():
@@ -207,10 +214,11 @@ def test_omia_bound_hand_example():
     pred[2, 1:6] = 1
     prepared = prepare_truth(truth)
     assert (prepared.count, prepared.rows.tolist(), prepared.cols.tolist()) == (5, [1] * 5, [5])
-    assert omia_bound(pred, prepared, 0) == omia(pred, prepared) == 1
+    assert omia(pred, prepared, 0) == omia(pred, prepared, 1) == 1
     # a floor the counts already miss stops before the projections
-    assert omia_bound(pred, prepared, 6) == 5
-    assert omia_bound(pred, prepared, 5) == 1
+    assert omia(pred, prepared, 6) == 5
+    # one the counts reach stops at the row bound
+    assert omia(pred, prepared, 5) == omia(pred, prepared, 2) == 1
 
 
 def test_omia_bound_is_an_upper_bound_on_every_family():
@@ -219,21 +227,16 @@ def test_omia_bound_is_an_upper_bound_on_every_family():
     for pred in preds:
         want = brute_force_omia(pred, truth)
         counts = min(int(pred.sum()), int(truth.sum()))
-        full = omia_bound(pred, prepared, 0)
-        assert want <= full <= counts
         for floor in range(counts + 2):
-            # a bound below the floor proves omia is below it; at or above
-            # the floor it is the full bound
-            bound = omia_bound(pred, prepared, floor)
-            assert bound >= full and (bound < floor or bound == full)
-    assert omia_bound(preds[0], prepared, 0) == 0  # empty pred
-    assert omia_bound(truth, prepare_truth(np.zeros_like(truth)), 0) == 0
+            assert _exact_or_below(omia(pred, prepared, floor), want, floor)
+    assert omia(preds[0], prepared, 3) == 0  # empty pred
+    assert omia(truth, prepare_truth(np.zeros_like(truth)), 3) == 0
     with pytest.raises(ValueError, match="exceeds"):
-        omia_bound(np.zeros((24, 14), dtype=np.uint8), prepared, 0)
+        omia(np.zeros((24, 14), dtype=np.uint8), prepared, 1)
     with pytest.raises(ValueError, match="0 and 1"):
-        omia_bound(np.full((5, 5), 2, dtype=np.uint8), prepared, 0)
+        omia(np.full((5, 5), 2, dtype=np.uint8), prepared, 1)
     with pytest.raises(ValueError, match="2D"):
-        omia_bound(np.zeros((2, 2, 2), dtype=np.uint8), prepared, 0)
+        omia(np.zeros((2, 2, 2), dtype=np.uint8), prepared, 1)
 
 
 def test_omia_bound_holds_on_full_frames():
@@ -250,9 +253,57 @@ def test_omia_bound_holds_on_full_frames():
         prepared = prepare_truth(truth)
         for pred in preds:
             want = reference_omia(pred, truth)
-            bound = omia_bound(pred, prepared, 0)
             counts = min(int(pred.sum()), int(truth.sum()))
-            assert want <= bound <= counts
-            tighter += bound < counts
-    assert omia_bound(full, prepare_truth(full), 0) == 21600
+            for floor in (0, want, want + 1, counts):
+                assert _exact_or_below(omia(pred, prepared, floor), want, floor)
+            tighter += omia(pred, prepared, counts) < counts
+    assert omia(full, prepare_truth(full), 21600) == 21600
     assert tighter >= 4
+
+
+def _vessel_frame(rng, shape=(216, 100)):
+    """A few filled ellipses, like a segmented vein cross-section."""
+    rows, cols = np.indices(shape)
+    mask = np.zeros(shape, dtype=bool)
+    for _ in range(rng.integers(1, 4)):
+        r, c = rng.uniform(40, shape[0] - 40), rng.uniform(20, shape[1] - 20)
+        a, b = rng.uniform(4, 18, size=2)
+        mask |= ((rows - r) / a) ** 2 + ((cols - c) / b) ** 2 <= 1.0
+    return mask.astype(np.uint8)
+
+
+def test_omia_with_a_floor_matches_the_reference_on_both_routes(monkeypatch):
+    """Exact at or above the floor, a bound below it, by gather or by FFT."""
+    rng = np.random.default_rng(19)
+    routes = {"gather": 0, "fft": 0}
+
+    def counting_fft(pred, truth):
+        routes["fft"] += 1
+        return _fft_omia(pred, truth)
+
+    monkeypatch.setattr(metrics, "_fft_omia", counting_fft)
+    shape = (216, 100)
+    cases = []
+    for _ in range(8):  # sparse vessel-like pairs: a moved, noisy copy
+        truth = _vessel_frame(rng)
+        pred = np.roll(truth, tuple(rng.integers(-6, 7, size=2)), axis=(0, 1))
+        pred = pred ^ (rng.random(shape) < 0.002)
+        cases += [(pred, truth), (_vessel_frame(rng), truth)]
+    for d in (0.3, 0.5, 0.9):  # dense random pairs
+        cases.append(tuple((rng.random(shape) < d).astype(np.uint8) for _ in range(2)))
+    full = np.ones(shape, dtype=np.uint8)
+    single = np.zeros(shape, dtype=np.uint8)
+    single[100, 50] = 1
+    cases += [(full, full), (single, full), (full, _vessel_frame(rng))]
+    for pred, truth in cases:
+        want = reference_omia(pred, truth)
+        prepared = prepare_truth(truth)
+        counts = min(int(pred.sum()), int(truth.sum()))
+        for floor in sorted({0, want // 2, want, want + 1, counts}):
+            fft_before = routes["fft"]
+            assert _exact_or_below(omia(pred, prepared, floor), want, floor)
+            # a score at or above the floor passes every bound: it is exact
+            # by the gather unless the FFT ran
+            routes["gather"] += 0 < want >= floor and routes["fft"] == fft_before
+    assert omia(full, full) == 21600
+    assert routes["gather"] >= 20 and routes["fft"] >= 10

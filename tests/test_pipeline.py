@@ -18,6 +18,7 @@ from usreg_sim.imgvol import (
     euler_zyx,
     inverse,
     largest_connected_component,
+    metrics,
     omia,
     physical_to_voxel,
     rotation_about,
@@ -351,21 +352,69 @@ def _waypoint_omias(scene, noise, sm, branch_pos, template):
     return preds, np.array([omia(pred, template) for pred in preds])
 
 
+def _first_saturating(exact, count):
+    """Center-out rank of the first frame overlapping the whole template, else None."""
+    return next((k for k, i in enumerate(_center_out(len(exact))) if exact[i] == count), None)
+
+
+def _counting_captures(monkeypatch):
+    """A list that grows by one per ``segment_full`` call the pipeline makes."""
+    calls = []
+    segment = pipeline.segment_full
+    monkeypatch.setattr(pipeline, "segment_full", lambda *a: calls.append(1) or segment(*a))
+    return calls
+
+
 def test_slice_match_scores_are_exact_or_a_bound_below_the_winner(scene, found, ct_veins):
     noise = NoiseModel(seed=12)
     targets = target_grid()
     bad = compose(translation([2.0, 0.0, 0.0]), scene.placement)
+    stopped = 0
     for ti in (40, 55):
         sm = slice_match(scene, noise, targets[ti], bad, found.position, ct_veins)
         template = _target_template(scene, targets[ti], sm.mapped, bad, found.position, ct_veins)
         assert template.any()
         preds, exact = _waypoint_omias(scene, noise, sm, found.position, template)
-        for pred, want, score in zip(preds, exact, sm.scores):
-            assert want == reference_omia(pred, template)
-            # scored: the exact overlap; skipped: a bound that cannot tie the winner
-            assert score == want or want < score < sm.scores.max()
+        count = int(template.sum())
+        sat = _first_saturating(exact, count)
+        for rank, i in enumerate(_center_out(len(exact))):
+            assert exact[i] == reference_omia(preds[i], template)
+            if sat is not None and rank > sat:
+                # after the first saturating frame: never captured, the count
+                assert sm.scores[i] == count
+            else:
+                # scored: the exact overlap; skipped: a bound that cannot tie the winner
+                assert sm.scores[i] == exact[i] or exact[i] < sm.scores[i] < sm.scores.max()
         assert sm.scores.max() == exact.max() > 0
         assert np.any(sm.scores > exact)
+        stopped += sat is not None
+    assert stopped == 1
+
+
+def test_slice_match_stops_at_the_first_saturating_frame(scene, found, ct_veins, monkeypatch):
+    captures = _counting_captures(monkeypatch)
+    noise = NoiseModel(seed=13)
+    targets = target_grid()
+    bad = compose(translation([2.0, 0.0, 0.0]), scene.placement)
+    stops = []
+    for ti in (55, 74, 90):
+        before = len(captures)
+        sm = slice_match(scene, noise, targets[ti], bad, found.position, ct_veins)
+        captured = len(captures) - before
+        template = _target_template(scene, targets[ti], sm.mapped, bad, found.position, ct_veins)
+        _, exact = _waypoint_omias(scene, noise, sm, found.position, template)
+        sat = _first_saturating(exact, int(template.sum()))
+        assert captured == (len(exact) if sat is None else sat + 1)
+        stops.append(sat)
+    # one never saturates, one at once, one late
+    assert stops[0] is None and stops[1] == 0 and stops[2] > 5
+
+    # an empty template captures no frame, and its zero scores are exact
+    xs = np.nonzero(ct_veins.data.any(axis=(1, 2)))[0]
+    outside = np.array([ct_veins.origin[0] + ct_veins.spacing[0] * xs.min() - 10.0, 95.0, 58.0])
+    before = len(captures)
+    sm = slice_match(scene, noise, outside, scene.placement, found.position, ct_veins)
+    assert len(captures) == before and np.all(sm.scores == 0)
 
 
 def _full_grid_template(scene, target_ct, mapped, ct_to_physical, branch_pos, ct_veins):
@@ -419,7 +468,8 @@ def _exhaustive_winner(xs, scores, mapped_x):
 
 @pytest.mark.parametrize("noise", [NoiseModel(seed=12), NoiseModel(seed=13), None],
                          ids=["seed12", "seed13", "zero"])
-def test_slice_match_picks_the_exhaustive_winner(scene, found, ct_veins, noise):
+def test_slice_match_picks_the_exhaustive_winner(scene, found, ct_veins, noise, monkeypatch):
+    captures = _counting_captures(monkeypatch)
     targets = target_grid()
     xs = np.nonzero(ct_veins.data.any(axis=(1, 2)))[0]
     x_lo = ct_veins.origin[0] + ct_veins.spacing[0] * xs.min()
@@ -430,8 +480,11 @@ def test_slice_match_picks_the_exhaustive_winner(scene, found, ct_veins, noise):
     ]
     pair_ties = 0  # an equidistant pair of waypoints ties at the best
     x_decides = 0  # the winner's mirror ties it: the smaller-x key picked it
+    early = 0  # a saturated template stopped the capture before the last frame
     for target, cmap in cases + [(outside, scene.placement)]:
+        before = len(captures)
         sm = slice_match(scene, noise, target, cmap, found.position, ct_veins)
+        early += 0 < len(captures) - before < len(sm.scores)
         template = _target_template(scene, target, sm.mapped, cmap, found.position, ct_veins)
         _, exact = _waypoint_omias(scene, noise, sm, found.position, template)
         winner = _exhaustive_winner(sm.waypoint_xs, exact, sm.mapped[0])
@@ -444,26 +497,37 @@ def test_slice_match_picks_the_exhaustive_winner(scene, found, ct_veins, noise):
     assert pair_ties >= 1
     # at zero noise the estimate itself is always among the tied best
     assert x_decides >= (0 if noise is None else 1)
+    assert early >= 1
 
 
 def test_slice_match_skips_most_fft_pairs_in_a_noisy_trial(monkeypatch):
-    counts = {"omia": 0, "frames": 0}
+    counts = {"omia": 0, "fft": 0, "frames": 0}
+    captures = _counting_captures(monkeypatch)
 
-    def counting_omia(pred, template):
+    def counting_omia(*args):
         counts["omia"] += 1
-        return omia(pred, template)
+        return omia(*args)
+
+    def counting_fft(*args):
+        counts["fft"] += 1
+        return fft_omia(*args)
 
     def counting_slice_match(*args):
         sm = slice_match(*args)
         counts["frames"] += len(sm.scores)
         return sm
 
+    fft_omia = metrics._fft_omia
     monkeypatch.setattr(pipeline, "omia", counting_omia)
+    monkeypatch.setattr(metrics, "_fft_omia", counting_fft)
     monkeypatch.setattr(harness, "slice_match", counting_slice_match)
     trial = harness.run_trial(harness.SweepConfig(trials=1, targets_limit=15), 0)
     assert trial.search_success and len(trial.targets) == 15
     assert counts["frames"] >= 15 * 22
-    assert counts["omia"] < 0.4 * counts["frames"]
+    # one omia call per frame captured past the acquisition's 16; saturated
+    # templates leave frames uncaptured, and few scores need the FFT pair
+    assert counts["omia"] == len(captures) - 16 < 0.9 * counts["frames"]
+    assert counts["fft"] <= 0.02 * counts["omia"]
 
 
 # ------------------------------------------- target imaging and judgement
