@@ -4,13 +4,14 @@ The phantom is generated in its own intrinsic frame (identity axes, origin
 at zero), which doubles as the CT frame of the preoperative scan. Placing
 the phantom on the virtual table applies a yaw-about-z plus translation.
 A scene stores that placement once: its skin height and the placed
-volumes follow from it, and a saved scene is rebuilt from its seed and
-placement. The placement is ground truth for evaluation; the pipeline
-reads it only through the skin height its probe rides on. The CT side is
-fixed: the vein tree and the follow-up target lattice are constants in CT
-coordinates, built once per process, and ``save_scene`` places the tree
-only to write it. The body is the analytic ``PhantomParams`` ellipse
-alone; ``save_scene`` rasterises it only to write ``body.vol``.
+volumes follow from it. A saved scene directory is an export for other
+tools; the package writes it and never reads it back. The placement is
+ground truth for evaluation; the pipeline reads it only through the skin
+height its probe rides on. The CT side is fixed: the vein tree and the
+follow-up target lattice are constants in CT coordinates, built once per
+process, and ``save_scene`` places the tree only to write it. The body is
+the analytic ``PhantomParams`` ellipse alone; ``save_scene`` rasterises it
+only to write ``body.vol``.
 """
 from __future__ import annotations
 
@@ -266,11 +267,7 @@ def place_phantom(scene: PhantomScene, offset, yaw_deg: float = 0.0) -> PhantomS
         raise ValueError(f"offset must be 3 finite numbers, got {offset.tolist()}")
     if not abs(yaw_deg) <= 10.0:
         raise ValueError(f"|yaw| must be at most 10 degrees, got {yaw_deg}")
-    return _moved(scene, compose(translation(offset), RigidTransform3(rotation_z(yaw_deg), np.zeros(3))))
-
-
-def _moved(scene: PhantomScene, motion: RigidTransform3) -> PhantomScene:
-    """``scene`` with its volumes and placement carried by ``motion``."""
+    motion = compose(translation(offset), RigidTransform3(rotation_z(yaw_deg), np.zeros(3)))
     return PhantomScene(
         hv_annotation=_moved_volume(scene.hv_annotation, motion),
         hv_branch_annotation=_moved_volume(scene.hv_branch_annotation, motion),
@@ -322,10 +319,10 @@ def _body_volume(scene: PhantomScene) -> Volume3:
 def save_scene(scene: PhantomScene, out_dir: str | Path) -> Path:
     """Write body/annotation volumes plus a JSON descriptor; returns the JSON path.
 
-    ``load_scene`` reads back only the seed and the placement; the volumes,
-    ``branch_point``, ``targets`` and ``tree`` are written for other tools.
-    The branching point and the tree are placed here, the targets stay in
-    CT coordinates.
+    The directory is an output for other tools: nothing in the package
+    reads it back. ``scene.json`` records the seed, the placement, the
+    branching point and tree (placed here) and the targets (in CT
+    coordinates).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -354,31 +351,3 @@ def save_scene(scene: PhantomScene, out_dir: str | Path) -> Path:
     path = out / "scene.json"
     path.write_text(json.dumps(desc, indent=1) + "\n")
     return path
-
-
-def load_scene(path: str | Path) -> PhantomScene:
-    """The scene ``save_scene`` wrote: the phantom of its seed, placed again.
-
-    Only ``format_version``, ``seed`` and ``placement`` are read; a
-    malformed descriptor is a ValueError that names the file.
-    """
-    path = Path(path)
-    if path.is_dir():
-        path = path / "scene.json"
-    try:
-        desc = json.loads(path.read_text())
-        if not isinstance(desc, dict):
-            raise ValueError("not a JSON object")
-        if desc.get("format_version") != SCENE_FORMAT_VERSION:
-            raise ValueError(f"unsupported scene format {desc.get('format_version')}")
-        seed = desc["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
-        placement = RigidTransform3(desc["placement"]["rotation"], desc["placement"]["translation"])
-        if not np.array_equal([placement.rotation[2], placement.rotation[:, 2]], [[0, 0, 1]] * 2):
-            raise ValueError("placement must keep the z axis vertical: a yaw about z alone")
-    except KeyError as exc:
-        raise ValueError(f"malformed scene descriptor {path}: missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed scene descriptor {path}: {exc}") from exc
-    return _moved(generate_phantom(seed), placement)

@@ -12,7 +12,7 @@ from usreg_sim.harness import SweepConfig
 from usreg_sim.imgvol import (
     RigidTransform3, Volume3, inverse, load_volume, resample_crop, save_volume,
 )
-from usreg_sim.phantom import ct_frame_volume, generate_phantom, load_scene, place_phantom
+from usreg_sim.phantom import ct_frame_volume, generate_phantom, place_phantom
 from usreg_sim.pipeline import harmonize
 from usreg_sim.registration import mutual_information
 
@@ -436,9 +436,39 @@ def test_phantom_gen_roundtrip(tmp_path, capsys):
         "--offset-x", "18", "--offset-y", "-12",
     ])
     assert code == EXIT_OK
-    scene = load_scene(out)
-    assert scene.seed == 7
-    assert np.allclose(scene.placement.translation, [18.0, -12.0, 0.0])
+    want = place_phantom(generate_phantom(7), [18.0, -12.0, 0.0])
+    desc = json.loads((out / "scene.json").read_text())
+    assert desc["seed"] == 7
+    placement = RigidTransform3(desc["placement"]["rotation"], desc["placement"]["translation"])
+    for name in ("rotation", "translation"):
+        assert getattr(placement, name).tobytes() == getattr(want.placement, name).tobytes()
+    got = load_volume(out / "hv_annotation.vol")
+    np.testing.assert_array_equal(got.data, want.hv_annotation.data)
+    for name in ("spacing", "origin", "axes"):
+        assert getattr(got, name).tobytes() == getattr(want.hv_annotation, name).tobytes()
+
+
+# sha256 of every file `phantom gen --seed 7 --offset-x 18 --offset-y -12`
+# writes: the scene directory is the one scene contract the package keeps.
+# At yaw 0 every placement product is exact, so these bits do not depend on
+# the BLAS kernel.
+PHANTOM_GEN_DIGESTS = {
+    "scene.json": "d76343c73ed7ff27ff1a16f75a5de32b7b231fee0f850d7d885b3b2103e09dae",
+    "body.vol": "40bdf8911c14aaf525adef145452d6f38410a66df316f4268a7d09c4d1da342e",
+    "body.raw": "0e35d52416e38745070daa6509e1ac4716df16bbb812dbb3e983246ace1caf2d",
+    "hv_annotation.vol": "e76959bd5980aef2fb9cbbe13430df13877c1de860b10eea8cca3e264e5c123d",
+    "hv_annotation.raw": "359781d619a4eeeea20baf08503717a69c921484a893806a6fb4d6384826fc01",
+    "hv_branch_annotation.vol": "9ef051b084761d52e3554888a29ca5d41526379c13766e46f7473e135d3509e3",
+    "hv_branch_annotation.raw": "4f770a2e80675edc11e24bb4f89dc2feacf0ea4cd211645e0b564176292a0803",
+}
+
+
+def test_phantom_gen_output_is_pinned(tmp_path, capsys):
+    out = tmp_path / "scene"
+    args = ["phantom", "gen", "--out", str(out), "--seed", "7", "--offset-x", "18", "--offset-y", "-12"]
+    assert main(args) == EXIT_OK
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == PHANTOM_GEN_DIGESTS
 
 
 @pytest.mark.parametrize("flag, value, name", [

@@ -97,6 +97,22 @@ def test_zero_noise_segmentation_is_exact(scene):
     assert np.array_equal(branch, want_branch)
 
 
+@pytest.mark.parametrize("offset", [(0.0, 0.0, 0.0), (12.3, -7.1, 0.0)])
+def test_unyawed_truth_changes_only_per_annotation_slab(scene, offset):
+    # the truth is the 2 mm CT annotation read by nearest voxel, so along x
+    # a frame sees one mask per annotation slab, and each slab a different one
+    placed = place_phantom(scene, offset)
+    bx, by, _ = placed.placement.apply(PhantomParams.branch_point)
+    masks = {}
+    for x in np.linspace(bx - 10.0, bx + 10.0, 211):
+        pos = move_to(placed, x, by)
+        slab = int(np.floor(physical_to_voxel(placed.hv_annotation, pos)[0] + 0.5))
+        masks.setdefault(slab, set()).add(segment_full(capture_us(placed, pos), None).tobytes())
+    assert len(masks) == 11
+    assert all(len(seen) == 1 for seen in masks.values())
+    assert len(set.union(*masks.values())) == len(masks)
+
+
 def test_segmentation_bit_reproducible(scene):
     frame = capture_us(scene, move_to(scene, 62.0, 96.0))
     noise = NoiseModel(seed=5)
